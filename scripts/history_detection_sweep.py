@@ -13,10 +13,10 @@ import argparse
 
 import numpy as np
 
-from posehsmm.emission import FeatureFrame, FeatureStream, fit_channel_emissions
+from posehsmm.emission import fit_channel_emissions
 from posehsmm.inference import HsmmModel, fit_durations, fit_transitions
 from posehsmm.simulate import preset_config, sample_sequence
-from posehsmm.states import build_initial_distribution
+from posehsmm.states import build_initial_distribution, decode_segments
 from posehsmm.summarize import (
     history_from_labels,
     summarize_history,
@@ -25,29 +25,22 @@ from posehsmm.summarize import (
 
 
 def labels_of(truth):
-    out = []
-    for seg in truth.segmentation:
-        out.extend([seg.y_index] * seg.d)
-    return out
+    return decode_segments(truth.segmentation)
 
 
 def fit_supervised(pairs):
     space = pairs[0][1].generating_model.states
     n = len(space)
-    A = fit_transitions([labels_of(t) for _, t in pairs], n, semi_markov=True)
+    label_lists = [labels_of(t) for _, t in pairs]
+    A = fit_transitions(label_lists, n, semi_markov=True)
     segmentations = [t.segmentation for _, t in pairs]
     longest = max(max(seg.d for seg in s) for s in segmentations)
     d_max = min(3 * longest, max(s.T for s in segmentations))
     durations = fit_durations(segmentations, n, d_max)
-    frames, flat_labels, tick = [], [], 1
-    for stream, truth in pairs:
-        for frame in stream.frames:
-            frames.append(FeatureFrame(tick, frame.vectors, frame.available))
-            tick += 1
-        flat_labels.extend(labels_of(truth))
-    flat = FeatureStream(tuple(frames), pairs[0][0].F)
+    streams = [stream for stream, _ in pairs]
+    channels = sorted({c for s in streams for c in s.channels}, key=str)
     emissions = {
-        c: fit_channel_emissions(flat, flat_labels, c, n) for c in flat.channels
+        c: fit_channel_emissions(streams, label_lists, c, n) for c in channels
     }
     return HsmmModel(build_initial_distribution(space), A, durations, emissions, space)
 

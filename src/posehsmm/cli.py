@@ -15,15 +15,8 @@ import os
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import fileio
-from .emission import (
-    FeatureFrame,
-    FeatureStream,
-    binarize_stream,
-    fit_channel_emissions,
-)
+from .emission import _channel_sort_key, binarize_stream, fit_channel_emissions
 from .errors import (
     FormatError,
     NoFeasiblePath,
@@ -46,6 +39,7 @@ from .states import (
     RotationDirection,
     SceneCondition,
     build_initial_distribution,
+    decode_segments,
 )
 from .summarize import (
     build_transition_library,
@@ -161,24 +155,6 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
-def _concat_for_emissions(pairs):
-    """Stack several (stream, labels) pairs into one stream for mean fitting.
-
-    Emission fitting is order-free, so re-ticking the concatenation is safe;
-    transitions and durations are still fit per sequence.
-    """
-    frames = []
-    labels = []
-    t = 1
-    F = pairs[0][0].F
-    for stream, labs in pairs:
-        for frame in stream.frames:
-            frames.append(FeatureFrame(t, frame.vectors, frame.available))
-            t += 1
-        labels.extend(labs)
-    return FeatureStream(tuple(frames), F), labels
-
-
 def _cmd_train(args) -> int:
     pairs = []
     for stream_path, truth_path in args.data:
@@ -190,6 +166,10 @@ def _cmd_train(args) -> int:
             raise FormatError(
                 f"{stream_path}: stream has T={stream.T} but truth covers "
                 f"T={truth.segmentation.T}"
+            )
+        if pairs and stream.F != pairs[0][0].F:
+            raise FormatError(
+                f"{stream_path}: stream has F={stream.F}, expected {pairs[0][0].F}"
             )
         pairs.append((stream, truth))
 
@@ -210,12 +190,10 @@ def _cmd_train(args) -> int:
         d_max = min(3 * longest, max(s.T for s in segmentations))
     durations = fit_durations(segmentations, n, d_max)
 
-    flat_stream, flat_labels = _concat_for_emissions(
-        [(stream, truth.labels) for stream, truth in pairs]
-    )
+    streams = [stream for stream, _ in pairs]
+    channels = sorted({c for s in streams for c in s.channels}, key=_channel_sort_key)
     emissions = {
-        c: fit_channel_emissions(flat_stream, flat_labels, c, n)
-        for c in flat_stream.channels
+        c: fit_channel_emissions(streams, label_lists, c, n) for c in channels
     }
     pi = build_initial_distribution(space)
     model = HsmmModel(pi, A, durations, emissions, space)
@@ -352,9 +330,7 @@ def _cmd_evaluate(args) -> int:
         segmentation, _ = fileio.read_decoded(args.decoded)
         if segmentation.T != truth.segmentation.T:
             raise FormatError("decoded and truth cover different T")
-        pred = []
-        for seg in segmentation:
-            pred.extend([seg.y_index] * seg.d)
+        pred = decode_segments(segmentation)
         ref = truth.labels
         metrics.append(
             ("frame_accuracy", sum(p == r for p, r in zip(pred, ref)) / len(ref))
@@ -514,6 +490,10 @@ def main(argv=None) -> int:
         return 3
     except PoseHsmmError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except OSError as exc:
+        where = exc.filename if exc.filename is not None else "-"
+        print(f"error: {where}: {exc.strerror or exc}", file=sys.stderr)
         return 1
 
 

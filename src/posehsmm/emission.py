@@ -14,6 +14,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -64,42 +65,64 @@ class FeatureFrame:
     vectors: Mapping[ChannelId, np.ndarray]
     available: frozenset[ChannelId]
 
-    def vector(self, channel: ChannelId) -> np.ndarray:
-        return self.vectors[channel]
 
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FeatureStream:
-    """A fixed-rate sequence of frames with a common feature dimension F."""
+    """A fixed-rate observation array: C channels x T ticks x F features.
 
-    frames: tuple[FeatureFrame, ...]
-    F: int
+    ``X[k, t]`` is channel ``channel_ids[k]``'s vector at tick t + 1 and
+    ``mask[k, t]`` says whether that channel was available then.  Values
+    under a False mask are zero, and both arrays are read-only.  Channels
+    are sorted by (view, modality).
+    """
+
+    X: np.ndarray
+    mask: np.ndarray
+    channel_ids: tuple[ChannelId, ...]
 
     def __post_init__(self):
-        if not self.frames:
+        X = np.asarray(self.X, dtype=float)
+        mask = np.array(self.mask, dtype=bool)
+        ids = self.channel_ids
+        if X.ndim != 3 or mask.shape != X.shape[:2] or len(ids) != X.shape[0]:
+            raise ValueError(f"X {X.shape}, mask {mask.shape}, {len(ids)} channels")
+        if list(ids) != sorted(set(ids), key=_channel_sort_key):
+            raise ValueError("stream channels must be unique and sorted")
+        if X.shape[1] == 0:
             raise EmptySequence("feature stream has no frames")
-        for i, frame in enumerate(self.frames):
-            if frame.t != i + 1:
-                raise ValueError(f"frame {i} has tick {frame.t}, expected {i + 1}")
-            for channel in frame.available:
-                vec = frame.vectors.get(channel)
-                if vec is None:
-                    raise ValueError(f"tick {frame.t}: {channel} flagged but missing")
-                if vec.shape != (self.F,):
-                    raise ValueError(
-                        f"tick {frame.t}: {channel} has shape {vec.shape}, expected ({self.F},)"
-                    )
+        X = np.where(mask[..., None], X, 0.0)
+        X.flags.writeable = False
+        mask.flags.writeable = False
+        object.__setattr__(self, "X", X)
+        object.__setattr__(self, "mask", mask)
 
     @property
     def T(self) -> int:
-        return len(self.frames)
+        return self.X.shape[1]
+
+    @property
+    def F(self) -> int:
+        return self.X.shape[2]
 
     @property
     def channels(self) -> list[ChannelId]:
-        seen: set[ChannelId] = set()
-        for frame in self.frames:
-            seen.update(frame.available)
-        return sorted(seen, key=_channel_sort_key)
+        """Channels available at one tick at least, in channel order."""
+        ever = self.mask.any(axis=1)
+        return [c for c, seen in zip(self.channel_ids, ever) if seen]
+
+    def channel_index(self, channel: ChannelId) -> int | None:
+        """Row of ``channel`` in X and mask, or None if the stream lacks it."""
+        return self.channel_ids.index(channel) if channel in self.channel_ids else None
+
+    @cached_property
+    def frames(self) -> tuple[FeatureFrame, ...]:
+        """Per-tick view for the per-frame oracle ``emission_log_likelihood``."""
+        frames = []
+        ids = self.channel_ids
+        for t in range(self.T):
+            vecs = {c: self.X[k, t] for k, c in enumerate(ids) if self.mask[k, t]}
+            frames.append(FeatureFrame(t + 1, vecs, frozenset(vecs)))
+        return tuple(frames)
 
     @classmethod
     def from_arrays(
@@ -109,32 +132,22 @@ class FeatureStream:
     ) -> "FeatureStream":
         """Build a stream from (T, F) arrays, one per channel.
 
-        ``available`` holds boolean masks of length T; omitted channels are
-        treated as always available.
+        ``available`` holds boolean masks of length T; when it is None every
+        channel is available at every tick.
         """
-        channels = sorted(vectors, key=_channel_sort_key)
-        T, F = next(iter(vectors.values())).shape
-        frames = []
-        for t in range(T):
-            vecs = {}
-            avail = set()
-            for c in channels:
-                if available is None or bool(available[c][t]):
-                    vecs[c] = np.asarray(vectors[c][t], dtype=float)
-                    avail.add(c)
-            frames.append(FeatureFrame(t + 1, vecs, frozenset(avail)))
-        return cls(tuple(frames), F)
+        channels = tuple(sorted(vectors, key=_channel_sort_key))
+        X = np.stack([np.asarray(vectors[c], dtype=float) for c in channels])
+        if available is None:
+            mask = np.ones(X.shape[:2], dtype=bool)
+        else:
+            mask = np.stack([np.asarray(available[c], dtype=bool) for c in channels])
+        return cls(X, mask, channels)
 
 
 def binarize_stream(stream: FeatureStream, threshold: float = 0.5) -> FeatureStream:
     """Threshold every feature at ``threshold``; availability is untouched."""
-    frames = []
-    for frame in stream.frames:
-        vecs = {
-            c: (frame.vectors[c] >= threshold).astype(float) for c in frame.available
-        }
-        frames.append(FeatureFrame(frame.t, vecs, frame.available))
-    return FeatureStream(tuple(frames), stream.F)
+    X = (stream.X >= threshold).astype(float)
+    return FeatureStream(X, stream.mask, stream.channel_ids)
 
 
 @dataclass
@@ -159,7 +172,7 @@ class ChannelEmissionModel:
 
 
 def fit_channel_emissions(
-    stream: FeatureStream,
+    stream: FeatureStream | Sequence[FeatureStream],
     labels: Sequence,
     channel: ChannelId,
     n_states: int,
@@ -169,23 +182,35 @@ def fit_channel_emissions(
     mu[i] is the per-feature average of this channel's vectors over ticks
     labeled i; ticks where the channel is unavailable are excluded from both
     numerator and denominator.  States with no observation fall back to the
-    uninformative 0.5 row.
+    uninformative 0.5 row.  Accepts one stream with its labels, or a
+    sequence of streams with one label sequence each; the sums are pooled in
+    stream order, tick by tick.
     """
-    if len(labels) != stream.T:
-        raise LabelMismatch(f"{len(labels)} labels for {stream.T} frames")
-    sums = np.zeros((n_states, stream.F))
+    single = isinstance(stream, FeatureStream)
+    streams = [stream] if single else list(stream)
+    label_lists = [labels] if single else list(labels)
+    if len(streams) != len(label_lists):
+        raise LabelMismatch(f"{len(label_lists)} label lists for {len(streams)} streams")
+    for s, labs in zip(streams, label_lists):
+        if len(labs) != s.T:
+            raise LabelMismatch(f"{len(labs)} labels for {s.T} frames")
+    F = streams[0].F
+    sums = np.zeros((n_states, F))
     counts = np.zeros(n_states)
     seen = False
-    for frame, label in zip(stream.frames, labels):
-        if channel not in frame.available:
+    for s, labs in zip(streams, label_lists):
+        k = s.channel_index(channel)
+        if k is None or not s.mask[k].any():
             continue
         seen = True
-        i = operator.index(label)
-        sums[i] += frame.vectors[channel]
-        counts[i] += 1.0
+        rows = s.mask[k]
+        idx = np.array([operator.index(y) for y in labs], dtype=np.intp)[rows]
+        # np.add.at adds row by row in tick order, like a running sum
+        np.add.at(sums, idx, s.X[k, rows])
+        np.add.at(counts, idx, 1.0)
     if not seen:
         raise ChannelAbsent(f"{channel} is never available in this stream")
-    means = np.full((n_states, stream.F), 0.5)
+    means = np.full((n_states, F), 0.5)
     observed = counts > 0
     means[observed] = sums[observed] / counts[observed, None]
     return ChannelEmissionModel(channel, means)
@@ -229,17 +254,14 @@ def log_emission_matrix(
     """
     E = np.zeros((stream.T, n_states))
     covered = np.zeros(stream.T, dtype=bool)
-    for channel in sorted(models, key=_channel_sort_key):
-        model = models[channel]
-        rows = [
-            t for t, frame in enumerate(stream.frames) if channel in frame.available
-        ]
-        if not rows:
+    # stream channels are sorted, so channels add up in a fixed order
+    for k, channel in enumerate(stream.channel_ids):
+        rows = np.flatnonzero(stream.mask[k])
+        if channel not in models or rows.size == 0:
             continue
-        X = np.stack([stream.frames[t].vectors[channel] for t in rows])
-        log_mu = np.log(model.means)
-        log_1m = np.log1p(-model.means)
-        E[rows] += X @ log_mu.T + (1.0 - X) @ log_1m.T
+        X = stream.X[k, rows]
+        means = models[channel].means
+        E[rows] += X @ np.log(means).T + (1.0 - X) @ np.log1p(-means).T
         covered[rows] = True
     E[~covered] = stream.F * np.log(0.5)
     return E

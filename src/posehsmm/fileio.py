@@ -25,6 +25,7 @@ from .states import (
     Segmentation,
     StateId,
     StateSpace,
+    decode_segments,
 )
 from .summarize import HistoryRecord, TransitionRecord
 
@@ -47,7 +48,10 @@ class _Reader:
 
     def __init__(self, path, kind: str):
         text = Path(path).read_text()
-        self.lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
+        raw = text.splitlines()
+        # 1-based file line number of each kept line
+        self.numbers = [n for n, ln in enumerate(raw, start=1) if ln.strip()]
+        self.lines = [raw[n - 1].strip() for n in self.numbers]
         self.pos = 0
         self.head: dict[str, str] = {}
         if not self.lines or self.lines[0] != f"format: {FORMAT_VERSION}":
@@ -67,6 +71,9 @@ class _Reader:
         for line in self.lines[self.pos :]:
             yield line.split()
 
+    def numbered_records(self):
+        yield from zip(self.numbers[self.pos :], self.records())
+
 
 def _scene_str(scene: SceneCondition | None) -> str:
     return scene.value if scene is not None else "-"
@@ -83,21 +90,22 @@ def _scene_parse(text: str) -> SceneCondition | None:
 
 def write_stream(stream: FeatureStream, path) -> None:
     channels = stream.channels
+    ever = stream.mask.any(axis=1)
+    X, mask = stream.X[ever], stream.mask[ever]
     lines = _header(
         "stream",
         {"T": stream.T, "F": stream.F, "channels": " ".join(str(c) for c in channels)},
     )
-    for frame in stream.frames:
-        mask = "".join("1" if c in frame.available else "0" for c in channels)
-        values = []
-        for c in channels:
-            if c in frame.available:
-                values.extend(_fmt(v) for v in frame.vectors[c])
-        lines.append(f"tick {frame.t} {mask} " + " ".join(values))
+    for t in range(stream.T):
+        bits = "".join("1" if b else "0" for b in mask[:, t])
+        values = " ".join(_fmt(v) for v in X[mask[:, t], t].ravel().tolist())
+        lines.append(f"tick {t + 1} {bits} {values}")
     Path(path).write_text("\n".join(lines) + "\n")
 
 
 def read_stream(path) -> FeatureStream:
+    """Parse a stream file: each tick 1..T exactly once, every feature a
+    finite number in [0, 1], else ``FormatError`` naming file and line."""
     r = _Reader(path, "stream")
     try:
         T = int(r.head["T"])
@@ -105,27 +113,39 @@ def read_stream(path) -> FeatureStream:
         channels = [ChannelId.parse(c) for c in r.head["channels"].split()]
     except (KeyError, ValueError) as exc:
         raise FormatError(f"{path}: bad stream header: {exc}") from exc
-    vectors = {c: np.zeros((T, F)) for c in channels}
-    masks = {c: np.zeros(T, dtype=bool) for c in channels}
-    seen = 0
-    for rec in r.records():
+    if T < 1 or F < 1 or len(set(channels)) != len(channels):
+        raise FormatError(f"{path}: bad stream header: T={T} F={F} {channels}")
+    X = np.zeros((len(channels), T, F))
+    mask = np.zeros((len(channels), T), dtype=bool)
+    seen = np.zeros(T, dtype=bool)
+    for lineno, rec in r.numbered_records():
+        where = f"{path}:{lineno}"
         if rec[0] != "tick":
-            raise FormatError(f"{path}: unexpected record {rec[0]!r}")
-        t = int(rec[1])
-        mask = rec[2]
-        values = [float(v) for v in rec[3:]]
-        if len(mask) != len(channels) or len(values) != mask.count("1") * F:
-            raise FormatError(f"{path}: malformed tick {t}")
-        k = 0
-        for c, bit in zip(channels, mask):
-            if bit == "1":
-                vectors[c][t - 1] = values[k : k + F]
-                masks[c][t - 1] = True
-                k += F
-        seen += 1
-    if seen != T:
-        raise FormatError(f"{path}: {seen} ticks for T={T}")
-    return FeatureStream.from_arrays(vectors, masks)
+            raise FormatError(f"{where}: unexpected record {rec[0]!r}")
+        try:
+            t = int(rec[1])
+            bits = rec[2]
+            values = [float(v) for v in rec[3:]]
+        except (IndexError, ValueError) as exc:
+            raise FormatError(f"{where}: malformed tick line: {exc}") from None
+        if not 1 <= t <= T:
+            raise FormatError(f"{where}: tick {t} outside 1..{T}")
+        if seen[t - 1]:
+            raise FormatError(f"{where}: duplicate tick {t}")
+        bad_bits = len(bits) != len(channels) or not set(bits) <= {"0", "1"}
+        if bad_bits or len(values) != bits.count("1") * F:
+            raise FormatError(f"{where}: malformed tick {t}")
+        if not all(0.0 <= v <= 1.0 for v in values):
+            raise FormatError(f"{where}: features must be finite and in [0, 1]")
+        mask[:, t - 1] = [b == "1" for b in bits]
+        X[mask[:, t - 1], t - 1] = np.reshape(values, (-1, F))
+        seen[t - 1] = True
+    if not seen.all():
+        raise FormatError(f"{path}: {seen.sum()} ticks for T={T}")
+    return FeatureStream.from_arrays(
+        {c: X[k] for k, c in enumerate(channels)},
+        {c: mask[k] for k, c in enumerate(channels)},
+    )
 
 
 # =====================================================================
@@ -144,10 +164,7 @@ class TruthFile:
 
     @property
     def labels(self) -> list[int]:
-        out: list[int] = []
-        for seg in self.segmentation:
-            out.extend([seg.y_index] * seg.d)
-        return out
+        return decode_segments(self.segmentation)
 
 
 def write_truth(

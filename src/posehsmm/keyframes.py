@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .emission import ChannelId, FeatureFrame, FeatureStream, _channel_sort_key
+from .emission import ChannelId, FeatureStream
 from .errors import ChannelAbsent, EmptySequence
 
 
@@ -61,33 +61,31 @@ def _distance(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.linalg.norm(a - b)) / math.sqrt(a.shape[0])
 
 
+def _distances(X: np.ndarray, ref: np.ndarray) -> np.ndarray:
+    """``_distance`` of every (C, T, F) row to its channel's (C, F) reference;
+    ``np.vecdot`` sums squares as ``np.linalg.norm`` does, so bit for bit."""
+    D = X - ref[:, None, :]
+    return np.sqrt(np.vecdot(D, D)) / math.sqrt(X.shape[2])
+
+
 def channel_endpoint_dissimilarity(clip: FeatureStream, channel: ChannelId) -> float:
     """Normalized Euclidean distance between a channel's first and last frame."""
-    first, last = clip.frames[0], clip.frames[-1]
-    if channel not in first.available or channel not in last.available:
+    k = clip.channel_index(channel)
+    if k is None or not (clip.mask[k, 0] and clip.mask[k, -1]):
         raise ChannelAbsent(f"{channel} unavailable at a clip endpoint")
-    return _distance(first.vectors[channel], last.vectors[channel])
+    return _distance(clip.X[k, 0], clip.X[k, -1])
 
 
-def _frame_score(
-    frame: FeatureFrame,
-    ref_a: FeatureFrame,
-    ref_b: FeatureFrame,
-) -> tuple[float, ChannelId | None]:
-    """Best min-distance-to-both-references over channels shared by all three."""
-    best = -1.0
-    best_channel = None
-    shared = sorted(
-        frame.available & ref_a.available & ref_b.available, key=_channel_sort_key
-    )
-    for c in shared:
-        d1 = _distance(frame.vectors[c], ref_a.vectors[c])
-        d2 = _distance(frame.vectors[c], ref_b.vectors[c])
-        score = min(d1, d2)
-        if score > best:
-            best = score
-            best_channel = c
-    return best, best_channel
+def _frame_scores(clip: FeatureStream, a: int, b: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per frame, the best min-distance to frames ``a`` and ``b`` (0-based)
+    over channels available in all three, and the row of the first channel
+    reaching it.  A frame sharing no channel with both scores -1.
+    """
+    X, mask = clip.X, clip.mask
+    d = np.minimum(_distances(X, X[:, a]), _distances(X, X[:, b]))
+    d = np.where(mask & mask[:, a : a + 1] & mask[:, b : b + 1], d, -1.0)
+    rows = d.argmax(axis=0)
+    return d[rows, np.arange(clip.T)], rows
 
 
 def select_keyframes(
@@ -110,16 +108,14 @@ def select_keyframes(
     if k_max < 2:
         raise ValueError("k_max must be at least 2")
     ratio = threshold if stage2_threshold is None else stage2_threshold
-    first, last = clip.frames[0], clip.frames[-1]
+    channels = clip.channel_ids
 
     # Stage 1: strongest endpoint-motion channel.
-    best_dis = -1.0
-    best_channel = None
-    for c in sorted(first.available & last.available, key=_channel_sort_key):
-        dis = _distance(first.vectors[c], last.vectors[c])
-        if dis > best_dis:
-            best_dis = dis
-            best_channel = c
+    endpoint = _distances(clip.X[:, :1], clip.X[:, -1])[:, 0]
+    endpoint = np.where(clip.mask[:, 0] & clip.mask[:, -1], endpoint, -1.0)
+    k = int(endpoint.argmax())
+    best_dis = float(endpoint[k])
+    best_channel = channels[k] if best_dis >= 0.0 else None
     endpoint_score = max(best_dis, 0.0)
     endpoints = (
         Keyframe(1, best_channel, endpoint_score, 1),
@@ -134,11 +130,12 @@ def select_keyframes(
     budget = max(0, k_max - 3)
     if budget > 0 and clip.T > 2:
         gap = math.ceil(clip.T / k_max)
-        candidates = []
-        for n in range(2, clip.T):
-            score, channel = _frame_score(clip.frames[n - 1], first, last)
-            if channel is not None:
-                candidates.append((score, n, channel))
+        scores, rows = _frame_scores(clip, 0, clip.T - 1)
+        candidates = [
+            (float(scores[n - 1]), n, channels[rows[n - 1]])
+            for n in range(2, clip.T)
+            if scores[n - 1] >= 0.0
+        ]
         candidates.sort(key=lambda c: (-c[0], c[1]))
         if candidates:
             top = candidates[0][0]
@@ -158,18 +155,15 @@ def select_keyframes(
     if len(admitted) < k_max:
         ticks = [kf.frame_index for kf in admitted]
         lo, hi = sorted((ticks[1], ticks[-2]))
-        ref_a = clip.frames[lo - 1]
-        ref_b = clip.frames[hi - 1]
-        used = set(ticks)
-        best = (0.0, None, None)
-        for n in range(lo + 1, hi):
-            if n in used:
-                continue
-            score, channel = _frame_score(clip.frames[n - 1], ref_a, ref_b)
-            if channel is not None and score > best[0]:
-                best = (score, n, channel)
-        if best[1] is not None:
-            admitted.append(Keyframe(best[1], best[2], best[0], 3))
+        scores, rows = _frame_scores(clip, lo - 1, hi - 1)
+        # eligible: ticks strictly between lo and hi, not yet admitted
+        eligible = np.zeros(clip.T, dtype=bool)
+        eligible[lo : hi - 1] = True
+        eligible[[t - 1 for t in ticks]] = False
+        best = np.where(eligible, scores, 0.0)
+        t = int(best.argmax())
+        if best[t] > 0.0:
+            admitted.append(Keyframe(t + 1, channels[rows[t]], float(scores[t]), 3))
             admitted.sort(key=lambda kf: kf.frame_index)
 
     return KeyframeSet(tuple(admitted), k_max, threshold, static=False)
@@ -179,8 +173,5 @@ def keyframes_to_pseudo_pose_stream(
     clip: FeatureStream, keyframes: KeyframeSet
 ) -> FeatureStream:
     """Re-tick the selected frames 1..K, keeping every channel they carry."""
-    frames = []
-    for k, kf in enumerate(keyframes):
-        src = clip.frames[kf.frame_index - 1]
-        frames.append(FeatureFrame(k + 1, dict(src.vectors), src.available))
-    return FeatureStream(tuple(frames), clip.F)
+    rows = np.array(keyframes.ticks) - 1
+    return FeatureStream(clip.X[:, rows], clip.mask[:, rows], clip.channel_ids)

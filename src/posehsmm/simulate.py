@@ -34,6 +34,7 @@ from .states import (
     SceneCondition,
     Segmentation,
     StateSpace,
+    build_initial_distribution,
     encode_segments,
 )
 
@@ -239,22 +240,7 @@ def build_generating_model(config: ScenarioConfig) -> tuple[HsmmModel, StateSpac
         for k, c in enumerate(config.channels)
     }
 
-    raw = np.array(
-        [
-            INITIAL_POSE_PRIORS.get(s.pose, {}).get(
-                s.scene if s.scene is not None else SceneCondition.BC, 0.0
-            )
-            + (
-                INITIAL_POSE_PRIORS.get(s.pose, {}).get(SceneCondition.DO, 0.0)
-                if s.scene is None
-                else 0.0
-            )
-            for s in space
-        ]
-    )
-    pi = raw / raw.sum()
-    pi[np.argmax(pi)] += 1.0 - pi.sum()
-
+    pi = build_initial_distribution(space)
     return HsmmModel(pi, A, durations, emissions, space), space
 
 

@@ -32,6 +32,7 @@ from .states import (
     RotationDirection,
     SceneCondition,
     StateSpace,
+    decode_segments,
 )
 
 #: Minimum fraction of window samples that must agree before a pose is reported.
@@ -119,9 +120,7 @@ def summarize_history(
     if model.states is None:
         raise ValueError("model carries no state space; cannot name poses")
     result = hsmm_viterbi(stream, model)
-    labels: list[int] = []
-    for seg in result.segmentation:
-        labels.extend([seg.y_index] * seg.d)
+    labels = decode_segments(result.segmentation)
     return history_from_labels(labels, model.states, sample_every, window, consistency)
 
 
@@ -213,13 +212,14 @@ def build_transition_library(
         gaps: list[list[float]] = [[] for _ in range(length)]
         for stream, kfs in members:
             ticks = kfs.ticks
-            for p, kf in enumerate(kfs):
-                frame = stream.frames[kf.frame_index - 1]
-                for c in frame.available:
-                    sums[c][p] += frame.vectors[c]
-                    counts[c][p] += 1.0
-                nxt = ticks[p + 1] if p + 1 < len(ticks) else stream.T + 1
-                gaps[p].append(float(nxt - ticks[p]))
+            rows = np.array(ticks) - 1
+            for k, c in enumerate(stream.channel_ids):
+                seen = np.flatnonzero(stream.mask[k, rows])
+                if seen.size:
+                    sums[c][seen] += stream.X[k, rows[seen]]
+                    counts[c][seen] += 1.0
+            for p, (t, nxt) in enumerate(zip(ticks, ticks[1:] + (stream.T + 1,))):
+                gaps[p].append(float(nxt - t))
         means = {}
         for c in channels:
             m = np.full((length, F), 0.5)

@@ -15,12 +15,7 @@ import pytest
 
 from conftest import CH, random_hsmm, random_stream
 from posehsmm import fileio
-from posehsmm.emission import (
-    ChannelEmissionModel,
-    FeatureFrame,
-    FeatureStream,
-    fit_channel_emissions,
-)
+from posehsmm.emission import ChannelEmissionModel, fit_channel_emissions
 from posehsmm.errors import NoFeasiblePath, NoTransitionDetected
 from posehsmm.inference import (
     HmmModel,
@@ -86,10 +81,7 @@ def verdict(capsys, n, slug):
 
 
 def labels_of(truth):
-    out = []
-    for seg in truth.segmentation:
-        out.extend([seg.y_index] * seg.d)
-    return out
+    return decode_segments(truth.segmentation)
 
 
 def fit_supervised(pairs):
@@ -102,15 +94,10 @@ def fit_supervised(pairs):
     longest = max(max(seg.d for seg in s) for s in segmentations)
     d_max = min(3 * longest, max(s.T for s in segmentations))
     durations = fit_durations(segmentations, n, d_max)
-    frames, flat_labels, tick = [], [], 1
-    for stream, truth in pairs:
-        for frame in stream.frames:
-            frames.append(FeatureFrame(tick, frame.vectors, frame.available))
-            tick += 1
-        flat_labels.extend(labels_of(truth))
-    flat = FeatureStream(tuple(frames), pairs[0][0].F)
+    streams = [stream for stream, _ in pairs]
+    channels = sorted({c for s in streams for c in s.channels}, key=str)
     emissions = {
-        c: fit_channel_emissions(flat, flat_labels, c, n) for c in flat.channels
+        c: fit_channel_emissions(streams, label_lists, c, n) for c in channels
     }
     return HsmmModel(build_initial_distribution(space), A, durations, emissions, space)
 

@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from posehsmm.emission import (
     MEAN_CLAMP,
@@ -22,6 +23,11 @@ from posehsmm.errors import ChannelAbsent, EmptySequence, LabelMismatch, NoObser
 RGB = ChannelId.parse("left:RGB")
 DEPTH = ChannelId.parse("center:Depth")
 MASK = ChannelId.parse("right:Mask")
+ALL_CHANNELS = [
+    ChannelId.parse(f"{view}:{modality}")
+    for view in ("left", "center", "right")
+    for modality in ("RGB", "Depth", "Mask")
+]
 
 
 def stream_from(rows, channel=RGB, masks=None):
@@ -45,12 +51,18 @@ class TestChannelId:
 class TestStreamConstruction:
     def test_empty_stream_rejected(self):
         with pytest.raises(EmptySequence):
-            FeatureStream(tuple(), 3)
+            FeatureStream.from_arrays({RGB: np.zeros((0, 3))})
 
-    def test_ticks_must_be_consecutive(self):
-        frame = FeatureFrame(2, {RGB: np.zeros(2)}, frozenset({RGB}))
+    def test_mask_shape_must_match(self):
         with pytest.raises(ValueError):
-            FeatureStream((frame,), 2)
+            FeatureStream(np.zeros((1, 4, 2)), np.ones((1, 3), dtype=bool), (RGB,))
+
+    def test_unavailable_values_are_zeroed(self):
+        s = stream_from([[0.2, 0.7], [0.5, 0.49]], masks=[True, False])
+        assert s.X[0].tolist() == [[0.2, 0.7], [0.0, 0.0]]
+        assert s.frames[1].available == frozenset()
+        with pytest.raises(ValueError):
+            s.X[0, 0, 0] = 1.0
 
     def test_binarize(self):
         s = stream_from([[0.2, 0.7], [0.5, 0.49]])
@@ -80,13 +92,24 @@ class TestFitting:
 
     def test_never_available_channel_raises(self):
         s = stream_from([[1.0], [0.0]], masks=[False, False])
-        frames = [
-            FeatureFrame(t + 1, {DEPTH: np.zeros(1)}, frozenset({DEPTH}))
-            for t in range(2)
-        ]
-        s = FeatureStream(tuple(frames), 1)
         with pytest.raises(ChannelAbsent):
             fit_channel_emissions(s, [0, 0], RGB, 1)
+        s = FeatureStream.from_arrays({DEPTH: np.zeros((2, 1))})
+        with pytest.raises(ChannelAbsent):
+            fit_channel_emissions(s, [0, 0], RGB, 1)
+
+    def test_pooled_streams_match_one_long_stream(self):
+        rng = np.random.default_rng(5)
+        x = rng.random((30, 3))
+        avail = rng.random(30) < 0.7
+        labels = rng.integers(0, 4, 30).tolist()
+        whole = stream_from(x, masks=avail)
+        parts = [stream_from(x[a:b], masks=avail[a:b]) for a, b in ((0, 7), (7, 30))]
+        pooled = fit_channel_emissions(parts, [labels[:7], labels[7:]], RGB, 4)
+        single = fit_channel_emissions(whole, labels, RGB, 4)
+        assert pooled.means.tobytes() == single.means.tobytes()
+        with pytest.raises(LabelMismatch):
+            fit_channel_emissions(parts, [labels], RGB, 4)
 
     def test_label_count_mismatch(self):
         s = stream_from([[1.0], [0.0]])
@@ -183,3 +206,42 @@ class TestLogEmissionMatrix:
         stream = stream_from([[0.25]])
         E = log_emission_matrix(stream, models, 1)
         assert E[0, 0] == pytest.approx(0.25 * math.log(0.8) + 0.75 * math.log(0.2))
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        T=st.integers(1, 12),
+        F=st.integers(1, 4),
+        Q=st.integers(1, 4),
+        stream_channels=st.lists(
+            st.sampled_from(ALL_CHANNELS), min_size=1, max_size=4, unique=True
+        ),
+        model_channels=st.lists(
+            st.sampled_from(ALL_CHANNELS), min_size=1, max_size=4, unique=True
+        ),
+        density=st.floats(0.0, 1.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_dense_matrix_matches_oracle_under_random_masks(
+        self, T, F, Q, stream_channels, model_channels, density, seed
+    ):
+        # model channels are drawn independently of the stream's, so some
+        # stream channels go unmodelled and some frames have no scoreable
+        # channel at all; those must get the flat F * log(1/2) surrogate
+        rng = np.random.default_rng(seed)
+        stream = FeatureStream.from_arrays(
+            {c: rng.random((T, F)) for c in stream_channels},
+            {c: rng.random(T) < density for c in stream_channels},
+        )
+        models = {
+            c: ChannelEmissionModel(c, rng.uniform(0.01, 0.99, (Q, F)))
+            for c in model_channels
+        }
+        E = log_emission_matrix(stream, models, Q)
+        for t, frame in enumerate(stream.frames):
+            if frame.available & set(models):
+                for i in range(Q):
+                    assert E[t, i] == pytest.approx(
+                        emission_log_likelihood(frame, i, models), rel=1e-12
+                    )
+            else:
+                assert E[t].tolist() == [F * math.log(0.5)] * Q

@@ -1,6 +1,7 @@
 """Text formats round-trip bit-exactly; the CLI wires them together."""
 
 import filecmp
+import re
 
 import numpy as np
 import pytest
@@ -305,6 +306,75 @@ class TestCliErrors:
                    "--out", str(tmp_path / "bad.model")])
         assert rc == 1
         assert "error:" in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def clean_stream(tmp_path_factory):
+    """A 40-tick bc-sim stream: no dropout, so every tick carries values."""
+    path = tmp_path_factory.mktemp("strict") / "clean.stream"
+    rc = main(["simulate", "--seed", "6", "--t-target", "40", "--out", str(path)])
+    assert rc == 0
+    return path
+
+
+class TestStrictStreamParsing:
+    #: header lines: format, kind, T, F, channels; so tick 5 is line 10
+    LINE = 10
+
+    @pytest.mark.parametrize(
+        "field, token",
+        [
+            (1, "0"),
+            (1, "4"),
+            (1, "41"),
+            (1, "five"),
+            (3, "7.5"),
+            (3, "-0.5"),
+            (3, "nan"),
+            (3, "inf"),
+            (3, "abc"),
+        ],
+        ids=[
+            "tick-zero",
+            "duplicate-tick",
+            "tick-past-end",
+            "non-numeric-tick",
+            "feature-above-one",
+            "negative-feature",
+            "nan-feature",
+            "inf-feature",
+            "non-numeric-feature",
+        ],
+    )
+    def test_mutation_is_a_format_error(
+        self, clean_stream, workdir, tmp_path, capsys, field, token
+    ):
+        lines = clean_stream.read_text().splitlines()
+        rec = lines[self.LINE - 1].split()
+        assert rec[:2] == ["tick", "5"]
+        rec[field] = token
+        lines[self.LINE - 1] = " ".join(rec)
+        bad = tmp_path / "bad.stream"
+        bad.write_text("\n".join(lines) + "\n")
+        with pytest.raises(FormatError, match="^" + re.escape(f"{bad}:{self.LINE}: ")):
+            fileio.read_stream(bad)
+        rc = main(["decode", "--model", str(workdir / "fit.model"),
+                   "--stream", str(bad)])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith(f"error: {bad}:{self.LINE}: ")
+
+    def test_clean_stream_still_parses(self, clean_stream):
+        assert fileio.read_stream(clean_stream).T == 40
+
+
+class TestMissingFile:
+    def test_missing_input_is_one_line_error(self, workdir, tmp_path, capsys):
+        missing = tmp_path / "missing.stream"
+        rc = main(["decode", "--model", str(workdir / "fit.model"),
+                   "--stream", str(missing)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {missing}: No such file or directory\n"
 
 
 class TestConfigDir:

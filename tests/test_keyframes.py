@@ -8,6 +8,8 @@ import pytest
 from posehsmm.emission import ChannelId, FeatureStream
 from posehsmm.errors import ChannelAbsent, EmptySequence
 from posehsmm.keyframes import (
+    _distance,
+    _frame_scores,
     channel_endpoint_dissimilarity,
     keyframes_to_pseudo_pose_stream,
     select_keyframes,
@@ -15,6 +17,7 @@ from posehsmm.keyframes import (
 
 RGB = ChannelId.parse("left:RGB")
 DEPTH = ChannelId.parse("center:Depth")
+MASK = ChannelId.parse("right:Mask")
 
 
 def clip_from(rows, channel=RGB, masks=None):
@@ -181,3 +184,36 @@ class TestPseudoPoseStream:
             src = clip.frames[kf.frame_index - 1]
             assert frame.vectors[RGB].tolist() == src.vectors[RGB].tolist()
         assert [f.t for f in pseudo.frames] == list(range(1, len(kfs) + 1))
+
+
+class TestVectorizedScores:
+    def test_frame_scores_equal_scalar_distance_exactly(self):
+        # reference: per frame, loop over the channels available at the frame
+        # and both references, score min(d_a, d_b) with the scalar distance,
+        # keep the first channel with the strictly largest score
+        rng = np.random.default_rng(11)
+        for _ in range(60):
+            T = int(rng.integers(2, 30))
+            F = int(rng.integers(1, 10))
+            clip = FeatureStream.from_arrays(
+                {c: rng.random((T, F)) for c in (RGB, DEPTH, MASK)},
+                {c: rng.random(T) < 0.7 for c in (RGB, DEPTH, MASK)},
+            )
+            a, b = sorted(int(v) for v in rng.choice(T, 2, replace=False))
+            scores, rows = _frame_scores(clip, a, b)
+            ref_a, ref_b = clip.frames[a], clip.frames[b]
+            for t, frame in enumerate(clip.frames):
+                best, best_row = -1.0, -1
+                shared = frame.available & ref_a.available & ref_b.available
+                for k, c in enumerate(clip.channel_ids):
+                    if c not in shared:
+                        continue
+                    score = min(
+                        _distance(frame.vectors[c], ref_a.vectors[c]),
+                        _distance(frame.vectors[c], ref_b.vectors[c]),
+                    )
+                    if score > best:
+                        best, best_row = score, k
+                assert float(scores[t]) == best
+                if best_row >= 0:
+                    assert int(rows[t]) == best_row

@@ -25,6 +25,7 @@ from posehsmm.states import (
     PoseLabel,
     RotationDirection,
     SceneCondition,
+    decode_segments,
 )
 
 PL = PoseLabel
@@ -147,9 +148,7 @@ class TestSampleSequence:
         cfg = small_config(noise=0.0, dropout=0.0)
         stream, truth = sample_sequence(cfg)
         model = truth.generating_model
-        labels = []
-        for seg in truth.segmentation:
-            labels.extend([seg.y_index] * seg.d)
+        labels = decode_segments(truth.segmentation)
         for c in cfg.channels:
             # stored means are clamped away from {0, 1}; emitted bits are not
             bits = (model.emissions[c].means >= 0.5).astype(float)
