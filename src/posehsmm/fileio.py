@@ -7,13 +7,15 @@ round-trip bit-exactly.
 
 from __future__ import annotations
 
+import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .emission import ChannelEmissionModel, ChannelId, FeatureStream
-from .errors import FormatError
+from .errors import FormatError, MalformedSegmentation
 from .inference import HsmmModel
 from .keyframes import KeyframeSet
 from .states import (
@@ -47,6 +49,7 @@ class _Reader:
     """Header-checked line reader shared by all parsers."""
 
     def __init__(self, path, kind: str):
+        self.path = path
         text = Path(path).read_text()
         raw = text.splitlines()
         # 1-based file line number of each kept line
@@ -54,6 +57,7 @@ class _Reader:
         self.lines = [raw[n - 1].strip() for n in self.numbers]
         self.pos = 0
         self.head: dict[str, str] = {}
+        self.head_lines: dict[str, int] = {}
         if not self.lines or self.lines[0] != f"format: {FORMAT_VERSION}":
             raise FormatError(f"{path}: missing or unsupported format header")
         if len(self.lines) < 2 or self.lines[1] != f"kind: {kind}":
@@ -65,6 +69,7 @@ class _Reader:
             if not sep or " " in key:
                 break
             self.head[key] = value
+            self.head_lines[key] = self.numbers[self.pos]
             self.pos += 1
 
     def records(self):
@@ -73,6 +78,55 @@ class _Reader:
 
     def numbered_records(self):
         yield from zip(self.numbers[self.pos :], self.records())
+
+    def header(self, key: str, parse=int):
+        """Header field ``key`` through ``parse``; a missing field names the
+        ``kind:`` line, an unparsable one its own line."""
+        if key not in self.head:
+            raise FormatError(f"{self.path}:{self.numbers[1]}: header has no {key!r} field")
+        try:
+            return parse(self.head[key])
+        except ValueError as exc:
+            where = f"{self.path}:{self.head_lines[key]}"
+            raise FormatError(f"{where}: bad {key!r} field: {exc}") from None
+
+    @contextmanager
+    def line(self, lineno: int):
+        """Report a malformed record (missing field, bad number, name or
+        index) as a ``FormatError`` naming its line."""
+        try:
+            yield
+        except (IndexError, KeyError, ValueError) as exc:
+            raise FormatError(f"{self.path}:{lineno}: malformed record: {exc}") from None
+
+
+def _fields(rec: list[str], n: int) -> list[str]:
+    if len(rec) != n + 1:
+        raise ValueError(f"{rec[0]} takes {n} fields, got {len(rec) - 1}")
+    return rec[1:]
+
+
+def _index(text: str, n: int) -> int:
+    i = int(text)
+    if not 0 <= i < n:
+        raise ValueError(f"index {i} outside 0..{n - 1}")
+    return i
+
+
+def _floats(tokens: list[str], n: int) -> list[float]:
+    values = [float(v) for v in tokens]
+    if len(values) != n or not all(map(math.isfinite, values)):
+        raise ValueError(f"need {n} finite values, got {' '.join(tokens)!r}")
+    return values
+
+
+def _channels(text: str) -> list[ChannelId]:
+    return [ChannelId.parse(c) for c in text.split()]
+
+
+def _state(rec: list[str]) -> StateId:
+    index, pose, scene = _fields(rec, 3)
+    return StateId(PoseLabel(pose), _scene_parse(scene), int(index))
 
 
 def _scene_str(scene: SceneCondition | None) -> str:
@@ -107,12 +161,9 @@ def read_stream(path) -> FeatureStream:
     """Parse a stream file: each tick 1..T exactly once, every feature a
     finite number in [0, 1], else ``FormatError`` naming file and line."""
     r = _Reader(path, "stream")
-    try:
-        T = int(r.head["T"])
-        F = int(r.head["F"])
-        channels = [ChannelId.parse(c) for c in r.head["channels"].split()]
-    except (KeyError, ValueError) as exc:
-        raise FormatError(f"{path}: bad stream header: {exc}") from exc
+    T = r.header("T")
+    F = r.header("F")
+    channels = r.header("channels", _channels)
     if T < 1 or F < 1 or len(set(channels)) != len(channels):
         raise FormatError(f"{path}: bad stream header: T={T} F={F} {channels}")
     X = np.zeros((len(channels), T, F))
@@ -197,30 +248,32 @@ def write_truth(
 
 def read_truth(path) -> TruthFile:
     r = _Reader(path, "truth")
-    T = int(r.head["T"])
+    T = r.header("T")
     states: list[StateId] = []
     segments: list[Segment] = []
     scenes: list[SceneCondition] = []
     transition = None
-    for rec in r.records():
-        if rec[0] == "state":
-            states.append(
-                StateId(PoseLabel(rec[2]), _scene_parse(rec[3]), int(rec[1]))
-            )
-        elif rec[0] == "segment":
-            segments.append(Segment(int(rec[1]), int(rec[2]), int(rec[3])))
-        elif rec[0] == "scene":
-            scenes.extend([SceneCondition(rec[3])] * int(rec[2]))
-        elif rec[0] == "transition":
-            transition = (
-                PoseLabel(rec[1]),
-                PoseLabel(rec[2]),
-                RotationDirection(rec[3]),
-            )
-        else:
-            raise FormatError(f"{path}: unexpected record {rec[0]!r}")
-    space = StateSpace(tuple(sorted(states, key=lambda s: s.index)))
-    return TruthFile(space, Segmentation(tuple(segments), T), tuple(scenes), transition)
+    for lineno, rec in r.numbered_records():
+        with r.line(lineno):
+            if rec[0] == "state":
+                states.append(_state(rec))
+            elif rec[0] == "segment":
+                b, d, y = _fields(rec, 3)
+                segments.append(Segment(int(b), int(d), int(y)))
+            elif rec[0] == "scene":
+                _, n, scene = _fields(rec, 3)
+                scenes.extend([SceneCondition(scene)] * int(n))
+            elif rec[0] == "transition":
+                a, b, direction = _fields(rec, 3)
+                transition = (PoseLabel(a), PoseLabel(b), RotationDirection(direction))
+            else:
+                raise FormatError(f"{path}:{lineno}: unexpected record {rec[0]!r}")
+    try:
+        space = StateSpace(tuple(sorted(states, key=lambda s: s.index)))
+        segmentation = Segmentation(tuple(segments), T)
+    except (MalformedSegmentation, ValueError) as exc:
+        raise FormatError(f"{path}: {exc}") from None
+    return TruthFile(space, segmentation, tuple(scenes), transition)
 
 
 # =====================================================================
@@ -260,41 +313,49 @@ def write_model(model: HsmmModel, path) -> None:
 
 
 def read_model(path) -> HsmmModel:
+    """Parse a model file: every value finite, every index in range and every
+    duration std positive, else ``FormatError`` naming file and line."""
     r = _Reader(path, "model")
-    try:
-        Q = int(r.head["Q"])
-        F = int(r.head["F"])
-        d_max = int(r.head["d_max"])
-        channels = [ChannelId.parse(c) for c in r.head["channels"].split()]
-    except (KeyError, ValueError) as exc:
-        raise FormatError(f"{path}: bad model header: {exc}") from exc
+    Q = r.header("Q")
+    F = r.header("F")
+    d_max = r.header("d_max")
+    channels = r.header("channels", _channels)
+    if Q < 1 or F < 0 or d_max < 1:
+        raise FormatError(f"{path}: bad model header: Q={Q} F={F} d_max={d_max}")
     states: list[StateId] = []
     pi = None
     A = np.zeros((Q, Q))
     mean = np.zeros(Q)
     std = np.ones(Q)
     means = {c: np.full((Q, F), 0.5) for c in channels}
-    for rec in r.records():
-        if rec[0] == "state":
-            states.append(StateId(PoseLabel(rec[2]), _scene_parse(rec[3]), int(rec[1])))
-        elif rec[0] == "pi":
-            pi = np.array([float(v) for v in rec[1:]])
-        elif rec[0] == "trans":
-            A[int(rec[1])] = [float(v) for v in rec[2:]]
-        elif rec[0] == "dur":
-            mean[int(rec[1])] = float(rec[2])
-            std[int(rec[1])] = float(rec[3])
-        elif rec[0] == "emit":
-            means[ChannelId.parse(rec[1])][int(rec[2])] = [float(v) for v in rec[3:]]
-        else:
-            raise FormatError(f"{path}: unexpected record {rec[0]!r}")
-    if pi is None or len(pi) != Q:
-        raise FormatError(f"{path}: missing or malformed pi")
-    space = (
-        StateSpace(tuple(sorted(states, key=lambda s: s.index))) if states else None
-    )
-    emissions = {c: ChannelEmissionModel(c, means[c]) for c in channels}
-    return HsmmModel(pi, A, DurationModel(mean, std, d_max), emissions, space)
+    for lineno, rec in r.numbered_records():
+        with r.line(lineno):
+            if rec[0] == "state":
+                states.append(_state(rec))
+            elif rec[0] == "pi":
+                pi = np.array(_floats(rec[1:], Q))
+            elif rec[0] == "trans":
+                A[_index(rec[1], Q)] = _floats(rec[2:], Q)
+            elif rec[0] == "dur":
+                i, m, sd = _fields(rec, 3)
+                i = _index(i, Q)
+                mean[i], std[i] = _floats([m, sd], 2)
+                if not std[i] > 0.0:
+                    raise ValueError("duration std must be positive")
+            elif rec[0] == "emit":
+                means[ChannelId.parse(rec[1])][_index(rec[2], Q)] = _floats(rec[3:], F)
+            else:
+                raise FormatError(f"{path}:{lineno}: unexpected record {rec[0]!r}")
+    if pi is None:
+        raise FormatError(f"{path}: missing pi")
+    try:
+        space = (
+            StateSpace(tuple(sorted(states, key=lambda s: s.index))) if states else None
+        )
+        emissions = {c: ChannelEmissionModel(c, means[c]) for c in channels}
+        return HsmmModel(pi, A, DurationModel(mean, std, d_max), emissions, space)
+    except ValueError as exc:
+        raise FormatError(f"{path}: {exc}") from None
 
 
 # =====================================================================
@@ -317,14 +378,17 @@ def write_decoded(segmentation: Segmentation, log_prob: float, path, space=None)
 
 def read_decoded(path) -> tuple[Segmentation, float]:
     r = _Reader(path, "decoded")
-    T = int(r.head["T"])
-    log_prob = float(r.head["log_prob"])
-    segments = [
-        Segment(int(rec[1]), int(rec[2]), int(rec[3]))
-        for rec in r.records()
-        if rec[0] == "segment"
-    ]
-    return Segmentation(tuple(segments), T), log_prob
+    T = r.header("T")
+    log_prob = r.header("log_prob", float)
+    segments = []
+    for lineno, rec in r.numbered_records():
+        if rec[0] == "segment":
+            with r.line(lineno):
+                segments.append(Segment(int(rec[1]), int(rec[2]), int(rec[3])))
+    try:
+        return Segmentation(tuple(segments), T), log_prob
+    except MalformedSegmentation as exc:
+        raise FormatError(f"{path}: {exc}") from None
 
 
 def write_history(records, path, params: dict | None = None) -> None:
@@ -345,18 +409,19 @@ def read_history_header(path) -> dict[str, str]:
 def read_history(path) -> list[HistoryRecord]:
     r = _Reader(path, "history")
     records = []
-    for rec in r.records():
+    for lineno, rec in r.numbered_records():
         if rec[0] != "record":
-            raise FormatError(f"{path}: unexpected record {rec[0]!r}")
-        records.append(
-            HistoryRecord(
-                int(rec[1]),
-                int(rec[2]),
-                PoseLabel(rec[4]),
-                _scene_parse(rec[5]),
-                float(rec[6]),
+            raise FormatError(f"{path}:{lineno}: unexpected record {rec[0]!r}")
+        with r.line(lineno):
+            records.append(
+                HistoryRecord(
+                    int(rec[1]),
+                    int(rec[2]),
+                    PoseLabel(rec[4]),
+                    _scene_parse(rec[5]),
+                    float(rec[6]),
+                )
             )
-        )
     return records
 
 

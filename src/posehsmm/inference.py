@@ -5,12 +5,23 @@ Two model families share the emission layer: a plain Markov chain over ticks
 dwell times get an explicit per-state distribution and the transition matrix
 has a structurally zero diagonal.  All scoring is done in log space.
 
-The segment decoder fills a (time x duration x state) table ``tau`` holding
-the best log-probability of any segmentation whose final segment occupies
-ticks t-d+1..t in state y, collapses it over durations into ``delta``, and
-backtracks through ``phi``/``zeta``.  Ties are broken deterministically:
-lower state index first, then longer final duration; the brute-force oracle
-applies the identical rule, so decoded paths match exactly.
+The segment decoder keeps O(T x Q) state.  ``delta[t, j]`` is the best
+log-probability of ticks 1..t with a segment in state j ending at t.  Once
+per boundary s it takes the transition max ``enter[s, j] = max_i delta[s, i]
++ log_A[i, j]`` and its argmax (``enter[0]`` is log pi, with argmax -1).
+Each tick t then scores every final duration d = 1..min(t, d_max) in one
+vector op, ``(enter[t-d] + log_dur[:, d]) + (C[t] - C[t-d])``, and keeps the
+best in ``delta[t]``, its duration in ``phi[t]`` and the previous state in
+``psi[t]``; the backtrack walks ``phi`` and ``psi``.  That is O(T x D x Q +
+T x Q^2) time.  Ties are broken deterministically: lower state index first,
+then longer final duration.
+
+The brute-force oracle ranks whole paths by the same rule and performs the
+same additions, so it finds the same log-probability.  Its segmentation can
+still differ on an exact tie of the total: the DP commits at each boundary to
+the prefix that is larger by a last-ulp margin, and two prefixes that differ
+only in the last ulp can round to the same total, which the oracle then
+breaks by the index rule instead.
 """
 
 from __future__ import annotations
@@ -114,23 +125,6 @@ class DecodeResult:
     segmentation: Segmentation
     log_prob: float
     per_segment_scores: tuple[float, ...]
-
-
-@dataclass
-class ViterbiWorkspace:
-    """DP arrays for the segment decoder, 1-based on the time axis.
-
-    tau[t, d, j]: best log-prob ending with segment (t-d+1, d, j).
-    zeta[t, d, j]: state of the previous segment for that cell (-1 at t=d).
-    delta[t, j]: max over d of tau; phi[t, j]: the maximizing duration
-    (longest on ties); psi[t, j]: previous state at that duration.
-    """
-
-    tau: np.ndarray
-    zeta: np.ndarray
-    delta: np.ndarray
-    phi: np.ndarray
-    psi: np.ndarray
 
 
 # =====================================================================
@@ -305,17 +299,31 @@ def hsmm_from_hmm(
 # =====================================================================
 
 
+def _segment_scores(
+    segments: Sequence[Segment],
+    log_pi: np.ndarray,
+    log_A: np.ndarray,
+    log_dur: np.ndarray,
+    C: np.ndarray,
+) -> tuple[float, ...]:
+    """Each segment's log score: (head + duration) + emission span, where the
+    head is log pi for the first segment and log A from its predecessor after.
+    """
+    scores = []
+    prev = None
+    for seg in segments:
+        y = seg.y_index
+        head = log_pi[y] if prev is None else log_A[prev, y]
+        s = head + log_dur[y, seg.d]
+        scores.append(float(s + (C[seg.end, y] - C[seg.b - 1, y])))
+        prev = y
+    return tuple(scores)
+
+
 def hsmm_joint_log_prob(
     segmentation: Segmentation, stream: FeatureStream, model: HsmmModel
 ) -> float:
     """log P(segmentation, stream) under the segment-level model."""
-    lp, _ = _scored_segments(segmentation, stream, model)
-    return lp
-
-
-def _scored_segments(
-    segmentation: Segmentation, stream: FeatureStream, model: HsmmModel
-) -> tuple[float, tuple[float, ...]]:
     if segmentation.T != stream.T:
         raise LabelMismatch(
             f"segmentation covers {segmentation.T} ticks, stream has {stream.T}"
@@ -327,19 +335,10 @@ def _scored_segments(
                 f"segment duration {seg.d} exceeds d_max {model.d_max}"
             )
     log_pi, log_A, log_dur, _, C = _log_tables(model, stream)
-    scores = []
-    prev = None
-    for seg in segmentation:
-        y = seg.y_index
-        head = log_pi[y] if prev is None else log_A[prev, y]
-        s = head + log_dur[y, seg.d]
-        s = s + (C[seg.end, y] - C[seg.b - 1, y])
-        scores.append(float(s))
-        prev = y
     total = 0.0
-    for s in scores:
+    for s in _segment_scores(segmentation, log_pi, log_A, log_dur, C):
         total += s
-    return total, tuple(scores)
+    return total
 
 
 def hsmm_viterbi(stream: FeatureStream, model: HsmmModel) -> DecodeResult:
@@ -349,11 +348,6 @@ def hsmm_viterbi(stream: FeatureStream, model: HsmmModel) -> DecodeResult:
     duration.  Raises NoFeasiblePath when every segmentation scores -inf,
     e.g. when T exceeds d_max and no transition can bridge the gap.
     """
-    ws, result = _run_segment_viterbi(stream, model)
-    return result
-
-
-def _run_segment_viterbi(stream: FeatureStream, model: HsmmModel):
     log_pi, log_A, log_dur, _, C = _log_tables(model, stream)
     return _segment_viterbi_core(
         stream.T, model.n_states, model.d_max, log_pi, log_A, log_dur, C
@@ -369,7 +363,7 @@ def _segment_viterbi_core(
     log_dur: np.ndarray,
     C: np.ndarray,
     final_log: np.ndarray | None = None,
-):
+) -> DecodeResult:
     """Segment DP on raw log tables; also serves chain-constrained trellises
     whose transition structure would not pass the public model validation.
 
@@ -377,57 +371,46 @@ def _segment_viterbi_core(
     entries to require the path to end in particular states).
     """
     d_cap = min(d_max, T)
-    ws = ViterbiWorkspace(
-        tau=np.full((T + 1, d_cap + 1, n), -np.inf),
-        zeta=np.full((T + 1, d_cap + 1, n), -1, dtype=int),
-        delta=np.full((T + 1, n), -np.inf),
-        phi=np.zeros((T + 1, n), dtype=int),
-        psi=np.full((T + 1, n), -1, dtype=int),
-    )
+    # row k holds log_dur[:, d_cap - k], so rows d_cap-dm.. list d = dm..1
+    dur_rev = log_dur[:, d_cap:0:-1].T
+    enter = np.empty((max(T, 1), n))
+    earg = np.empty((max(T, 1), n), dtype=int)
+    enter[0] = log_pi
+    earg[0] = -1
+    delta = np.full((T + 1, n), -np.inf)
+    phi = np.zeros((T + 1, n), dtype=int)
+    psi = np.full((T + 1, n), -1, dtype=int)
     took = np.arange(n)
     for t in range(1, T + 1):
         dm = min(t, d_cap)
-        for d in range(1, dm + 1):
-            segsum = C[t] - C[t - d]
-            if d == t:
-                ws.tau[t, d] = (log_pi + log_dur[:, d]) + segsum
-            else:
-                scores = ws.delta[t - d][:, None] + log_A
-                best_prev = scores.max(axis=0)
-                ws.tau[t, d] = (best_prev + log_dur[:, d]) + segsum
-                ws.zeta[t, d] = scores.argmax(axis=0)
-        block = ws.tau[t, 1 : dm + 1]
-        # argmax on the reversed duration axis keeps the longest d on ties
-        ws.phi[t] = dm - block[::-1].argmax(axis=0)
-        ws.delta[t] = block[ws.phi[t] - 1, took]
-        ws.psi[t] = ws.zeta[t, ws.phi[t], took]
+        lo = t - dm
+        # row r is the final duration d = dm - r, which starts after boundary
+        # lo + r; the first argmax is the longest d on ties
+        block = (enter[lo:t] + dur_rev[d_cap - dm :]) + (C[t] - C[lo:t])
+        r = block.argmax(axis=0)
+        phi[t] = dm - r
+        delta[t] = block[r, took]
+        psi[t] = earg[lo + r, took]
+        if t < T:
+            scores = delta[t][:, None] + log_A
+            enter[t] = scores.max(axis=0)
+            earg[t] = scores.argmax(axis=0)
 
-    terminal = ws.delta[T] if final_log is None else ws.delta[T] + final_log
+    terminal = delta[T] if final_log is None else delta[T] + final_log
     if not np.isfinite(terminal.max()):
         raise NoFeasiblePath("all segmentations have probability zero")
     y = int(terminal.argmax())
-    log_prob = float(ws.delta[T, y])
+    log_prob = float(delta[T, y])
 
     rev: list[Segment] = []
     t = T
     while t > 0:
-        d = int(ws.phi[t, y])
+        d = int(phi[t, y])
         rev.append(Segment(t - d + 1, d, y))
-        y_prev = int(ws.zeta[t, d, y])
-        t -= d
-        y = y_prev
+        t, y = t - d, int(psi[t, y])
     segmentation = Segmentation(tuple(reversed(rev)), T)
-
-    per_segment = []
-    prev = None
-    for seg in segmentation:
-        j = seg.y_index
-        head = log_pi[j] if prev is None else log_A[prev, j]
-        s = head + log_dur[j, seg.d]
-        s = s + (C[seg.end, j] - C[seg.b - 1, j])
-        per_segment.append(float(s))
-        prev = j
-    return ws, DecodeResult(segmentation, log_prob, tuple(per_segment))
+    per_segment = _segment_scores(segmentation, log_pi, log_A, log_dur, C)
+    return DecodeResult(segmentation, log_prob, per_segment)
 
 
 def segment_viterbi_on_tables(
@@ -448,10 +431,9 @@ def segment_viterbi_on_tables(
     """
     n = log_pi.shape[0]
     d_max = log_dur.shape[1] - 1
-    _, result = _segment_viterbi_core(
+    return _segment_viterbi_core(
         T, n, d_max, log_pi, log_A, log_dur, emission_cumsum, final_log
     )
-    return result
 
 
 def brute_force_decode(
@@ -517,12 +499,5 @@ def brute_force_decode(
     segmentation = Segmentation(
         tuple(Segment(b, d, y) for b, d, y in best_segs), T
     )
-    per_segment = []
-    prev = None
-    for b, d, y in best_segs:
-        head = lpi[y] if prev is None else lA[prev][y]
-        s = head + ldur[y][d]
-        s = s + (lC[b + d - 1][y] - lC[b - 1][y])
-        per_segment.append(float(s))
-        prev = y
-    return DecodeResult(segmentation, float(best_score), tuple(per_segment))
+    per_segment = _segment_scores(segmentation, log_pi, log_A, log_dur, C)
+    return DecodeResult(segmentation, float(best_score), per_segment)

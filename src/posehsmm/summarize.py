@@ -84,11 +84,12 @@ def history_from_labels(
     if sample_every < 1 or window < sample_every:
         raise ValueError("need window >= sample_every >= 1")
     T = len(state_indices)
-    samples = range(1, T + 1, sample_every)
     records: list[HistoryRecord] = []
     for start in range(1, T + 1, window):
         end = min(start + window - 1, T)
-        in_window = [t for t in samples if start <= t <= end]
+        # first sampled tick at or after start: samples are 1 mod sample_every
+        first = start + (1 - start) % sample_every
+        in_window = range(first, end + 1, sample_every)
         if not in_window:
             continue
         sampled = [space[int(state_indices[t - 1])] for t in in_window]

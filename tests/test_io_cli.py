@@ -367,6 +367,57 @@ class TestStrictStreamParsing:
         assert fileio.read_stream(clean_stream).T == 40
 
 
+def _drop_last_value(line):
+    return line.rsplit(" ", 1)[0]
+
+
+def _zero_std(line):
+    return line.rsplit(" ", 1)[0] + " 0"
+
+
+class TestStrictTruthAndModelParsing:
+    """Each mutation of a truth or model file is a one-line error naming
+    the file and line, with exit code 1."""
+
+    @pytest.mark.parametrize(
+        "kind, prefix, mutate, line",
+        [
+            ("truth", "T: ", None, 2),  # missing field: the kind: line
+            ("truth", "segment ", lambda ln: "segment 1 x 0", None),
+            ("model", "trans 0 ", _drop_last_value, None),
+            ("model", "dur 0 ", _zero_std, None),
+        ],
+        ids=["truth-without-T", "bad-segment-fields", "short-trans-row", "zero-dur-std"],
+    )
+    def test_mutation_is_a_format_error(
+        self, workdir, tmp_path, capsys, kind, prefix, mutate, line
+    ):
+        src = workdir / ("s1.truth" if kind == "truth" else "fit.model")
+        lines = src.read_text().splitlines()
+        k = next(i for i, ln in enumerate(lines) if ln.startswith(prefix))
+        if mutate is None:
+            del lines[k]
+        else:
+            lines[k] = mutate(lines[k])
+            line = k + 1
+        bad = tmp_path / f"bad.{kind}"
+        bad.write_text("\n".join(lines) + "\n")
+        read = fileio.read_truth if kind == "truth" else fileio.read_model
+        with pytest.raises(FormatError, match="^" + re.escape(f"{bad}:{line}: ")):
+            read(bad)
+        if kind == "truth":
+            decoded = tmp_path / "s1.decoded"
+            assert main(["decode", "--model", str(workdir / "fit.model"),
+                         "--stream", str(workdir / "s1.stream"),
+                         "--out", str(decoded)]) == 0
+            argv = ["evaluate", "--truth", str(bad), "--decoded", str(decoded)]
+        else:
+            argv = ["decode", "--model", str(bad), "--stream", str(workdir / "s1.stream")]
+        capsys.readouterr()
+        assert main(argv) == 1
+        assert capsys.readouterr().err.startswith(f"error: {bad}:{line}: ")
+
+
 class TestMissingFile:
     def test_missing_input_is_one_line_error(self, workdir, tmp_path, capsys):
         missing = tmp_path / "missing.stream"

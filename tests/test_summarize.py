@@ -1,5 +1,7 @@
 """Windowed pose history and transition-library classification."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -60,6 +62,25 @@ class TestHistoryFromLabels:
                                      consistency=0.7)
         assert rec.label is PL.SOLDIER_UP
         assert rec.confidence == pytest.approx(0.75)
+
+    def test_windows_sample_ticks_one_mod_rate(self):
+        # each window summarizes exactly the ticks t = 1 (mod sample_every)
+        # inside it, and a window with no such tick yields no record
+        T = 47
+        labels = np.random.default_rng(0).integers(0, 3, T).tolist()
+        for every in range(1, 7):
+            for window in range(every, 14):
+                recs = history_from_labels(labels, SPACE3, every, window, 0.0)
+                got = [(r.window_start, r.window_len, r.confidence) for r in recs]
+                want = []
+                for start in range(1, T + 1, window):
+                    end = min(start + window - 1, T)
+                    ticks = [t for t in range(1, T + 1, every) if start <= t <= end]
+                    if ticks:
+                        poses = Counter(SPACE3[labels[t - 1]].pose for t in ticks)
+                        modal = max(poses.values()) / len(ticks)
+                        want.append((start, end - start + 1, modal))
+                assert got == want
 
     def test_pose_tie_breaks_by_name(self):
         # 5 vs 5: logR sorts before solU
