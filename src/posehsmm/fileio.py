@@ -72,12 +72,9 @@ class _Reader:
             self.head_lines[key] = self.numbers[self.pos]
             self.pos += 1
 
-    def records(self):
-        for line in self.lines[self.pos :]:
-            yield line.split()
-
     def numbered_records(self):
-        yield from zip(self.numbers[self.pos :], self.records())
+        for lineno, line in zip(self.numbers[self.pos :], self.lines[self.pos :]):
+            yield lineno, line.split()
 
     def header(self, key: str, parse=int):
         """Header field ``key`` through ``parse``; a missing field names the
@@ -249,6 +246,7 @@ def write_truth(
 def read_truth(path) -> TruthFile:
     r = _Reader(path, "truth")
     T = r.header("T")
+    Q = r.header("Q")
     states: list[StateId] = []
     segments: list[Segment] = []
     scenes: list[SceneCondition] = []
@@ -259,7 +257,7 @@ def read_truth(path) -> TruthFile:
                 states.append(_state(rec))
             elif rec[0] == "segment":
                 b, d, y = _fields(rec, 3)
-                segments.append(Segment(int(b), int(d), int(y)))
+                segments.append(Segment(int(b), int(d), _index(y, Q)))
             elif rec[0] == "scene":
                 _, n, scene = _fields(rec, 3)
                 scenes.extend([SceneCondition(scene)] * int(n))
@@ -273,6 +271,8 @@ def read_truth(path) -> TruthFile:
         segmentation = Segmentation(tuple(segments), T)
     except (MalformedSegmentation, ValueError) as exc:
         raise FormatError(f"{path}: {exc}") from None
+    if len(space) != Q:
+        raise FormatError(f"{path}: {len(space)} states for Q={Q}")
     return TruthFile(space, segmentation, tuple(scenes), transition)
 
 
@@ -452,16 +452,17 @@ def write_transition(record: TransitionRecord, path) -> None:
 def read_transitions(path) -> list[TransitionRecord]:
     r = _Reader(path, "transition")
     records = []
-    for rec in r.records():
+    for lineno, rec in r.numbered_records():
         if rec[0] != "transition":
-            raise FormatError(f"{path}: unexpected record {rec[0]!r}")
-        records.append(
-            TransitionRecord(
-                PoseLabel(rec[1]),
-                PoseLabel(rec[2]),
-                RotationDirection(rec[3]),
-                float(rec[4]),
-                int(rec[5]),
+            raise FormatError(f"{path}:{lineno}: unexpected record {rec[0]!r}")
+        with r.line(lineno):
+            records.append(
+                TransitionRecord(
+                    PoseLabel(rec[1]),
+                    PoseLabel(rec[2]),
+                    RotationDirection(rec[3]),
+                    float(rec[4]),
+                    int(rec[5]),
+                )
             )
-        )
     return records

@@ -29,7 +29,7 @@ from __future__ import annotations
 import itertools
 import operator
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -300,7 +300,7 @@ def hsmm_from_hmm(
 
 
 def _segment_scores(
-    segments: Sequence[Segment],
+    segments: Iterable[Segment],
     log_pi: np.ndarray,
     log_A: np.ndarray,
     log_dur: np.ndarray,
@@ -373,13 +373,13 @@ def _segment_viterbi_core(
     d_cap = min(d_max, T)
     # row k holds log_dur[:, d_cap - k], so rows d_cap-dm.. list d = dm..1
     dur_rev = log_dur[:, d_cap:0:-1].T
-    enter = np.empty((max(T, 1), n))
-    earg = np.empty((max(T, 1), n), dtype=int)
+    enter = np.empty((T + 1, n))
+    earg = np.empty((T + 1, n), dtype=int)
     enter[0] = log_pi
     earg[0] = -1
     delta = np.full((T + 1, n), -np.inf)
-    phi = np.zeros((T + 1, n), dtype=int)
-    psi = np.full((T + 1, n), -1, dtype=int)
+    phi = np.empty((T + 1, n), dtype=int)
+    psi = np.empty((T + 1, n), dtype=int)
     took = np.arange(n)
     for t in range(1, T + 1):
         dm = min(t, d_cap)
@@ -391,10 +391,9 @@ def _segment_viterbi_core(
         phi[t] = dm - r
         delta[t] = block[r, took]
         psi[t] = earg[lo + r, took]
-        if t < T:
-            scores = delta[t][:, None] + log_A
-            enter[t] = scores.max(axis=0)
-            earg[t] = scores.argmax(axis=0)
+        scores = delta[t][:, None] + log_A
+        enter[t] = scores.max(axis=0)
+        earg[t] = scores.argmax(axis=0)
 
     terminal = delta[T] if final_log is None else delta[T] + final_log
     if not np.isfinite(terminal.max()):

@@ -384,10 +384,12 @@ class TestStrictTruthAndModelParsing:
         [
             ("truth", "T: ", None, 2),  # missing field: the kind: line
             ("truth", "segment ", lambda ln: "segment 1 x 0", None),
+            ("truth", "segment ", lambda ln: _drop_last_value(ln) + " 99", None),
             ("model", "trans 0 ", _drop_last_value, None),
             ("model", "dur 0 ", _zero_std, None),
         ],
-        ids=["truth-without-T", "bad-segment-fields", "short-trans-row", "zero-dur-std"],
+        ids=["truth-without-T", "bad-segment-fields", "segment-state-out-of-range",
+             "short-trans-row", "zero-dur-std"],
     )
     def test_mutation_is_a_format_error(
         self, workdir, tmp_path, capsys, kind, prefix, mutate, line
