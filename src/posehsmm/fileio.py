@@ -244,6 +244,8 @@ def write_truth(
 
 
 def read_truth(path) -> TruthFile:
+    """Parse a truth file: Q states, segment states in 0..Q-1 and segments
+    covering 1..T, else ``FormatError`` naming file (and line)."""
     r = _Reader(path, "truth")
     T = r.header("T")
     Q = r.header("Q")
