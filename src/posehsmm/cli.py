@@ -11,6 +11,7 @@ directory containing ``<preset>.cfg`` files with ``key value`` lines.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from pathlib import Path
@@ -18,6 +19,7 @@ from pathlib import Path
 from . import fileio
 from .emission import _channel_sort_key, binarize_stream, fit_channel_emissions
 from .errors import (
+    BadArgument,
     FormatError,
     NoFeasiblePath,
     NoTransitionDetected,
@@ -205,6 +207,12 @@ def _cmd_train(args) -> int:
 def _load_pair(args):
     model = fileio.read_model(args.model)
     stream = fileio.read_stream(args.stream)
+    widths = {m.F for m in model.emissions.values()}
+    if widths and stream.F not in widths:
+        raise FormatError(
+            f"{args.stream}: stream has F={stream.F}, model {args.model} has "
+            f"F={widths.pop()}"
+        )
     if args.binarize:
         stream = binarize_stream(stream)
     return model, stream
@@ -254,7 +262,17 @@ def _cmd_summarize(args) -> int:
     return 0
 
 
+def _check_keyframe_args(args) -> None:
+    """Reject a keyframe budget or threshold ``select_keyframes`` cannot use."""
+    if args.k_max < 2:
+        raise BadArgument(f"--k-max must be at least 2, got {args.k_max}")
+    for flag, value in (("--th", args.th), ("--stage2-th", args.stage2_th)):
+        if value is not None and not (math.isfinite(value) and value >= 0.0):
+            raise BadArgument(f"{flag} must be a finite number >= 0, got {value}")
+
+
 def _cmd_keyframes(args) -> int:
+    _check_keyframe_args(args)
     stream = fileio.read_stream(args.stream)
     if args.binarize:
         stream = binarize_stream(stream)
@@ -293,6 +311,11 @@ def _read_manifest(path):
             )
         except ValueError as exc:
             raise FormatError(f"{path}:{lineno}: {exc}") from exc
+        if items and item[0].F != items[0][0].F:
+            raise FormatError(
+                f"{path}:{lineno}: {clip_path}: stream has F={item[0].F}, "
+                f"earlier clips have F={items[0][0].F}"
+            )
         items.append(item)
     if not items:
         raise FormatError(f"{path}: manifest lists no clips")
@@ -300,10 +323,20 @@ def _read_manifest(path):
 
 
 def _cmd_classify_transition(args) -> int:
-    library = build_transition_library(
-        _read_manifest(args.manifest), args.k_max, args.th, args.stage2_th
-    )
+    _check_keyframe_args(args)
+    items = _read_manifest(args.manifest)
+    library = build_transition_library(items, args.k_max, args.th, args.stage2_th)
+    if not library.entries:
+        raise FormatError(
+            f"{args.manifest}: every clip is static at --th {args.th}; "
+            "no transition chain to score against"
+        )
     clip = fileio.read_stream(args.clip)
+    if clip.F != items[0][0].F:
+        raise FormatError(
+            f"{args.clip}: clip has F={clip.F}, manifest {args.manifest} clips "
+            f"have F={items[0][0].F}"
+        )
     record = classify_transition(
         clip,
         library,

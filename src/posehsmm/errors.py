@@ -45,5 +45,9 @@ class LabelMismatch(PoseHsmmError):
     """Label sequence and feature stream disagree in length."""
 
 
+class BadArgument(PoseHsmmError):
+    """A parameter lies outside the domain the computation accepts."""
+
+
 class FormatError(PoseHsmmError):
     """A persisted file is malformed or has an unsupported format version."""

@@ -16,7 +16,7 @@ import numpy as np
 
 from .emission import ChannelEmissionModel, ChannelId, FeatureStream
 from .errors import FormatError, MalformedSegmentation
-from .inference import HsmmModel
+from .inference import ROW_SUM_TOL, HsmmModel
 from .keyframes import KeyframeSet
 from .states import (
     DurationModel,
@@ -261,7 +261,9 @@ def read_truth(path) -> TruthFile:
                 b, d, y = _fields(rec, 3)
                 segments.append(Segment(int(b), int(d), _index(y, Q)))
             elif rec[0] == "scene":
-                _, n, scene = _fields(rec, 3)
+                b, n, scene = _fields(rec, 3)
+                if int(b) != len(scenes) + 1 or int(n) < 1:
+                    raise ValueError(f"scene runs must tile 1..T, got {b} {n}")
                 scenes.extend([SceneCondition(scene)] * int(n))
             elif rec[0] == "transition":
                 a, b, direction = _fields(rec, 3)
@@ -275,6 +277,8 @@ def read_truth(path) -> TruthFile:
         raise FormatError(f"{path}: {exc}") from None
     if len(space) != Q:
         raise FormatError(f"{path}: {len(space)} states for Q={Q}")
+    if len(scenes) != T:
+        raise FormatError(f"{path}: scene runs cover {len(scenes)} ticks for T={T}")
     return TruthFile(space, segmentation, tuple(scenes), transition)
 
 
@@ -315,8 +319,10 @@ def write_model(model: HsmmModel, path) -> None:
 
 
 def read_model(path) -> HsmmModel:
-    """Parse a model file: every value finite, every index in range and every
-    duration std positive, else ``FormatError`` naming file and line."""
+    """Parse a model file: every value finite, every index in range, pi a
+    distribution, every duration mean and std positive, every emission mean
+    in [0, 1], and exactly one pi, trans, dur and emit record per state and
+    channel, else ``FormatError`` naming file (and line)."""
     r = _Reader(path, "model")
     Q = r.header("Q")
     F = r.header("F")
@@ -330,26 +336,50 @@ def read_model(path) -> HsmmModel:
     mean = np.zeros(Q)
     std = np.ones(Q)
     means = {c: np.full((Q, F), 0.5) for c in channels}
+    seen: set[tuple] = set()
+
+    def once(*record) -> None:
+        if record in seen:
+            raise ValueError(f"duplicate {' '.join(map(str, record))} record")
+        seen.add(record)
+
     for lineno, rec in r.numbered_records():
         with r.line(lineno):
             if rec[0] == "state":
                 states.append(_state(rec))
             elif rec[0] == "pi":
+                once("pi")
                 pi = np.array(_floats(rec[1:], Q))
+                if np.any(pi < 0.0) or abs(pi.sum() - 1.0) > ROW_SUM_TOL:
+                    raise ValueError("pi must be nonnegative and sum to 1")
             elif rec[0] == "trans":
-                A[_index(rec[1], Q)] = _floats(rec[2:], Q)
+                i = _index(rec[1], Q)
+                once("trans", i)
+                A[i] = _floats(rec[2:], Q)
             elif rec[0] == "dur":
                 i, m, sd = _fields(rec, 3)
                 i = _index(i, Q)
+                once("dur", i)
                 mean[i], std[i] = _floats([m, sd], 2)
-                if not std[i] > 0.0:
-                    raise ValueError("duration std must be positive")
+                if not (mean[i] > 0.0 and std[i] > 0.0):
+                    raise ValueError("duration mean and std must be positive")
             elif rec[0] == "emit":
-                means[ChannelId.parse(rec[1])][_index(rec[2], Q)] = _floats(rec[3:], F)
+                c, i = ChannelId.parse(rec[1]), _index(rec[2], Q)
+                once("emit", c, i)
+                row = _floats(rec[3:], F)
+                if not all(0.0 <= v <= 1.0 for v in row):
+                    raise ValueError("emission means must lie in [0, 1]")
+                means[c][i] = row
             else:
                 raise FormatError(f"{path}:{lineno}: unexpected record {rec[0]!r}")
-    if pi is None:
-        raise FormatError(f"{path}: missing pi")
+    expected = {("pi",)}
+    expected |= {(kind, i) for kind in ("trans", "dur") for i in range(Q)}
+    expected |= {("emit", c, i) for c in channels for i in range(Q)}
+    missing = sorted(" ".join(map(str, rec)) for rec in expected - seen)
+    if missing:
+        raise FormatError(f"{path}: missing record(s): {', '.join(missing)}")
+    if states and len(states) != Q:
+        raise FormatError(f"{path}: {len(states)} states for Q={Q}")
     try:
         space = (
             StateSpace(tuple(sorted(states, key=lambda s: s.index))) if states else None

@@ -378,22 +378,20 @@ def _segment_viterbi_core(
     enter[0] = log_pi
     earg[0] = -1
     delta = np.full((T + 1, n), -np.inf)
-    phi = np.empty((T + 1, n), dtype=int)
-    psi = np.empty((T + 1, n), dtype=int)
+    best = np.empty((T + 1, n), dtype=int)
     took = np.arange(n)
     for t in range(1, T + 1):
         dm = min(t, d_cap)
         lo = t - dm
         # row r is the final duration d = dm - r, which starts after boundary
-        # lo + r; the first argmax is the longest d on ties
+        # lo + r; the first argmax is the longest d on ties.  The backtrack
+        # turns best[t] back into d and reads the predecessor from earg[t - d]
         block = (enter[lo:t] + dur_rev[d_cap - dm :]) + (C[t] - C[lo:t])
-        r = block.argmax(axis=0)
-        phi[t] = dm - r
+        r = block.argmax(axis=0, out=best[t])
         delta[t] = block[r, took]
-        psi[t] = earg[lo + r, took]
         scores = delta[t][:, None] + log_A
         enter[t] = scores.max(axis=0)
-        earg[t] = scores.argmax(axis=0)
+        scores.argmax(axis=0, out=earg[t])
 
     terminal = delta[T] if final_log is None else delta[T] + final_log
     if not np.isfinite(terminal.max()):
@@ -404,9 +402,9 @@ def _segment_viterbi_core(
     rev: list[Segment] = []
     t = T
     while t > 0:
-        d = int(phi[t, y])
+        d = min(t, d_cap) - int(best[t, y])
         rev.append(Segment(t - d + 1, d, y))
-        t, y = t - d, int(psi[t, y])
+        t, y = t - d, int(earg[t - d, y])
     segmentation = Segmentation(tuple(reversed(rev)), T)
     per_segment = _segment_scores(segmentation, log_pi, log_A, log_dur, C)
     return DecodeResult(segmentation, log_prob, per_segment)

@@ -6,12 +6,20 @@ whose modal fraction falls below a consistency threshold to ``other``.  The
 fine resolution classifies a short transition clip by compressing it to
 keyframes and scoring the resulting pseudo-pose stream against a library of
 left-to-right chains, one per (initial pose, final pose, rotation direction).
+
+A library stacks its chains once, on first use, into ``ChainTables``: chains
+side by side in name order, one stacked emission model per channel set.  A
+clip is then scored against every chain with one emission pass per channel
+set, one prefix sum and one duration table; only the segment DP still runs
+chain by chain, on each chain's columns.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import accumulate
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -161,9 +169,13 @@ class TransitionChain:
         return self.gap_mean.shape[0]
 
 
-@dataclass
+@dataclass(frozen=True)
 class TransitionLibrary:
-    """Chains keyed by (from, to, direction); at most 10 x 10 x 2 entries."""
+    """Chains keyed by (from, to, direction); at most 10 x 10 x 2 entries.
+
+    Nothing mutates ``entries`` after construction, so the stacked scoring
+    tables are built once, on first use.
+    """
 
     entries: dict[
         tuple[PoseLabel, PoseLabel, RotationDirection], TransitionChain
@@ -176,6 +188,10 @@ class TransitionLibrary:
         return sorted(
             self.entries, key=lambda k: (k[0].value, k[1].value, k[2].value)
         )
+
+    @cached_property
+    def tables(self) -> ChainTables:
+        return ChainTables.build(self)
 
 
 def build_transition_library(
@@ -237,29 +253,137 @@ def build_transition_library(
     return TransitionLibrary(entries)
 
 
-def _score_chain(
-    chain: TransitionChain, stream: FeatureStream, use_keyframes: bool
-) -> DecodeResult:
-    """Best left-to-right alignment of a stream onto one chain."""
-    L = chain.length
-    log_pi = np.full(L, -np.inf)
-    log_pi[0] = 0.0
-    log_A = np.full((L, L), -np.inf)
-    for p in range(L - 1):
-        log_A[p, p + 1] = 0.0
+#: Stacked emission means are padded to a multiple of this many states.
+#: OpenBLAS computes the last (width mod 8) columns of a product in an edge
+#: kernel whose rounding differs from the main kernel's (seen on an AVX-512
+#: build); with the padding every chain column comes from the main kernel,
+#: which gives the same bits as a product over that chain alone.
+STACK_BLOCK = 16
+
+
+@dataclass(frozen=True, eq=False)
+class ChainGroup:
+    """Chains that model one channel set, stacked for one emission pass.
+
+    ``models`` holds each channel's chain means one chain below the other,
+    padded with 0.5 rows to a multiple of ``STACK_BLOCK``.  ``spans`` lists
+    each chain as (first stacked row, first table column, length).
+    """
+
+    models: dict[ChannelId, ChannelEmissionModel]
+    spans: tuple[tuple[int, int, int], ...]
+    height: int
+
+    def log_emissions(self, stream: FeatureStream, E: np.ndarray) -> None:
+        """Write every chain's (T, L) emission matrix into its columns of E."""
+        ticks = dict(zip(stream.channel_ids, stream.mask.sum(axis=1)))
+        if all(ticks.get(c, 0) != 1 for c in self.models):
+            S = log_emission_matrix(stream, self.models, self.height)
+            for row, col, L in self.spans:
+                E[:, col : col + L] = S[:, row : row + L]
+            return
+        # numpy scores a channel seen at one tick with a matrix-vector
+        # product, whose bits depend on the stack height: go chain by chain
+        for row, col, L in self.spans:
+            models = {
+                c: ChannelEmissionModel(c, m.means[row : row + L])
+                for c, m in self.models.items()
+            }
+            E[:, col : col + L] = log_emission_matrix(stream, models, L)
+
+
+@dataclass(frozen=True, eq=False)
+class ChainTables:
+    """Every chain of a library side by side, in ``sorted_keys()`` order.
+
+    Chain i owns columns ``offsets[i]:offsets[i + 1]`` of the emission,
+    prefix-sum and duration tables.  ``structure`` maps a chain length to
+    its strict left-to-right (log pi, log A, final log) arrays.
+    """
+
+    keys: tuple[tuple[PoseLabel, PoseLabel, RotationDirection], ...]
+    lengths: tuple[int, ...]
+    offsets: tuple[int, ...]
+    groups: tuple[ChainGroup, ...]
+    gap_mean: np.ndarray
+    gap_std: np.ndarray
+    structure: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]]
+
+    @classmethod
+    def build(cls, library: "TransitionLibrary") -> "ChainTables":
+        keys = tuple(library.sorted_keys())
+        chains = [library.entries[k] for k in keys]
+        lengths = tuple(chain.length for chain in chains)
+        offsets = (0, *accumulate(lengths))
+        members: dict[frozenset, list[int]] = {}
+        for i, chain in enumerate(chains):
+            members.setdefault(frozenset(chain.means), []).append(i)
+        groups = []
+        for channels, idx in members.items():
+            rows = (0, *accumulate(lengths[i] for i in idx))
+            height = rows[-1] + -rows[-1] % STACK_BLOCK
+            models = {}
+            for c in channels:
+                means = np.full((height, chains[idx[0]].means[c].shape[1]), 0.5)
+                for i, row in zip(idx, rows):
+                    means[row : row + lengths[i]] = chains[i].means[c]
+                models[c] = ChannelEmissionModel(c, means)
+            spans = tuple(zip(rows, (offsets[i] for i in idx), (lengths[i] for i in idx)))
+            groups.append(ChainGroup(models, spans, height))
+        structure = {}
+        for L in set(lengths):
+            log_pi = np.full(L, -np.inf)
+            log_pi[0] = 0.0
+            log_A = np.full((L, L), -np.inf)
+            log_A[np.arange(L - 1), np.arange(1, L)] = 0.0
+            # the alignment must traverse the whole chain: end at the last pseudo-pose
+            final_log = np.full(L, -np.inf)
+            final_log[L - 1] = 0.0
+            structure[L] = (log_pi, log_A, final_log)
+        return cls(
+            keys,
+            lengths,
+            offsets,
+            tuple(groups),
+            np.concatenate([np.zeros(0), *(chain.gap_mean for chain in chains)]),
+            np.concatenate([np.zeros(0), *(chain.gap_std for chain in chains)]),
+            structure,
+        )
+
+
+def score_chains(
+    library: "TransitionLibrary", stream: FeatureStream, use_keyframes: bool = True
+) -> list[DecodeResult | None]:
+    """Best left-to-right alignment of a stream onto every library chain.
+
+    Results follow ``sorted_keys()`` order; None marks a chain the stream
+    cannot traverse (one longer than the stream).  Emissions, prefix sums
+    and the duration table are computed once for all chains; the segment DP
+    runs once per chain on its columns.
+    """
+    tables = library.tables
+    T, n = stream.T, tables.offsets[-1]
+    E = np.empty((T, n))
+    for group in tables.groups:
+        group.log_emissions(stream, E)
+    C = np.vstack([np.zeros(n), np.cumsum(E, axis=0)])
     if use_keyframes:
-        dur = DurationModel(np.ones(L), np.full(L, MIN_GAP_STD), stream.T)
+        dur = DurationModel(np.ones(n), np.full(n, MIN_GAP_STD), T)
     else:
-        dur = DurationModel(chain.gap_mean, chain.gap_std, stream.T)
-    models = {c: ChannelEmissionModel(c, m) for c, m in chain.means.items()}
-    E = log_emission_matrix(stream, models, L)
-    C = np.vstack([np.zeros(L), np.cumsum(E, axis=0)])
-    # the alignment must traverse the whole chain: end at the last pseudo-pose
-    final_log = np.full(L, -np.inf)
-    final_log[L - 1] = 0.0
-    return segment_viterbi_on_tables(
-        stream.T, log_pi, log_A, dur.log_pmf_table(), C, final_log
-    )
+        dur = DurationModel(tables.gap_mean, tables.gap_std, T)
+    log_dur = dur.log_pmf_table()
+    results: list[DecodeResult | None] = []
+    for L, a, b in zip(tables.lengths, tables.offsets, tables.offsets[1:]):
+        log_pi, log_A, final_log = tables.structure[L]
+        try:
+            results.append(
+                segment_viterbi_on_tables(
+                    T, log_pi, log_A, log_dur[a:b], C[:, a:b], final_log
+                )
+            )
+        except NoFeasiblePath:
+            results.append(None)
+    return results
 
 
 def classify_transition(
@@ -286,14 +410,12 @@ def classify_transition(
     target = keyframes_to_pseudo_pose_stream(clip, kfs) if use_keyframes else clip
 
     best = None
-    for key in library.sorted_keys():
-        chain = library.entries[key]
-        try:
-            result = _score_chain(chain, target, use_keyframes)
-        except NoFeasiblePath:
-            # chain longer than the clip: cannot be traversed at all
+    tables = library.tables
+    results = score_chains(library, target, use_keyframes)
+    for key, length, result in zip(tables.keys, tables.lengths, results):
+        if result is None:
             continue
-        rank = (-result.log_prob, chain.length, key[0].value, key[1].value, key[2].value)
+        rank = (-result.log_prob, length, key[0].value, key[1].value, key[2].value)
         if best is None or rank < best[0]:
             best = (rank, key, result)
     if best is None:

@@ -8,6 +8,7 @@ import pytest
 
 from posehsmm import fileio
 from posehsmm.cli import main
+from posehsmm.emission import ChannelId, FeatureStream
 from posehsmm.errors import FormatError
 from posehsmm.inference import hsmm_viterbi
 from posehsmm.keyframes import select_keyframes
@@ -306,6 +307,92 @@ class TestCliErrors:
                    "--out", str(tmp_path / "bad.model")])
         assert rc == 1
         assert "error:" in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def clips(tmp_path_factory):
+    """Two moving transition clips, a manifest listing them, and a clip
+    with four features instead of six."""
+    root = tmp_path_factory.mktemp("clips")
+    for a, b, d in (("solU", "fetR", "left"), ("solU", "logR", "right")):
+        rc = main(["simulate", "--transition", a, b, d, "--noise", "0",
+                   "--dropout", "0", "--out", str(root / f"{a}-{b}-{d}.stream")])
+        assert rc == 0
+    (root / "train.manifest").write_text(
+        "solU-fetR-left.stream solU fetR left\n"
+        "solU-logR-right.stream solU logR right\n"
+    )
+    ramp = np.linspace(0.0, 1.0, 12)[:, None] * np.ones(4)
+    narrow = FeatureStream.from_arrays({ChannelId.parse("left:RGB"): ramp})
+    fileio.write_stream(narrow, root / "narrow.stream")
+    return root
+
+
+class TestCliArgumentErrors:
+    """Bad keyframe settings are a one-line error with exit code 1."""
+
+    @pytest.mark.parametrize("command", ["keyframes", "classify-transition"])
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--k-max", "1"), ("--th", "nan"), ("--stage2-th", "-0.5"),
+         ("--stage2-th", "inf")],
+        ids=["k-max-1", "th-nan", "stage2-negative", "stage2-inf"],
+    )
+    def test_bad_keyframe_argument(self, clips, capsys, command, flag, value):
+        clip = str(clips / "solU-fetR-left.stream")
+        if command == "keyframes":
+            argv = ["keyframes", "--stream", clip]
+        else:
+            argv = ["classify-transition", "--manifest",
+                    str(clips / "train.manifest"), "--clip", clip]
+        assert main(argv + ["--th", "0.25", flag, value]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {flag} must be ")
+        assert err.count("\n") == 1
+
+    def test_all_static_manifest(self, clips, capsys):
+        # at the default --th 0.8 neither simulated clip shows endpoint motion
+        manifest = clips / "train.manifest"
+        rc = main(["classify-transition", "--manifest", str(manifest),
+                   "--clip", str(clips / "solU-fetR-left.stream")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {manifest}: every clip is static at --th 0.8")
+        assert err.count("\n") == 1
+
+
+class TestFeatureWidthMismatch:
+    """A stream whose F differs from the model's or the manifest's is a
+    one-line error naming the stream file, with exit code 1."""
+
+    @pytest.mark.parametrize("command", ["decode", "summarize"])
+    def test_stream_against_model(self, workdir, clips, capsys, command):
+        narrow = clips / "narrow.stream"
+        rc = main([command, "--model", str(workdir / "fit.model"),
+                   "--stream", str(narrow)])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith(
+            f"error: {narrow}: stream has F=4, model "
+        )
+
+    def test_clip_against_manifest(self, clips, capsys):
+        narrow = clips / "narrow.stream"
+        rc = main(["classify-transition", "--manifest", str(clips / "train.manifest"),
+                   "--clip", str(narrow), "--th", "0.25"])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith(f"error: {narrow}: clip has F=4")
+
+    def test_manifest_mixing_widths(self, clips, capsys):
+        manifest = clips / "mixed.manifest"
+        manifest.write_text(
+            "solU-fetR-left.stream solU fetR left\n"
+            "narrow.stream solU logR right\n"
+        )
+        rc = main(["classify-transition", "--manifest", str(manifest),
+                   "--clip", str(clips / "solU-fetR-left.stream"), "--th", "0.25"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {manifest}:2: {clips / 'narrow.stream'}: ")
 
 
 @pytest.fixture(scope="module")
