@@ -24,6 +24,17 @@ from posehsmm.errors import NoFeasiblePath  # noqa: E402
 from posehsmm.inference import brute_force_decode, hsmm_viterbi  # noqa: E402
 
 
+def draw_trials(seed=0, max_t=8, max_q=3, max_d=4, max_f=4):
+    """Yield each trial's (T, Q, D, F, model, stream), in trial order, forever."""
+    rng = np.random.default_rng(seed)
+    while True:
+        Q = int(rng.integers(1, max_q + 1))
+        D = int(rng.integers(1, max_d + 1))
+        F = int(rng.integers(1, max_f + 1))
+        T = int(rng.integers(1, max_t + 1))
+        yield T, Q, D, F, random_hsmm(rng, Q, D, F), random_stream(rng, T, F)
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--trials", type=int, default=300)
@@ -34,16 +45,10 @@ def main(argv=None) -> int:
     ap.add_argument("--max-f", type=int, default=4)
     args = ap.parse_args(argv)
 
-    rng = np.random.default_rng(args.seed)
+    trials = draw_trials(args.seed, args.max_t, args.max_q, args.max_d, args.max_f)
     bad = infeasible = 0
     max_gap = 0.0
-    for trial in range(args.trials):
-        Q = int(rng.integers(1, args.max_q + 1))
-        D = int(rng.integers(1, args.max_d + 1))
-        F = int(rng.integers(1, args.max_f + 1))
-        T = int(rng.integers(1, args.max_t + 1))
-        model = random_hsmm(rng, Q, D, F)
-        stream = random_stream(rng, T, F)
+    for trial, (T, Q, D, F, model, stream) in zip(range(args.trials), trials):
         try:
             fast = hsmm_viterbi(stream, model)
         except NoFeasiblePath:

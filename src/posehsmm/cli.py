@@ -17,7 +17,7 @@ import sys
 from pathlib import Path
 
 from . import fileio
-from .emission import _channel_sort_key, binarize_stream, fit_channel_emissions
+from .emission import binarize_stream, fit_channel_emissions
 from .errors import (
     BadArgument,
     FormatError,
@@ -193,7 +193,7 @@ def _cmd_train(args) -> int:
     durations = fit_durations(segmentations, n, d_max)
 
     streams = [stream for stream, _ in pairs]
-    channels = sorted({c for s in streams for c in s.channels}, key=_channel_sort_key)
+    channels = sorted({c for s in streams for c in s.channels})
     emissions = {
         c: fit_channel_emissions(streams, label_lists, c, n) for c in channels
     }

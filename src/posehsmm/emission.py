@@ -37,9 +37,12 @@ class Modality(Enum):
     MASK = "Mask"
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True)
 class ChannelId:
-    """One (camera view, modality) pair, e.g. the left-view depth stream."""
+    """One (camera view, modality) pair, e.g. the left-view depth stream.
+
+    Channels order by view value, then modality value.
+    """
 
     view: View
     modality: Modality
@@ -47,14 +50,16 @@ class ChannelId:
     def __str__(self) -> str:
         return f"{self.view.value}:{self.modality.value}"
 
+    def __lt__(self, other: "ChannelId") -> bool:
+        return (self.view.value, self.modality.value) < (
+            other.view.value,
+            other.modality.value,
+        )
+
     @classmethod
     def parse(cls, text: str) -> "ChannelId":
         view, _, modality = text.partition(":")
         return cls(View(view), Modality(modality))
-
-
-def _channel_sort_key(channel: ChannelId):
-    return (channel.view.value, channel.modality.value)
 
 
 @dataclass(frozen=True)
@@ -86,7 +91,7 @@ class FeatureStream:
         ids = self.channel_ids
         if X.ndim != 3 or mask.shape != X.shape[:2] or len(ids) != X.shape[0]:
             raise ValueError(f"X {X.shape}, mask {mask.shape}, {len(ids)} channels")
-        if list(ids) != sorted(set(ids), key=_channel_sort_key):
+        if list(ids) != sorted(set(ids)):
             raise ValueError("stream channels must be unique and sorted")
         if X.shape[1] == 0:
             raise EmptySequence("feature stream has no frames")
@@ -135,7 +140,7 @@ class FeatureStream:
         ``available`` holds boolean masks of length T; when it is None every
         channel is available at every tick.
         """
-        channels = tuple(sorted(vectors, key=_channel_sort_key))
+        channels = tuple(sorted(vectors))
         X = np.stack([np.asarray(vectors[c], dtype=float) for c in channels])
         if available is None:
             mask = np.ones(X.shape[:2], dtype=bool)
@@ -228,9 +233,7 @@ def emission_log_likelihood(
     deterministic.  Raises NoObservation when nothing is scoreable.
     """
     i = operator.index(state)
-    scoreable = sorted(
-        (c for c in frame.available if c in models), key=_channel_sort_key
-    )
+    scoreable = sorted(c for c in frame.available if c in models)
     if not scoreable:
         raise NoObservation(f"tick {frame.t}: no available channel has a model")
     total = 0.0

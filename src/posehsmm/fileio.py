@@ -290,7 +290,7 @@ def read_truth(path) -> TruthFile:
 def write_model(model: HsmmModel, path) -> None:
     if not isinstance(model.durations, DurationModel):
         raise FormatError("only Gaussian-duration models are persisted")
-    channels = sorted(model.emissions, key=str)
+    channels = sorted(model.emissions)
     F = model.emissions[channels[0]].F if channels else 0
     lines = _header(
         "model",

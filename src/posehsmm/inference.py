@@ -5,23 +5,26 @@ Two model families share the emission layer: a plain Markov chain over ticks
 dwell times get an explicit per-state distribution and the transition matrix
 has a structurally zero diagonal.  All scoring is done in log space.
 
-The segment decoder keeps O(T x Q) state.  ``delta[t, j]`` is the best
-log-probability of ticks 1..t with a segment in state j ending at t.  Once
-per boundary s it takes the transition max ``enter[s, j] = max_i delta[s, i]
-+ log_A[i, j]`` and its argmax (``enter[0]`` is log pi, with argmax -1).
-Each tick t then scores every final duration d = 1..min(t, d_max) in one
-vector op, ``(enter[t-d] + log_dur[:, d]) + (C[t] - C[t-d])``, and keeps the
-best in ``delta[t]``, its duration in ``phi[t]`` and the previous state in
-``psi[t]``; the backtrack walks ``phi`` and ``psi``.  That is O(T x D x Q +
-T x Q^2) time.  Ties are broken deterministically: lower state index first,
-then longer final duration.
+The segment decoder keeps O(T x Q) state.  ``delta[j]`` is the best
+log-probability of ticks 1..t with a segment in state j ending at t; only
+tick t's row is kept.  Once per boundary s it takes the transition max
+``enter[s, j] = max_i delta[i] + log_A[i, j]`` and its argmax ``earg[s, j]``
+(``enter[0]`` is log pi, with argmax -1).  Each tick t then scores every
+final duration d = 1..min(t, d_max) in one vector op, ``(enter[t-d] +
+log_dur[:, d]) + (C[t] - C[t-d])``, keeps the best in ``delta`` and its row
+in ``best[t]``; the backtrack turns ``best[t]`` back into d and reads the
+predecessor from ``earg[t - d]``.  That is O(T x D x Q + T x Q^2) time.
 
-The brute-force oracle ranks whole paths by the same rule and performs the
-same additions, so it finds the same log-probability.  Its segmentation can
-still differ on an exact tie of the total: the DP commits at each boundary to
-the prefix that is larger by a last-ulp margin, and two prefixes that differ
-only in the last ulp can round to the same total, which the oracle then
-breaks by the index rule instead.
+Ties are broken at every decision, back to front.  The final state is the
+lowest index among the best totals.  A segment ending at t in state j takes
+the longest duration among the best, then the larger entry score
+``enter[t-d, j]``.  That entry takes the lowest predecessor state among the
+best, whose prefix total is the largest ``delta`` for that state at t - d.
+So among paths with equal totals the decoder keeps the first under one key:
+segments compared back to front by (state, prefix total, duration, entry
+score), with lower states, larger totals, longer durations and larger
+scores first.  The brute-force oracle ranks exact ties of the total by the
+same key.
 """
 
 from __future__ import annotations
@@ -35,12 +38,12 @@ import numpy as np
 
 from .emission import ChannelEmissionModel, ChannelId, FeatureStream, log_emission_matrix
 from .errors import (
+    BadArgument,
     DegenerateSelfLoop,
     DurationOutOfRange,
     EmptySequence,
     InstanceTooLarge,
     LabelMismatch,
-    MalformedSegmentation,
     NoFeasiblePath,
 )
 from .states import (
@@ -57,6 +60,9 @@ ROW_SUM_TOL = 1e-12
 
 #: Safety guard for exhaustive decoding: refuse above this many label sequences.
 BRUTE_FORCE_GUARD = 10**7
+
+#: Floor on fitted duration standard deviations, so single observations stay usable.
+MIN_DURATION_STD = 0.5
 
 
 def check_transition_matrix(A: np.ndarray, zero_diagonal: bool = False) -> np.ndarray:
@@ -178,13 +184,12 @@ def fit_durations(
     segmentations: Segmentation | Sequence[Segmentation],
     n_states: int,
     d_max: int,
-    min_std: float = 0.5,
 ) -> DurationModel:
     """Per-state dwell statistics from observed segments.
 
     Uses the sample mean and the population standard deviation of each
-    state's durations, flooring the std at ``min_std`` so single observations
-    stay usable.  States with no segment default to (d_max/2, d_max/4).
+    state's durations, floored at ``MIN_DURATION_STD``.  States with no
+    segment default to (d_max/2, d_max/4).
     """
     if isinstance(segmentations, Segmentation):
         segmentations = [segmentations]
@@ -198,8 +203,8 @@ def fit_durations(
         if durs:
             arr = np.asarray(durs, dtype=float)
             mean[i] = arr.mean()
-            std[i] = max(float(arr.std()), min_std)
-    std = np.maximum(std, min_std)
+            std[i] = arr.std()
+    std = np.maximum(std, MIN_DURATION_STD)
     return DurationModel(mean, std, d_max)
 
 
@@ -222,12 +227,6 @@ def _log_tables(model, stream: FeatureStream):
     C = np.vstack([np.zeros(n), np.cumsum(E, axis=0)])
     log_dur = model.durations.log_pmf_table() if hasattr(model, "durations") else None
     return log_pi, log_A, log_dur, E, C
-
-
-def _check_segment_indices(segmentation: Segmentation, n_states: int) -> None:
-    for seg in segmentation:
-        if not 0 <= seg.y_index < n_states:
-            raise ValueError(f"segment state {seg.y} outside [0, {n_states})")
 
 
 # =====================================================================
@@ -328,8 +327,9 @@ def hsmm_joint_log_prob(
         raise LabelMismatch(
             f"segmentation covers {segmentation.T} ticks, stream has {stream.T}"
         )
-    _check_segment_indices(segmentation, model.n_states)
     for seg in segmentation:
+        if not 0 <= seg.y_index < model.n_states:
+            raise BadArgument(f"segment state {seg.y} outside [0, {model.n_states})")
         if seg.d > model.d_max:
             raise DurationOutOfRange(
                 f"segment duration {seg.d} exceeds d_max {model.d_max}"
@@ -344,70 +344,12 @@ def hsmm_joint_log_prob(
 def hsmm_viterbi(stream: FeatureStream, model: HsmmModel) -> DecodeResult:
     """Most likely segmentation under the segment-level model.
 
-    Tie-break order at every decision: lower state index, then longer
-    duration.  Raises NoFeasiblePath when every segmentation scores -inf,
-    e.g. when T exceeds d_max and no transition can bridge the gap.
+    Ties follow the back-to-front rule in the module docstring.  Raises
+    NoFeasiblePath when every segmentation scores -inf, e.g. when T exceeds
+    d_max and no transition can bridge the gap.
     """
     log_pi, log_A, log_dur, _, C = _log_tables(model, stream)
-    return _segment_viterbi_core(
-        stream.T, model.n_states, model.d_max, log_pi, log_A, log_dur, C
-    )
-
-
-def _segment_viterbi_core(
-    T: int,
-    n: int,
-    d_max: int,
-    log_pi: np.ndarray,
-    log_A: np.ndarray,
-    log_dur: np.ndarray,
-    C: np.ndarray,
-    final_log: np.ndarray | None = None,
-) -> DecodeResult:
-    """Segment DP on raw log tables; also serves chain-constrained trellises
-    whose transition structure would not pass the public model validation.
-
-    ``final_log`` is an optional per-state additive terminal score (use -inf
-    entries to require the path to end in particular states).
-    """
-    d_cap = min(d_max, T)
-    # row k holds log_dur[:, d_cap - k], so rows d_cap-dm.. list d = dm..1
-    dur_rev = log_dur[:, d_cap:0:-1].T
-    enter = np.empty((T + 1, n))
-    earg = np.empty((T + 1, n), dtype=int)
-    enter[0] = log_pi
-    earg[0] = -1
-    delta = np.full((T + 1, n), -np.inf)
-    best = np.empty((T + 1, n), dtype=int)
-    took = np.arange(n)
-    for t in range(1, T + 1):
-        dm = min(t, d_cap)
-        lo = t - dm
-        # row r is the final duration d = dm - r, which starts after boundary
-        # lo + r; the first argmax is the longest d on ties.  The backtrack
-        # turns best[t] back into d and reads the predecessor from earg[t - d]
-        block = (enter[lo:t] + dur_rev[d_cap - dm :]) + (C[t] - C[lo:t])
-        r = block.argmax(axis=0, out=best[t])
-        delta[t] = block[r, took]
-        scores = delta[t][:, None] + log_A
-        enter[t] = scores.max(axis=0)
-        scores.argmax(axis=0, out=earg[t])
-
-    terminal = delta[T] if final_log is None else delta[T] + final_log
-    if not np.isfinite(terminal.max()):
-        raise NoFeasiblePath("all segmentations have probability zero")
-    y = int(terminal.argmax())
-    log_prob = float(delta[T, y])
-
-    rev: list[Segment] = []
-    t = T
-    while t > 0:
-        d = min(t, d_cap) - int(best[t, y])
-        rev.append(Segment(t - d + 1, d, y))
-        t, y = t - d, int(earg[t - d, y])
-    segmentation = Segmentation(tuple(reversed(rev)), T)
-    per_segment = _segment_scores(segmentation, log_pi, log_A, log_dur, C)
-    return DecodeResult(segmentation, log_prob, per_segment)
+    return segment_viterbi_on_tables(stream.T, log_pi, log_A, log_dur, C)
 
 
 def segment_viterbi_on_tables(
@@ -423,14 +365,50 @@ def segment_viterbi_on_tables(
     ``log_dur`` is a (Q, d_max + 1) table indexable by duration, and
     ``emission_cumsum`` the (T + 1, Q) prefix-sum matrix of emission log
     likelihoods.  Lets callers score constrained trellises (e.g. strict
-    left-to-right chains) without constructing a full public model;
-    ``final_log`` adds a terminal per-state score (-inf forbids ending there).
+    left-to-right chains) whose transition structure would not pass the
+    public model validation; ``final_log`` adds a terminal per-state score
+    (-inf forbids ending there).
     """
     n = log_pi.shape[0]
-    d_max = log_dur.shape[1] - 1
-    return _segment_viterbi_core(
-        T, n, d_max, log_pi, log_A, log_dur, emission_cumsum, final_log
-    )
+    d_cap = min(log_dur.shape[1] - 1, T)
+    C = emission_cumsum
+    # row k holds log_dur[:, d_cap - k], so rows d_cap-dm.. list d = dm..1
+    dur_rev = log_dur[:, d_cap:0:-1].T
+    enter = np.empty((T + 1, n))
+    earg = np.empty((T + 1, n), dtype=int)
+    enter[0] = log_pi
+    earg[0] = -1
+    delta = np.full(n, -np.inf)
+    best = np.empty((T + 1, n), dtype=int)
+    took = np.arange(n)
+    for t in range(1, T + 1):
+        dm = min(t, d_cap)
+        lo = t - dm
+        # row r is the final duration d = dm - r, which starts after boundary
+        # lo + r; the first argmax is the longest d on ties.  The backtrack
+        # turns best[t] back into d and reads the predecessor from earg[t - d]
+        block = (enter[lo:t] + dur_rev[d_cap - dm :]) + (C[t] - C[lo:t])
+        r = block.argmax(axis=0, out=best[t])
+        delta = block[r, took]
+        scores = delta[:, None] + log_A
+        enter[t] = scores.max(axis=0)
+        scores.argmax(axis=0, out=earg[t])
+
+    terminal = delta if final_log is None else delta + final_log
+    if not np.isfinite(terminal.max()):
+        raise NoFeasiblePath("all segmentations have probability zero")
+    y = int(terminal.argmax())
+    log_prob = float(delta[y])
+
+    rev: list[Segment] = []
+    t = T
+    while t > 0:
+        d = min(t, d_cap) - int(best[t, y])
+        rev.append(Segment(t - d + 1, d, y))
+        t, y = t - d, int(earg[t - d, y])
+    segmentation = Segmentation(tuple(reversed(rev)), T)
+    per_segment = _segment_scores(segmentation, log_pi, log_A, log_dur, C)
+    return DecodeResult(segmentation, log_prob, per_segment)
 
 
 def brute_force_decode(
@@ -439,9 +417,10 @@ def brute_force_decode(
     """Exhaustive reference decoder for small instances.
 
     Enumerates every label sequence, scores its run-length encoding with the
-    same additions the DP performs, and keeps the argmax under the documented
-    tie-break (lower state index, then longer duration, applied back to
-    front).  Guarded by ``guard`` on Q**T.
+    same additions the DP performs, and keeps the best total.  Exact ties of
+    the total go to the smallest key of (state, -prefix total, -duration,
+    -entry score) per segment, read back to front: the decoder's rule (see
+    the module docstring).  Guarded by ``guard`` on Q**T.
     """
     T = stream.T
     n = model.n_states
@@ -470,23 +449,22 @@ def brute_force_decode(
         segs.append((start + 1, T - start, cur))
 
         acc = 0.0
-        feasible = True
+        ranked = []
         prev = None
         for b, d, y in segs:
             if d > d_max:
-                feasible = False
                 break
             head = lpi[y] if prev is None else acc + lA[prev][y]
             acc = head + ldur[y][d]
             acc = acc + (lC[b + d - 1][y] - lC[b - 1][y])
             if acc == neg_inf:
-                feasible = False
                 break
+            ranked.append((y, -acc, -d, -head))
             prev = y
-        if not feasible:
+        if len(ranked) < len(segs) or acc < best_score:
             continue
-        key = tuple((y, -d) for b, d, y in reversed(segs))
-        if acc > best_score or (acc == best_score and key < best_key):
+        key = ranked[::-1]
+        if acc > best_score or key < best_key:
             best_score = acc
             best_key = key
             best_segs = segs

@@ -28,11 +28,16 @@ from .emission import (
     ChannelEmissionModel,
     ChannelId,
     FeatureStream,
-    _channel_sort_key,
     log_emission_matrix,
 )
-from .errors import LabelMismatch, NoFeasiblePath, NoTransitionDetected
-from .inference import DecodeResult, HsmmModel, hsmm_viterbi, segment_viterbi_on_tables
+from .errors import BadArgument, LabelMismatch, NoFeasiblePath, NoTransitionDetected
+from .inference import (
+    MIN_DURATION_STD,
+    DecodeResult,
+    HsmmModel,
+    hsmm_viterbi,
+    segment_viterbi_on_tables,
+)
 from .keyframes import KeyframeSet, keyframes_to_pseudo_pose_stream, select_keyframes
 from .states import (
     DurationModel,
@@ -47,7 +52,7 @@ from .states import (
 DEFAULT_CONSISTENCY = 0.8
 
 #: Duration std floor reused for chain dwell statistics.
-MIN_GAP_STD = 0.5
+MIN_GAP_STD = MIN_DURATION_STD
 
 
 @dataclass(frozen=True)
@@ -207,10 +212,15 @@ def build_transition_library(
     Each clip is compressed to keyframes; clips sharing a combination are
     aligned by keyframe ordinal and averaged per position and channel.
     Static clips contribute nothing.  A position's channel mean falls back to
-    0.5 when the channel was never available there.
+    0.5 when the channel was never available there.  Every clip must have
+    the same feature width F.
     """
     grouped: dict[tuple, list[tuple[FeatureStream, KeyframeSet]]] = {}
+    widths = set()
     for stream, from_pose, to_pose, direction in clips:
+        widths.add(stream.F)
+        if len(widths) > 1:
+            raise BadArgument(f"clips mix feature widths {sorted(widths)}")
         kfs = select_keyframes(stream, k_max, threshold, stage2_threshold)
         if kfs.static:
             continue
@@ -219,10 +229,7 @@ def build_transition_library(
     entries = {}
     for key, members in grouped.items():
         length = max(len(kfs) for _, kfs in members)
-        channels = sorted(
-            {c for stream, _ in members for c in stream.channels},
-            key=_channel_sort_key,
-        )
+        channels = sorted({c for stream, _ in members for c in stream.channels})
         F = members[0][0].F
         sums = {c: np.zeros((length, F)) for c in channels}
         counts = {c: np.zeros(length) for c in channels}
@@ -362,6 +369,11 @@ def score_chains(
     runs once per chain on its columns.
     """
     tables = library.tables
+    widths = {m.F for group in tables.groups for m in group.models.values()}
+    if widths - {stream.F}:
+        raise BadArgument(
+            f"clip has feature width {stream.F}, library chains {sorted(widths)}"
+        )
     T, n = stream.T, tables.offsets[-1]
     E = np.empty((T, n))
     for group in tables.groups:

@@ -95,7 +95,7 @@ def fit_supervised(pairs):
     d_max = min(3 * longest, max(s.T for s in segmentations))
     durations = fit_durations(segmentations, n, d_max)
     streams = [stream for stream, _ in pairs]
-    channels = sorted({c for s in streams for c in s.channels}, key=str)
+    channels = sorted({c for s in streams for c in s.channels})
     emissions = {
         c: fit_channel_emissions(streams, label_lists, c, n) for c in channels
     }

@@ -47,6 +47,12 @@ class TestChannelId:
         with pytest.raises(ValueError):
             ChannelId.parse("top:RGB")
 
+    def test_order_is_view_then_modality_value(self):
+        want = sorted(ALL_CHANNELS, key=lambda c: (c.view.value, c.modality.value))
+        assert sorted(ALL_CHANNELS[::-1]) == want == sorted(ALL_CHANNELS, key=str)
+        assert [str(c) for c in want[:3]] == ["center:Depth", "center:Mask", "center:RGB"]
+        assert RGB < MASK and not MASK < RGB and not RGB < RGB
+
 
 class TestStreamConstruction:
     def test_empty_stream_rejected(self):

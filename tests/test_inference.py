@@ -1,7 +1,9 @@
 """Decoders and fits: scalar oracles, brute-force agreement, and invariants."""
 
+import importlib.util
 import itertools
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,6 +31,7 @@ from posehsmm import (
 )
 from posehsmm.emission import ChannelEmissionModel, FeatureStream
 from posehsmm.errors import (
+    BadArgument,
     DegenerateSelfLoop,
     DurationOutOfRange,
     InstanceTooLarge,
@@ -36,6 +39,8 @@ from posehsmm.errors import (
 )
 
 from conftest import CH, random_hsmm, random_stream
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 
 def constant_stream(T, F=1, value=1.0):
@@ -184,6 +189,11 @@ class TestHsmmJointScore:
         stream = constant_stream(3)
         with pytest.raises(DurationOutOfRange):
             hsmm_joint_log_prob(encode_segments([0, 0, 0]), stream, model)
+
+    def test_state_outside_model_rejected(self):
+        model = random_hsmm(np.random.default_rng(0), n_states=2, d_max=3, F=1)
+        with pytest.raises(BadArgument, match=r"state 5 outside \[0, 2\)"):
+            hsmm_joint_log_prob(encode_segments([0, 5, 0]), constant_stream(3), model)
 
 
 class TestHsmmViterbi:
@@ -423,3 +433,31 @@ class TestDecodeInvariants:
         ref = decode_segments(truth.segmentation)
         agree = sum(a == b for a, b in zip(pred, ref)) / len(ref)
         assert agree >= 0.98
+
+
+def decode_outcome(decode, stream, model):
+    try:
+        result = decode(stream, model)
+    except NoFeasiblePath:
+        return "infeasible"
+    return result.segmentation, result.log_prob.hex()
+
+
+class TestOracleTieRule:
+    #: oracle_fuzz.py --seed 0 trials where whole-total ranking broke exact
+    #: ties differently from the DP (prefixes one ulp apart, equal totals)
+    TIE_TRIALS = (1355, 3195, 4700)
+
+    def test_replays_fuzz_trials(self):
+        spec = importlib.util.spec_from_file_location(
+            "oracle_fuzz", SCRIPTS / "oracle_fuzz.py"
+        )
+        oracle_fuzz = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(oracle_fuzz)
+        replay = set(self.TIE_TRIALS) | set(range(0, 4700, 15))
+        draws = oracle_fuzz.draw_trials(seed=0)
+        for trial, (T, Q, D, F, model, stream) in zip(range(max(replay) + 1), draws):
+            if trial in replay:
+                fast = decode_outcome(hsmm_viterbi, stream, model)
+                slow = decode_outcome(brute_force_decode, stream, model)
+                assert fast == slow, f"trial {trial} (T={T} Q={Q} D={D} F={F})"

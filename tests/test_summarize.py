@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from posehsmm.emission import ChannelEmissionModel, ChannelId, FeatureStream
-from posehsmm.errors import LabelMismatch, NoTransitionDetected
+from posehsmm.errors import BadArgument, LabelMismatch, NoTransitionDetected
 from posehsmm.inference import HsmmModel
 from posehsmm.states import (
     DurationModel,
@@ -201,6 +201,11 @@ class TestTransitionLibrary:
         assert chain.gap_mean.tolist() == pytest.approx(expect)
         assert (chain.gap_std >= 0.5).all()  # floored for single-clip chains
 
+    def test_mixed_feature_widths_rejected(self):
+        clips = [(ramp_clip(F=2), *self.KEY), (ramp_clip(F=3), *self.KEY)]
+        with pytest.raises(BadArgument, match=r"\[2, 3\]"):
+            build_transition_library(clips, threshold=0.4)
+
 
 class TestClassifyTransition:
     KEY_A = (PL.SOLDIER_UP, PL.YEARNER_RIGHT, RotationDirection.LEFT)
@@ -256,6 +261,11 @@ class TestClassifyTransition:
         )
         rec = classify_transition(clip, lib, threshold=0.4)
         assert rec.direction is RotationDirection.LEFT
+
+    def test_clip_width_must_match_library(self):
+        lib = build_transition_library([(ramp_clip(F=2), *self.KEY_A)], threshold=0.4)
+        with pytest.raises(BadArgument, match=r"width 3, library chains \[2\]"):
+            classify_transition(ramp_clip(F=3), lib, threshold=0.4)
 
     def test_deterministic(self):
         up = ramp_clip(0.0, 1.0)
