@@ -10,7 +10,9 @@ from __future__ import annotations
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
+from typing import NoReturn
 
 import numpy as np
 
@@ -32,6 +34,10 @@ from .states import (
 from .summarize import HistoryRecord, TransitionRecord
 
 FORMAT_VERSION = "v1"
+
+#: Tick lines a stream parse splits and converts at once; bounds the tokens
+#: held in memory.
+STREAM_CHUNK = 1024
 
 
 def _fmt(x: float) -> str:
@@ -156,16 +162,76 @@ def write_stream(stream: FeatureStream, path) -> None:
 
 def read_stream(path) -> FeatureStream:
     """Parse a stream file: each tick 1..T exactly once, every feature a
-    finite number in [0, 1], else ``FormatError`` naming file and line."""
+    finite number in [0, 1], else ``FormatError`` naming file and line.
+
+    Tick lines are parsed and checked in bulk, ``STREAM_CHUNK`` at a time.
+    When a check fails, ``_first_bad_tick`` rescans them in file order and
+    raises the message of the first bad line, or of the tick count.
+    """
     r = _Reader(path, "stream")
     T = r.header("T")
     F = r.header("F")
     channels = r.header("channels", _channels)
     if T < 1 or F < 1 or len(set(channels)) != len(channels):
         raise FormatError(f"{path}: bad stream header: T={T} F={F} {channels}")
+    lines = r.lines[r.pos :]
+    if len(lines) != T:
+        _first_bad_tick(r, T, F, len(channels))
     X = np.zeros((len(channels), T, F))
     mask = np.zeros((len(channels), T), dtype=bool)
     seen = np.zeros(T, dtype=bool)
+    chunks = (lines[lo : lo + STREAM_CHUNK] for lo in range(0, T, STREAM_CHUNK))
+    parsed = all(_parse_ticks(chunk, X, mask, seen) for chunk in chunks)
+    if not parsed or not seen.all():
+        _first_bad_tick(r, T, F, len(channels))
+    return FeatureStream.from_arrays(
+        {c: X[k] for k, c in enumerate(channels)},
+        {c: mask[k] for k, c in enumerate(channels)},
+    )
+
+
+def _parse_ticks(
+    lines: list[str], X: np.ndarray, mask: np.ndarray, seen: np.ndarray
+) -> bool:
+    """Parse tick lines into X, mask and seen; False if any line is bad.
+
+    Ticks go through ``int`` and values through ``float``, as in a line
+    by line parse, so both accept the same tokens.
+    """
+    n_ch, T, F = X.shape
+    parts = [line.split(None, 3) for line in lines]
+    if any(len(p) < 3 or p[0] != "tick" or len(p[2]) != n_ch for p in parts):
+        return False
+    tokens = [p[3].split() if len(p) == 4 else [] for p in parts]
+    counts = np.fromiter(map(len, tokens), np.int64, len(parts))
+    try:
+        ticks = np.fromiter(map(int, [p[1] for p in parts]), np.int64, len(parts))
+        values = np.fromiter(
+            map(float, chain.from_iterable(tokens)), float, counts.sum()
+        )
+    except (ValueError, OverflowError):
+        return False
+    bits = np.frombuffer("".join(p[2] for p in parts).encode(), np.uint8) - ord("0")
+    if bits.size != len(parts) * n_ch or bits.max() > 1:
+        return False
+    on = bits.reshape(len(parts), n_ch).astype(bool)
+    if ticks.min() < 1 or ticks.max() > T or np.any(counts != on.sum(axis=1) * F):
+        return False
+    if not np.all((values >= 0.0) & (values <= 1.0)):
+        return False
+    rows = np.zeros((len(parts), n_ch, F))
+    rows[on] = values.reshape(-1, F)
+    X[:, ticks - 1] = rows.transpose(1, 0, 2)
+    mask[:, ticks - 1] = on.T
+    seen[ticks - 1] = True
+    return True
+
+
+def _first_bad_tick(r: _Reader, T: int, F: int, n_ch: int) -> NoReturn:
+    """Raise the ``FormatError`` of the first bad tick line, in file order,
+    else of the tick count.  Accepts nothing."""
+    path = r.path
+    seen: set[int] = set()
     for lineno, rec in r.numbered_records():
         where = f"{path}:{lineno}"
         if rec[0] != "tick":
@@ -178,22 +244,15 @@ def read_stream(path) -> FeatureStream:
             raise FormatError(f"{where}: malformed tick line: {exc}") from None
         if not 1 <= t <= T:
             raise FormatError(f"{where}: tick {t} outside 1..{T}")
-        if seen[t - 1]:
+        if t in seen:
             raise FormatError(f"{where}: duplicate tick {t}")
-        bad_bits = len(bits) != len(channels) or not set(bits) <= {"0", "1"}
+        bad_bits = len(bits) != n_ch or not set(bits) <= {"0", "1"}
         if bad_bits or len(values) != bits.count("1") * F:
             raise FormatError(f"{where}: malformed tick {t}")
         if not all(0.0 <= v <= 1.0 for v in values):
             raise FormatError(f"{where}: features must be finite and in [0, 1]")
-        mask[:, t - 1] = [b == "1" for b in bits]
-        X[mask[:, t - 1], t - 1] = np.reshape(values, (-1, F))
-        seen[t - 1] = True
-    if not seen.all():
-        raise FormatError(f"{path}: {seen.sum()} ticks for T={T}")
-    return FeatureStream.from_arrays(
-        {c: X[k] for k, c in enumerate(channels)},
-        {c: mask[k] for k, c in enumerate(channels)},
-    )
+        seen.add(t)
+    raise FormatError(f"{path}: {len(seen)} ticks for T={T}")
 
 
 # =====================================================================
@@ -330,12 +389,16 @@ def read_model(path) -> HsmmModel:
     channels = r.header("channels", _channels)
     if Q < 1 or F < 0 or d_max < 1:
         raise FormatError(f"{path}: bad model header: Q={Q} F={F} d_max={d_max}")
+    # a model has a trans and a dur record per state, so fewer records than
+    # Q is a bad header; rows become arrays only once every record is read
+    n_records = len(r.lines) - r.pos
+    if n_records < Q:
+        raise FormatError(f"{path}: {n_records} records for Q={Q}")
     states: list[StateId] = []
     pi = None
-    A = np.zeros((Q, Q))
-    mean = np.zeros(Q)
-    std = np.ones(Q)
-    means = {c: np.full((Q, F), 0.5) for c in channels}
+    trans: dict[int, list[float]] = {}
+    dur: dict[int, list[float]] = {}
+    means: dict[ChannelId, dict[int, list[float]]] = {c: {} for c in channels}
     seen: set[tuple] = set()
 
     def once(*record) -> None:
@@ -355,13 +418,13 @@ def read_model(path) -> HsmmModel:
             elif rec[0] == "trans":
                 i = _index(rec[1], Q)
                 once("trans", i)
-                A[i] = _floats(rec[2:], Q)
+                trans[i] = _floats(rec[2:], Q)
             elif rec[0] == "dur":
                 i, m, sd = _fields(rec, 3)
                 i = _index(i, Q)
                 once("dur", i)
-                mean[i], std[i] = _floats([m, sd], 2)
-                if not (mean[i] > 0.0 and std[i] > 0.0):
+                dur[i] = _floats([m, sd], 2)
+                if not (dur[i][0] > 0.0 and dur[i][1] > 0.0):
                     raise ValueError("duration mean and std must be positive")
             elif rec[0] == "emit":
                 c, i = ChannelId.parse(rec[1]), _index(rec[2], Q)
@@ -380,11 +443,17 @@ def read_model(path) -> HsmmModel:
         raise FormatError(f"{path}: missing record(s): {', '.join(missing)}")
     if states and len(states) != Q:
         raise FormatError(f"{path}: {len(states)} states for Q={Q}")
+    A = np.array([trans[i] for i in range(Q)])
+    mean = np.array([dur[i][0] for i in range(Q)])
+    std = np.array([dur[i][1] for i in range(Q)])
     try:
         space = (
             StateSpace(tuple(sorted(states, key=lambda s: s.index))) if states else None
         )
-        emissions = {c: ChannelEmissionModel(c, means[c]) for c in channels}
+        emissions = {
+            c: ChannelEmissionModel(c, np.reshape([rows[i] for i in range(Q)], (Q, F)))
+            for c, rows in means.items()
+        }
         return HsmmModel(pi, A, DurationModel(mean, std, d_max), emissions, space)
     except ValueError as exc:
         raise FormatError(f"{path}: {exc}") from None

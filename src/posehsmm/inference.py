@@ -11,9 +11,18 @@ tick t's row is kept.  Once per boundary s it takes the transition max
 ``enter[s, j] = max_i delta[i] + log_A[i, j]`` and its argmax ``earg[s, j]``
 (``enter[0]`` is log pi, with argmax -1).  Each tick t then scores every
 final duration d = 1..min(t, d_max) in one vector op, ``(enter[t-d] +
-log_dur[:, d]) + (C[t] - C[t-d])``, keeps the best in ``delta`` and its row
-in ``best[t]``; the backtrack turns ``best[t]`` back into d and reads the
-predecessor from ``earg[t - d]``.  That is O(T x D x Q + T x Q^2) time.
+log_dur[:, d]) + (C[t] - C[t-d])``, keeps the best in ``delta`` and its
+column in ``best[t]``; the backtrack turns ``best[t]`` back into d and reads
+the predecessor from ``earg[t - d]``.  That is O(T x D x Q + T x Q^2) time.
+
+Every maximum is an argmax along contiguous rows and a gather at it.
+``log_A`` is transposed once, so row j of ``log_A.T + delta`` lists the
+candidates for ``enter[s, j]``.  Only the last d_cap = min(d_max, T) rows of
+``enter`` are kept, transposed into a Q x d_cap window that shifts one column
+per tick, so row j of a tick's score block lists state j's durations,
+longest first.  Past the first d_cap ticks, ``C[t] - C[s]`` is taken for
+``DP_BLOCK`` ticks in one subtraction.  The layout changes neither the
+operands nor the order of any addition above, so it changes no bit.
 
 Ties are broken at every decision, back to front.  The final state is the
 lowest index among the best totals.  A segment ending at t in state j takes
@@ -35,6 +44,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .emission import ChannelEmissionModel, ChannelId, FeatureStream, log_emission_matrix
 from .errors import (
@@ -63,6 +73,9 @@ BRUTE_FORCE_GUARD = 10**7
 
 #: Floor on fitted duration standard deviations, so single observations stay usable.
 MIN_DURATION_STD = 0.5
+
+#: Ticks per block of the segment DP's steady-state fill.
+DP_BLOCK = 128
 
 
 def check_transition_matrix(A: np.ndarray, zero_diagonal: bool = False) -> np.ndarray:
@@ -372,27 +385,52 @@ def segment_viterbi_on_tables(
     n = log_pi.shape[0]
     d_cap = min(log_dur.shape[1] - 1, T)
     C = emission_cumsum
-    # row k holds log_dur[:, d_cap - k], so rows d_cap-dm.. list d = dm..1
-    dur_rev = log_dur[:, d_cap:0:-1].T
-    enter = np.empty((T + 1, n))
-    earg = np.empty((T + 1, n), dtype=int)
-    enter[0] = log_pi
-    earg[0] = -1
-    delta = np.full(n, -np.inf)
-    best = np.empty((T + 1, n), dtype=int)
     took = np.arange(n)
-    for t in range(1, T + 1):
-        dm = min(t, d_cap)
-        lo = t - dm
-        # row r is the final duration d = dm - r, which starts after boundary
-        # lo + r; the first argmax is the longest d on ties.  The backtrack
-        # turns best[t] back into d and reads the predecessor from earg[t - d]
-        block = (enter[lo:t] + dur_rev[d_cap - dm :]) + (C[t] - C[lo:t])
-        r = block.argmax(axis=0, out=best[t])
-        delta = block[r, took]
-        scores = delta[:, None] + log_A
-        enter[t] = scores.max(axis=0)
-        scores.argmax(axis=0, out=earg[t])
+    # column k holds log_dur[:, d_cap - k], so columns d_cap-dm.. list d = dm..1
+    dur_w = np.ascontiguousarray(log_dur[:, d_cap:0:-1])
+    # row j lists log_A[:, j], so one argmax along it is the transition max
+    log_AT = np.ascontiguousarray(log_A.T)
+    # column k holds enter[t - d_cap + k].  Each tick moves every cell of
+    # the flat view left by one, which moves every column left, and then
+    # writes its enter row over the last column.
+    window = np.empty((n, d_cap))
+    window[:, -1] = log_pi
+    cells = window.reshape(-1)
+    best = np.empty((T + 1, n), dtype=int)
+    earg = np.empty((T + 1, n), dtype=int)
+    earg[0] = -1
+    # ramp, t <= d_cap: block column r is the final duration d = t - r, which
+    # starts after boundary r; the first argmax is the longest d on ties
+    for t in range(1, d_cap + 1):
+        span = C[t, :, None] - C[:t].T
+        block = (window[:, d_cap - t :] + dur_w[:, d_cap - t :]) + span
+        r = block.argmax(axis=1, out=best[t])
+        delta = block[took, r]
+        scores = log_AT + delta
+        e = scores.argmax(axis=1, out=earg[t])
+        cells[:-1] = cells[1:]
+        window[:, -1] = scores[took, e]
+    # steady state: column k is d = d_cap - k, after boundary t - d_cap + k;
+    # C[t] - C[s] is taken for a block of ticks in one subtraction
+    if T > d_cap:
+        lags = sliding_window_view(C, d_cap, axis=0)
+        spans = np.empty((min(DP_BLOCK, T - d_cap), n, d_cap))
+        block = np.empty((n, d_cap))
+        scores = np.empty((n, n))
+        for lo in range(d_cap + 1, T + 1, DP_BLOCK):
+            hi = min(lo + DP_BLOCK, T + 1)
+            np.subtract(
+                C[lo:hi, :, None], lags[lo - d_cap : hi - d_cap], out=spans[: hi - lo]
+            )
+            for t, span in zip(range(lo, hi), spans):
+                np.add(window, dur_w, out=block)
+                np.add(block, span, out=block)
+                r = block.argmax(axis=1, out=best[t])
+                delta = block[took, r]
+                np.add(log_AT, delta, out=scores)
+                e = scores.argmax(axis=1, out=earg[t])
+                cells[:-1] = cells[1:]
+                window[:, -1] = scores[took, e]
 
     terminal = delta if final_log is None else delta + final_log
     if not np.isfinite(terminal.max()):

@@ -16,7 +16,6 @@ chain by chain, on each chain's columns.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate
@@ -97,29 +96,46 @@ def history_from_labels(
     if sample_every < 1 or window < sample_every:
         raise ValueError("need window >= sample_every >= 1")
     T = len(state_indices)
+    # value order, so the first of the modal counts is the tie-break winner
+    poses = sorted({s.pose for s in space}, key=lambda p: p.value)
+    scenes = sorted({s.scene for s in space} - {None}, key=lambda c: c.value)
+    pose_of = np.array([poses.index(s.pose) for s in space])
+    # scene-agnostic states count in a last column
+    scene_of = np.array([len(scenes) if s.scene is None else scenes.index(s.scene)
+                         for s in space])
+    # sampled ticks 1, 1 + sample_every, ...; tick t lies in window (t - 1) // window
+    sampled = np.asarray(state_indices, dtype=int)[::sample_every]
+    where = np.arange(0, T, sample_every) // window
+    n_windows = -(-T // window)
+
+    def counts(code, width):
+        flat = np.bincount(where * width + code[sampled], minlength=n_windows * width)
+        return flat.reshape(n_windows, width)
+
+    pose_counts = counts(pose_of, len(poses))
+    scene_counts = counts(scene_of, len(scenes) + 1)
+    # the last column, read as no scene, is the mode only when no sampled
+    # state has a scene
+    scene_counts[:, -1] = scene_counts[:, :-1].sum(axis=1) == 0
+    scenes.append(None)
+    rows = zip(
+        np.bincount(where, minlength=n_windows).tolist(),
+        pose_counts.argmax(axis=1).tolist(),
+        pose_counts.max(axis=1).tolist(),
+        scene_counts.argmax(axis=1).tolist(),
+    )
     records: list[HistoryRecord] = []
-    for start in range(1, T + 1, window):
-        end = min(start + window - 1, T)
-        # first sampled tick at or after start: samples are 1 mod sample_every
-        first = start + (1 - start) % sample_every
-        in_window = range(first, end + 1, sample_every)
-        if not in_window:
+    for w, (n, pose, count, scene) in enumerate(rows):
+        if not n:
             continue
-        sampled = [space[int(state_indices[t - 1])] for t in in_window]
-        pose_counts = Counter(s.pose for s in sampled)
-        pose, count = sorted(
-            pose_counts.items(), key=lambda kv: (-kv[1], kv[0].value)
-        )[0]
-        confidence = count / len(sampled)
-        label = pose if confidence >= consistency else PoseLabel.OTHER
-        scenes = [s.scene for s in sampled if s.scene is not None]
-        if scenes:
-            scene = sorted(
-                Counter(scenes).items(), key=lambda kv: (-kv[1], kv[0].value)
-            )[0][0]
-        else:
-            scene = None
-        records.append(HistoryRecord(start, end - start + 1, label, scene, confidence))
+        start = w * window + 1
+        confidence = count / n
+        label = poses[pose] if confidence >= consistency else PoseLabel.OTHER
+        records.append(
+            HistoryRecord(
+                start, min(window, T - start + 1), label, scenes[scene], confidence
+            )
+        )
     return records
 
 

@@ -507,6 +507,38 @@ class TestStrictTruthAndModelParsing:
         assert capsys.readouterr().err.startswith(f"error: {bad}:{line}: ")
 
 
+class TestSizeHeaders:
+    """A size header far beyond the file's records is a one-line error
+    naming the file, raised before anything of that size is allocated."""
+
+    def test_stream_T_beyond_tick_lines(self, workdir, tmp_path, capsys):
+        lines = (workdir / "s1.stream").read_text().splitlines()
+        k = lines.index("T: 120")
+        lines[k] = "T: 100000000000"
+        bad = tmp_path / "huge.stream"
+        bad.write_text("\n".join(lines[: k + 4]) + "\n")
+        message = f"{bad}: 1 ticks for T=100000000000"
+        with pytest.raises(FormatError, match="^" + re.escape(message) + "$"):
+            fileio.read_stream(bad)
+        capsys.readouterr()
+        rc = main(["decode", "--model", str(workdir / "fit.model"),
+                   "--stream", str(bad)])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_model_Q_beyond_records(self, workdir, tmp_path, capsys):
+        text = (workdir / "fit.model").read_text()
+        bad = tmp_path / "huge.model"
+        bad.write_text(re.sub(r"(?m)^Q: \d+$", "Q: 10000000", text))
+        with pytest.raises(FormatError, match="^" + re.escape(f"{bad}: ")):
+            fileio.read_model(bad)
+        capsys.readouterr()
+        rc = main(["decode", "--model", str(bad),
+                   "--stream", str(workdir / "s1.stream")])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith(f"error: {bad}: ")
+
+
 class TestMissingFile:
     def test_missing_input_is_one_line_error(self, workdir, tmp_path, capsys):
         missing = tmp_path / "missing.stream"

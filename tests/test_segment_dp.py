@@ -36,10 +36,18 @@ def outcome(decode):
     )
 
 
+def draw_T(rng, D, short):
+    """T below ``short`` (mostly within the ramp, t <= D), or in about a
+    quarter of the draws up to 300: past the ramp and across DP blocks."""
+    if rng.random() < 0.25:
+        return int(rng.integers(D + 1, 301))
+    return int(rng.integers(1, short))
+
+
 def random_tables(rng, tie):
     Q = int(rng.integers(1, 5))
     D = int(rng.integers(1, 7))
-    T = int(rng.integers(1, 25))
+    T = draw_T(rng, D, 25)
     with np.errstate(divide="ignore"):
         if tie:
             vals = np.append(TIE_LOGS, -np.inf)
@@ -92,7 +100,7 @@ class TestMatchesReference:
     def test_models(self, seed, tie):
         rng = np.random.default_rng(seed)
         model = tie_heavy_hsmm(rng) if tie else random_hsmm(rng)
-        stream = random_stream(rng, int(rng.integers(1, 30)), model.emissions[CH].F)
+        stream = random_stream(rng, draw_T(rng, model.d_max, 30), model.emissions[CH].F)
         log_pi, log_A, log_dur, _, C = _log_tables(model, stream)
         want = outcome(lambda: reference_segment_viterbi(
             stream.T, model.n_states, model.d_max, log_pi, log_A, log_dur, C
