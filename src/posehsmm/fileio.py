@@ -321,7 +321,7 @@ def read_truth(path) -> TruthFile:
                 segments.append(Segment(int(b), int(d), _index(y, Q)))
             elif rec[0] == "scene":
                 b, n, scene = _fields(rec, 3)
-                if int(b) != len(scenes) + 1 or int(n) < 1:
+                if int(b) != len(scenes) + 1 or not 1 <= int(n) <= T - len(scenes):
                     raise ValueError(f"scene runs must tile 1..T, got {b} {n}")
                 scenes.extend([SceneCondition(scene)] * int(n))
             elif rec[0] == "transition":

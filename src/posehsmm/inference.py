@@ -20,9 +20,18 @@ Every maximum is an argmax along contiguous rows and a gather at it.
 candidates for ``enter[s, j]``.  Only the last d_cap = min(d_max, T) rows of
 ``enter`` are kept, transposed into a Q x d_cap window that shifts one column
 per tick, so row j of a tick's score block lists state j's durations,
-longest first.  Past the first d_cap ticks, ``C[t] - C[s]`` is taken for
-``DP_BLOCK`` ticks in one subtraction.  The layout changes neither the
-operands nor the order of any addition above, so it changes no bit.
+longest first.  ``C[t] - C[s]`` is taken for ``DP_BLOCK`` ticks in one
+subtraction.  The layout changes neither the operands nor the order of any
+addition above, so it changes no bit.
+
+Every trellis, a 5-tick chain or a day-long recording, runs this one fill
+from tick 1.  The window starts with the d_cap - 1 boundaries before tick 0,
+which enter at -inf; their spans read C as zero (a block that starts before
+tick d_cap reads a zero-padded copy of its rows, later blocks read C in
+place).  Their cells are -inf, so they never win a finite maximum, and a
+state whose row is all -inf has delta -inf either way.  The backtrack visits
+only cells on a finite path, so each ``best`` column it reads is a real
+boundary.  That needs C free of +inf, as emission log-likelihoods are.
 
 Ties are broken at every decision, back to front.  The final state is the
 lowest index among the best totals.  A segment ending at t in state j takes
@@ -44,7 +53,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
 from .emission import ChannelEmissionModel, ChannelId, FeatureStream, log_emission_matrix
 from .errors import (
@@ -74,7 +83,7 @@ BRUTE_FORCE_GUARD = 10**7
 #: Floor on fitted duration standard deviations, so single observations stay usable.
 MIN_DURATION_STD = 0.5
 
-#: Ticks per block of the segment DP's steady-state fill.
+#: Ticks per block of the segment DP's fill, whose spans take one subtraction.
 DP_BLOCK = 128
 
 
@@ -361,7 +370,8 @@ def hsmm_viterbi(stream: FeatureStream, model: HsmmModel) -> DecodeResult:
     NoFeasiblePath when every segmentation scores -inf, e.g. when T exceeds
     d_max and no transition can bridge the gap.
     """
-    log_pi, log_A, log_dur, _, C = _log_tables(model, stream)
+    log_pi, log_A, log_dur, E, C = _log_tables(model, stream)
+    del E  # dead during the DP: frees a (T, Q) array
     return segment_viterbi_on_tables(stream.T, log_pi, log_A, log_dur, C)
 
 
@@ -386,51 +396,42 @@ def segment_viterbi_on_tables(
     d_cap = min(log_dur.shape[1] - 1, T)
     C = emission_cumsum
     took = np.arange(n)
-    # column k holds log_dur[:, d_cap - k], so columns d_cap-dm.. list d = dm..1
+    # column k holds log_dur[:, d_cap - k], so row j lists durations d_cap..1
     dur_w = np.ascontiguousarray(log_dur[:, d_cap:0:-1])
     # row j lists log_A[:, j], so one argmax along it is the transition max
     log_AT = np.ascontiguousarray(log_A.T)
-    # column k holds enter[t - d_cap + k].  Each tick moves every cell of
-    # the flat view left by one, which moves every column left, and then
-    # writes its enter row over the last column.
-    window = np.empty((n, d_cap))
+    # column k holds enter[t - d_cap + k], which is -inf before boundary 0.
+    # Each tick moves every cell of the flat view left by one, which moves
+    # every column left, and then writes its enter row over the last column.
+    window = np.full((n, d_cap), -np.inf)
     window[:, -1] = log_pi
     cells = window.reshape(-1)
     best = np.empty((T + 1, n), dtype=int)
     earg = np.empty((T + 1, n), dtype=int)
     earg[0] = -1
-    # ramp, t <= d_cap: block column r is the final duration d = t - r, which
-    # starts after boundary r; the first argmax is the longest d on ties
-    for t in range(1, d_cap + 1):
-        span = C[t, :, None] - C[:t].T
-        block = (window[:, d_cap - t :] + dur_w[:, d_cap - t :]) + span
-        r = block.argmax(axis=1, out=best[t])
-        delta = block[took, r]
-        scores = log_AT + delta
-        e = scores.argmax(axis=1, out=earg[t])
-        cells[:-1] = cells[1:]
-        window[:, -1] = scores[took, e]
-    # steady state: column k is d = d_cap - k, after boundary t - d_cap + k;
-    # C[t] - C[s] is taken for a block of ticks in one subtraction
-    if T > d_cap:
-        lags = sliding_window_view(C, d_cap, axis=0)
-        spans = np.empty((min(DP_BLOCK, T - d_cap), n, d_cap))
-        block = np.empty((n, d_cap))
-        scores = np.empty((n, n))
-        for lo in range(d_cap + 1, T + 1, DP_BLOCK):
-            hi = min(lo + DP_BLOCK, T + 1)
-            np.subtract(
-                C[lo:hi, :, None], lags[lo - d_cap : hi - d_cap], out=spans[: hi - lo]
-            )
-            for t, span in zip(range(lo, hi), spans):
-                np.add(window, dur_w, out=block)
-                np.add(block, span, out=block)
-                r = block.argmax(axis=1, out=best[t])
-                delta = block[took, r]
-                np.add(log_AT, delta, out=scores)
-                e = scores.argmax(axis=1, out=earg[t])
-                cells[:-1] = cells[1:]
-                window[:, -1] = scores[took, e]
+    spans = np.empty((min(DP_BLOCK, T), n, d_cap))
+    block = np.empty((n, d_cap))
+    scores = np.empty((n, n))
+    for lo in range(1, T + 1, DP_BLOCK):
+        hi = min(lo + DP_BLOCK, T + 1)
+        # rows of C from boundary lo - d_cap on, zeros before boundary 0
+        if lo < d_cap:
+            rows = np.concatenate((np.zeros((d_cap - lo, n)), C[: hi - 1]))
+        else:
+            rows = C[lo - d_cap :]
+        step, col = rows.strides
+        # lags[t - lo, :, k] is C[t - d_cap + k], for one subtraction per block
+        lags = as_strided(rows, (hi - lo, n, d_cap), (step, col, step), writeable=False)
+        np.subtract(C[lo:hi, :, None], lags, out=spans[: hi - lo])
+        for t, span in zip(range(lo, hi), spans):
+            np.add(window, dur_w, out=block)
+            np.add(block, span, out=block)
+            r = block.argmax(axis=1, out=best[t])
+            delta = block[took, r]
+            np.add(log_AT, delta, out=scores)
+            e = scores.argmax(axis=1, out=earg[t])
+            cells[:-1] = cells[1:]
+            window[:, -1] = scores[took, e]
 
     terminal = delta if final_log is None else delta + final_log
     if not np.isfinite(terminal.max()):
@@ -441,7 +442,7 @@ def segment_viterbi_on_tables(
     rev: list[Segment] = []
     t = T
     while t > 0:
-        d = min(t, d_cap) - int(best[t, y])
+        d = d_cap - int(best[t, y])
         rev.append(Segment(t - d + 1, d, y))
         t, y = t - d, int(earg[t - d, y])
     segmentation = Segmentation(tuple(reversed(rev)), T)

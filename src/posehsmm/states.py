@@ -9,8 +9,9 @@ tick, duration, and state.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -354,7 +355,6 @@ class DurationModel:
     mean: np.ndarray
     std: np.ndarray
     d_max: int
-    _pmf: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         self.mean = np.asarray(self.mean, dtype=float)
@@ -371,21 +371,23 @@ class DurationModel:
         return self.mean.shape[0]
 
     def pmf_table(self) -> np.ndarray:
-        """(Q, d_max) table; rows sum to 1.  Stable for tiny std."""
-        if self._pmf is None:
-            d = np.arange(1, self.d_max + 1, dtype=float)
-            z = -((d[None, :] - self.mean[:, None]) ** 2) / (2.0 * self.std[:, None] ** 2)
-            z -= z.max(axis=1, keepdims=True)
-            w = np.exp(z)
-            self._pmf = w / w.sum(axis=1, keepdims=True)
+        """(Q, d_max) table, column d - 1 for duration d; computed once."""
         return self._pmf
+
+    @cached_property
+    def _pmf(self) -> np.ndarray:
+        """Rows sum to 1.  Stable for tiny std."""
+        d = np.arange(1, self.d_max + 1, dtype=float)
+        z = -((d[None, :] - self.mean[:, None]) ** 2) / (2.0 * self.std[:, None] ** 2)
+        z -= z.max(axis=1, keepdims=True)
+        w = np.exp(z)
+        return w / w.sum(axis=1, keepdims=True)
 
     def log_pmf_table(self) -> np.ndarray:
         """(Q, d_max + 1) log table indexable by duration; column 0 is -inf."""
         table = np.full((self.n_states, self.d_max + 1), -np.inf)
-        pmf = self.pmf_table()
         with np.errstate(divide="ignore"):
-            table[:, 1:] = np.log(pmf)
+            table[:, 1:] = np.log(self.pmf_table())
         return table
 
 
@@ -408,7 +410,6 @@ class GeometricDurationModel:
     self_loop: np.ndarray
     d_max: int
     truncated: bool = True
-    _pmf: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         self.self_loop = np.asarray(self.self_loop, dtype=float)
@@ -421,18 +422,15 @@ class GeometricDurationModel:
     def n_states(self) -> int:
         return self.self_loop.shape[0]
 
-    def pmf_table(self) -> np.ndarray:
-        if self._pmf is None:
-            d = np.arange(1, self.d_max + 1, dtype=float)
-            a = self.self_loop[:, None]
-            w = a ** (d[None, :] - 1.0) * (1.0 - a)
-            if self.truncated:
-                w = w / w.sum(axis=1, keepdims=True)
-            self._pmf = w
-        return self._pmf
+    @cached_property
+    def _pmf(self) -> np.ndarray:
+        d = np.arange(1, self.d_max + 1, dtype=float)
+        a = self.self_loop[:, None]
+        w = a ** (d[None, :] - 1.0) * (1.0 - a)
+        if self.truncated:
+            w = w / w.sum(axis=1, keepdims=True)
+        return w
 
-    def log_pmf_table(self) -> np.ndarray:
-        table = np.full((self.n_states, self.d_max + 1), -np.inf)
-        with np.errstate(divide="ignore"):
-            table[:, 1:] = np.log(self.pmf_table())
-        return table
+    # both tables read only ``_pmf``, ``n_states`` and ``d_max``
+    pmf_table = DurationModel.pmf_table
+    log_pmf_table = DurationModel.log_pmf_table

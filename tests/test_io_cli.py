@@ -13,7 +13,13 @@ from posehsmm.errors import FormatError
 from posehsmm.inference import hsmm_viterbi
 from posehsmm.keyframes import select_keyframes
 from posehsmm.simulate import ScenarioConfig, sample_sequence, sample_transition_clip
-from posehsmm.states import PoseLabel, RotationDirection, SceneCondition
+from posehsmm.states import (
+    PoseLabel,
+    RotationDirection,
+    SceneCondition,
+    Segment,
+    Segmentation,
+)
 from posehsmm.summarize import HistoryRecord, TransitionRecord, history_from_labels
 
 PL = PoseLabel
@@ -537,6 +543,34 @@ class TestSizeHeaders:
                    "--stream", str(workdir / "s1.stream")])
         assert rc == 1
         assert capsys.readouterr().err.startswith(f"error: {bad}: ")
+
+
+class TestSceneRunBeyondT:
+    """A scene run past tick T is rejected on its own line, before a
+    per-tick scene list of the run's length is built."""
+
+    @pytest.fixture
+    def bad(self, tmp_path):
+        path = tmp_path / "huge.truth"
+        path.write_text(
+            "format: v1\nkind: truth\nT: 4\nQ: 1\n"
+            "state 0 solU BC\nsegment 1 4 0\nscene 1 100000000000 BC\n"
+        )
+        return path
+
+    def message(self, bad):
+        return f"{bad}:7: malformed record: scene runs must tile 1..T, got 1 100000000000"
+
+    def test_read_truth(self, bad):
+        with pytest.raises(FormatError, match="^" + re.escape(self.message(bad)) + "$"):
+            fileio.read_truth(bad)
+
+    def test_evaluate(self, bad, tmp_path, capsys):
+        decoded = tmp_path / "a.decoded"
+        fileio.write_decoded(Segmentation((Segment(1, 4, 0),), 4), 0.0, decoded)
+        rc = main(["evaluate", "--truth", str(bad), "--decoded", str(decoded)])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {self.message(bad)}\n"
 
 
 class TestMissingFile:

@@ -9,12 +9,13 @@ statistics, 0.5 / 0.25 emission means) exercise every tie-break.
 import tracemalloc
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from posehsmm import DurationModel, HsmmModel, hsmm_viterbi, segment_viterbi_on_tables
 from posehsmm.emission import ChannelEmissionModel
 from posehsmm.errors import NoFeasiblePath
-from posehsmm.inference import _log_tables
+from posehsmm.inference import DP_BLOCK, _log_tables
 
 from conftest import CH, random_hsmm, random_stream
 from reference_segment_dp import reference_segment_viterbi
@@ -37,17 +38,20 @@ def outcome(decode):
 
 
 def draw_T(rng, D, short):
-    """T below ``short`` (mostly within the ramp, t <= D), or in about a
-    quarter of the draws up to 300: past the ramp and across DP blocks."""
+    """T below ``short`` (mostly T <= D, where the padded boundaries before
+    tick 0 last to the end), or in about a quarter of the draws up to 300:
+    past d_cap and across DP blocks."""
     if rng.random() < 0.25:
         return int(rng.integers(D + 1, 301))
     return int(rng.integers(1, short))
 
 
-def random_tables(rng, tie):
+def random_tables(rng, tie, T=None, D=None):
     Q = int(rng.integers(1, 5))
-    D = int(rng.integers(1, 7))
-    T = draw_T(rng, D, 25)
+    if D is None:
+        D = int(rng.integers(1, 7))
+    if T is None:
+        T = draw_T(rng, D, 25)
     with np.errstate(divide="ignore"):
         if tie:
             vals = np.append(TIE_LOGS, -np.inf)
@@ -116,6 +120,82 @@ class TestMatchesReference:
             400, 22, 36, log_pi, log_A, log_dur, C
         ))
         assert outcome(lambda: hsmm_viterbi(stream, model)) == want
+
+
+def edge_tables(kind, T, D, rng):
+    """Tables of one kind at a fixed T and D, in ``random_tables``' layout."""
+    if kind in ("random", "tie"):
+        return random_tables(rng, kind == "tie", T, D)
+    if kind == "one-start":
+        T, Q, D, log_pi, log_A, log_dur, C, _ = random_tables(rng, False, T, D)
+        start = rng.integers(Q)
+        log_pi = np.where(np.arange(Q) == start, log_pi, -np.inf)
+        final_log = np.where(rng.random(Q) < 0.5, -np.inf, 0.0)
+        final_log[rng.integers(Q)] = 0.0
+        return T, Q, D, log_pi, log_A, log_dur, C, final_log
+    # a strict left-to-right chain, as ``ChainTables.build`` lays it out:
+    # L = T has one path, L = T + 1 none
+    L = T if kind == "chain" else T + 1
+    log_pi = np.full(L, -np.inf)
+    log_pi[0] = 0.0
+    log_A = np.full((L, L), -np.inf)
+    log_A[np.arange(L - 1), np.arange(1, L)] = 0.0
+    final_log = np.full(L, -np.inf)
+    final_log[L - 1] = 0.0
+    log_dur = np.log(rng.random((L, D + 1)))
+    C = np.vstack([np.zeros(L), np.cumsum(np.log(rng.random((T, L))), axis=0)])
+    return T, L, D, log_pi, log_A, log_dur, C, final_log
+
+
+EDGE_CASES = [
+    (kind, T, D)
+    for D in (1, 2, 5, 36)
+    for T in sorted({1, 2, D - 1, D, D + 1, DP_BLOCK, DP_BLOCK + 1, DP_BLOCK + D} - {0})
+    for kind in ("random", "tie", "one-start", "chain", "chain-too-long")
+] + [
+    # d_cap > DP_BLOCK: the second block also starts before tick d_cap
+    (kind, 2 * DP_BLOCK + 5, DP_BLOCK + 40) for kind in ("random", "tie")
+]
+
+
+@pytest.mark.parametrize(
+    "kind, T, D", EDGE_CASES, ids=[f"{k}-T{T}-D{D}" for k, T, D in EDGE_CASES]
+)
+def test_fold_edges(kind, T, D):
+    """T at and around d_cap and the block edges: the first block's
+    boundaries before tick 0 never change a result."""
+    T, Q, D, log_pi, log_A, log_dur, C, final_log = edge_tables(
+        kind, T, D, np.random.default_rng(EDGE_CASES.index((kind, T, D)))
+    )
+    want = outcome(lambda: reference_segment_viterbi(
+        T, Q, D, log_pi, log_A, log_dur, C, final_log
+    ))
+    got = outcome(lambda: segment_viterbi_on_tables(
+        T, log_pi, log_A, log_dur, C, final_log
+    ))
+    assert got == want
+    if kind == "chain":
+        assert got != "infeasible" and len(got[0]) == T
+    if kind == "chain-too-long":
+        assert got == "infeasible"
+
+
+def test_dp_peak_is_best_and_earg():
+    """T = 8,000, Q = 22, D_max = 36: above its inputs the fill keeps
+    ``best`` and ``earg``, (T + 1) x Q ints each, and scratch of a block's
+    size; a (T, Q) copy of the prefix sums would not fit under the bound."""
+    rng = np.random.default_rng(0)
+    model = random_hsmm(rng, n_states=22, d_max=36, F=6)
+    stream = random_stream(rng, 8000, 6)
+    log_pi, log_A, log_dur, _, C = _log_tables(model, stream)
+    tracemalloc.start()
+    try:
+        result = segment_viterbi_on_tables(8000, log_pi, log_A, log_dur, C)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.segmentation.T == 8000
+    assert peak < 8001 * 22 * 16 + 2 * 2**20
 
 
 def test_memory_is_linear_in_T():

@@ -1,5 +1,6 @@
 """State vocabulary, segment encoding, and duration distributions."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -203,3 +204,20 @@ class TestGaussianDurations:
         assert table.shape == (1, 5)
         assert table[0, 0] == -np.inf
         assert np.exp(table[0, 1:]).sum() == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("model, fields", [
+    (DurationModel(np.array([2.0, 3.0]), np.array([1.0, 0.5]), 4),
+     ["mean", "std", "d_max"]),
+    (GeometricDurationModel(np.array([0.5, 0.25]), 4),
+     ["self_loop", "d_max", "truncated"]),
+], ids=["gaussian", "geometric"])
+def test_pmf_cache_is_no_constructor_field(model, fields):
+    """The cached table is computed from the parameters alone: no field holds
+    it, so no caller can pass one that disagrees, and repr shows only the
+    parameters."""
+    assert [f.name for f in dataclasses.fields(model)] == fields
+    with pytest.raises(TypeError):
+        type(model)(*(getattr(model, f) for f in fields), model.pmf_table())
+    assert model.pmf_table() is model.pmf_table()
+    assert "_pmf" not in repr(model)
