@@ -234,8 +234,33 @@ def _cmd_decode(args) -> int:
     return 0
 
 
+def _check_summarize_args(args) -> None:
+    """Reject a sampling step, window, threshold or tick length the history
+    cannot use."""
+    for flag, value in (("--sample-every", args.sample_every), ("--window", args.window)):
+        if value < 1:
+            raise BadArgument(f"{flag} must be at least 1, got {value}")
+    if args.window < args.sample_every:
+        raise BadArgument(
+            f"--window must be at least --sample-every {args.sample_every}, "
+            f"got {args.window}"
+        )
+    # a NaN or infinite value fails these comparisons too
+    if not 0.0 <= args.consistency <= 1.0:
+        raise BadArgument(f"--consistency must be in [0, 1], got {args.consistency}")
+    if not 0.0 < args.tick_seconds < math.inf:
+        raise BadArgument(
+            f"--tick-seconds must be a finite number > 0, got {args.tick_seconds}"
+        )
+
+
 def _cmd_summarize(args) -> int:
+    _check_summarize_args(args)
     model, stream = _load_pair(args)
+    if model.states is None:
+        raise FormatError(
+            f"{args.model}: model has no state lines, so its states have no pose names"
+        )
     records = summarize_history(
         stream, model, args.sample_every, args.window, args.consistency
     )
@@ -370,14 +395,10 @@ def _cmd_evaluate(args) -> int:
         )
 
     if args.history:
-        head = fileio.read_history_header(args.history)
+        sample_every, window, consistency = fileio.read_history_params(args.history)
         predicted = fileio.read_history(args.history)
         reference = history_from_labels(
-            truth.labels,
-            truth.space,
-            int(head.get("sample_every", 1)),
-            int(head.get("window", 10)),
-            float(head.get("consistency", 0.8)),
+            truth.labels, truth.space, sample_every, window, consistency
         )
         metrics.append(
             ("window_detection_rate", window_detection_rate(predicted, reference))
@@ -387,6 +408,8 @@ def _cmd_evaluate(args) -> int:
         if truth.transition is None:
             raise FormatError(f"{args.truth}: sidecar carries no transition label")
         records = fileio.read_transitions(args.transitions)
+        if not records:
+            raise FormatError(f"{args.transitions}: file holds no transition records")
         want = truth.transition
         hits = sum(
             (r.from_pose, r.to_pose, r.direction) == want for r in records

@@ -264,7 +264,10 @@ def log_emission_matrix(
             continue
         X = stream.X[k, rows]
         means = models[channel].means
-        E[rows] += X @ np.log(means).T + (1.0 - X) @ np.log1p(-means).T
+        # summed in place: two (rows, Q) temporaries at a time, not four
+        S = X @ np.log(means).T
+        S += (1.0 - X) @ np.log1p(-means).T
+        E[rows] += S
         covered[rows] = True
     E[~covered] = stream.F * np.log(0.5)
     return E

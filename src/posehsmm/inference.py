@@ -9,11 +9,17 @@ The segment decoder keeps O(T x Q) state.  ``delta[j]`` is the best
 log-probability of ticks 1..t with a segment in state j ending at t; only
 tick t's row is kept.  Once per boundary s it takes the transition max
 ``enter[s, j] = max_i delta[i] + log_A[i, j]`` and its argmax ``earg[s, j]``
-(``enter[0]`` is log pi, with argmax -1).  Each tick t then scores every
-final duration d = 1..min(t, d_max) in one vector op, ``(enter[t-d] +
-log_dur[:, d]) + (C[t] - C[t-d])``, keeps the best in ``delta`` and its
-column in ``best[t]``; the backtrack turns ``best[t]`` back into d and reads
-the predecessor from ``earg[t - d]``.  That is O(T x D x Q + T x Q^2) time.
+(``enter[0]`` is log pi, with argmax -1).  Each tick t first takes boundary
+t - 1's transition max from the previous tick's ``delta``, so the unused
+``enter[T]`` is never computed.  It then scores every final duration
+d = 1..min(t, d_max) in one vector op, ``(enter[t-d] + log_dur[:, d]) +
+(C[t] - C[t-d])``, keeps the best in ``delta`` and its column in
+``best[t]``.  That is O(T x D x Q + T x Q^2) time.
+
+The fill returns ``log_prob`` and leaves the backtrack for later: the first
+read of the result's segmentation or per-segment scores turns ``best[t]``
+back into d, reads the predecessor from ``earg[t - d]``, and scores the
+segments.  A chain library's losing chains are never backtracked.
 
 Every maximum is an argmax along contiguous rows and a gather at it.
 ``log_A`` is transposed once, so row j of ``log_A.T + delta`` lists the
@@ -48,6 +54,7 @@ same key.
 from __future__ import annotations
 
 import itertools
+import math
 import operator
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
@@ -146,13 +153,69 @@ class HsmmModel:
         return self.durations.d_max
 
 
-@dataclass(frozen=True)
 class DecodeResult:
-    """Best segmentation with its log-probability and per-segment breakdown."""
+    """Best segmentation with its log-probability and per-segment breakdown.
 
-    segmentation: Segmentation
-    log_prob: float
-    per_segment_scores: tuple[float, ...]
+    ``DecodeResult(segmentation, log_prob, per_segment_scores)`` is a
+    finished result.  The segment DP returns its results unfinished: only
+    ``log_prob`` is set, and the first read of ``segmentation`` or
+    ``per_segment_scores`` runs the backtrack, caches both and drops the DP's
+    arrays.  Either way the three fields read, and compare, the same.
+    """
+
+    __slots__ = ("log_prob", "_segmentation", "_per_segment_scores", "_trace")
+
+    def __init__(
+        self,
+        segmentation: Segmentation,
+        log_prob: float,
+        per_segment_scores: tuple[float, ...],
+    ):
+        self._segmentation = segmentation
+        self.log_prob = log_prob
+        self._per_segment_scores = per_segment_scores
+        self._trace = None
+
+    @classmethod
+    def _deferred(cls, log_prob: float, *trace) -> DecodeResult:
+        """A result whose other fields come from ``_backtrack(*trace)``."""
+        result = cls(None, log_prob, None)
+        result._trace = trace
+        return result
+
+    def _resolve(self) -> None:
+        self._segmentation, self._per_segment_scores = _backtrack(*self._trace)
+        self._trace = None
+
+    @property
+    def segmentation(self) -> Segmentation:
+        if self._trace is not None:
+            self._resolve()
+        return self._segmentation
+
+    @property
+    def per_segment_scores(self) -> tuple[float, ...]:
+        if self._trace is not None:
+            self._resolve()
+        return self._per_segment_scores
+
+    def _fields(self) -> tuple:
+        return self.segmentation, self.log_prob, self.per_segment_scores
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, DecodeResult):
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        segmentation, log_prob, scores = self._fields()
+        return (
+            f"DecodeResult(segmentation={segmentation!r}, log_prob={log_prob!r}, "
+            f"per_segment_scores={scores!r})"
+        )
 
 
 # =====================================================================
@@ -372,7 +435,9 @@ def hsmm_viterbi(stream: FeatureStream, model: HsmmModel) -> DecodeResult:
     """
     log_pi, log_A, log_dur, E, C = _log_tables(model, stream)
     del E  # dead during the DP: frees a (T, Q) array
-    return segment_viterbi_on_tables(stream.T, log_pi, log_A, log_dur, C)
+    result = segment_viterbi_on_tables(stream.T, log_pi, log_A, log_dur, C)
+    # every caller reads the segmentation: backtrack now, and let C go
+    return DecodeResult(result.segmentation, result.log_prob, result.per_segment_scores)
 
 
 def segment_viterbi_on_tables(
@@ -407,38 +472,61 @@ def segment_viterbi_on_tables(
     window[:, -1] = log_pi
     cells = window.reshape(-1)
     best = np.empty((T + 1, n), dtype=int)
-    earg = np.empty((T + 1, n), dtype=int)
+    earg = np.empty((T, n), dtype=int)
     earg[0] = -1
     spans = np.empty((min(DP_BLOCK, T), n, d_cap))
     block = np.empty((n, d_cap))
     scores = np.empty((n, n))
     for lo in range(1, T + 1, DP_BLOCK):
         hi = min(lo + DP_BLOCK, T + 1)
-        # rows of C from boundary lo - d_cap on, zeros before boundary 0
+        # lags[t - lo, :, k] is C[t - d_cap + k], for one subtraction per block
+        shape = (hi - lo, n, d_cap)
         if lo < d_cap:
+            # zeros before boundary 0; the copy is contiguous, so its lag
+            # view skips as_strided's checks
             rows = np.concatenate((np.zeros((d_cap - lo, n)), C[: hi - 1]))
+            step, col = rows.strides
+            lags = np.ndarray(shape, rows.dtype, rows, 0, (step, col, step))
         else:
             rows = C[lo - d_cap :]
-        step, col = rows.strides
-        # lags[t - lo, :, k] is C[t - d_cap + k], for one subtraction per block
-        lags = as_strided(rows, (hi - lo, n, d_cap), (step, col, step), writeable=False)
+            step, col = rows.strides
+            lags = as_strided(rows, shape, (step, col, step), writeable=False)
         np.subtract(C[lo:hi, :, None], lags, out=spans[: hi - lo])
         for t, span in zip(range(lo, hi), spans):
+            if t > 1:
+                # boundary t - 1's transition max, from tick t - 1's delta
+                np.add(log_AT, delta, out=scores)
+                e = scores.argmax(axis=1, out=earg[t - 1])
+                cells[:-1] = cells[1:]
+                window[:, -1] = scores[took, e]
             np.add(window, dur_w, out=block)
             np.add(block, span, out=block)
             r = block.argmax(axis=1, out=best[t])
             delta = block[took, r]
-            np.add(log_AT, delta, out=scores)
-            e = scores.argmax(axis=1, out=earg[t])
-            cells[:-1] = cells[1:]
-            window[:, -1] = scores[took, e]
 
     terminal = delta if final_log is None else delta + final_log
-    if not np.isfinite(terminal.max()):
-        raise NoFeasiblePath("all segmentations have probability zero")
     y = int(terminal.argmax())
-    log_prob = float(delta[y])
+    # NaN and -inf alike fail here, as they would on the maximum
+    if not math.isfinite(terminal[y]):
+        raise NoFeasiblePath("all segmentations have probability zero")
+    return DecodeResult._deferred(
+        float(delta[y]), T, d_cap, y, best, earg, log_pi, log_A, log_dur, C
+    )
 
+
+def _backtrack(
+    T: int,
+    d_cap: int,
+    y: int,
+    best: np.ndarray,
+    earg: np.ndarray,
+    log_pi: np.ndarray,
+    log_A: np.ndarray,
+    log_dur: np.ndarray,
+    C: np.ndarray,
+) -> tuple[Segmentation, tuple[float, ...]]:
+    """The segmentation a finished fill chose, ending in state y at T, and
+    each segment's score."""
     rev: list[Segment] = []
     t = T
     while t > 0:
@@ -446,8 +534,7 @@ def segment_viterbi_on_tables(
         rev.append(Segment(t - d + 1, d, y))
         t, y = t - d, int(earg[t - d, y])
     segmentation = Segmentation(tuple(reversed(rev)), T)
-    per_segment = _segment_scores(segmentation, log_pi, log_A, log_dur, C)
-    return DecodeResult(segmentation, log_prob, per_segment)
+    return segmentation, _segment_scores(segmentation, log_pi, log_A, log_dur, C)
 
 
 def brute_force_decode(

@@ -11,7 +11,8 @@ A library stacks its chains once, on first use, into ``ChainTables``: chains
 side by side in name order, one stacked emission model per channel set.  A
 clip is then scored against every chain with one emission pass per channel
 set, one prefix sum and one duration table; only the segment DP still runs
-chain by chain, on each chain's columns.
+chain by chain, on each chain's columns.  Its results are backtracked on
+first read, so classifying a clip backtracks only the winning chain.
 """
 
 from __future__ import annotations
@@ -440,10 +441,12 @@ def classify_transition(
     best = None
     tables = library.tables
     results = score_chains(library, target, use_keyframes)
+    # chains come in name order, so keeping the first of equal ranks breaks
+    # the remaining ties by name
     for key, length, result in zip(tables.keys, tables.lengths, results):
         if result is None:
             continue
-        rank = (-result.log_prob, length, key[0].value, key[1].value, key[2].value)
+        rank = (-result.log_prob, length)
         if best is None or rank < best[0]:
             best = (rank, key, result)
     if best is None:

@@ -11,6 +11,7 @@ channel, and carry channels seen at a single tick.
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
+import posehsmm.inference as inference
 import posehsmm.summarize as summarize
 from posehsmm.emission import ChannelId, FeatureStream
 from posehsmm.errors import NoFeasiblePath
@@ -131,7 +132,8 @@ def ramp_clip(lo, hi, T=21, F=2):
 
 def test_one_dp_call_per_chain(monkeypatch):
     """The benchmark's tracer counts one ``segment_viterbi_on_tables`` call
-    per library chain and classified clip, feasible or not."""
+    per library chain and classified clip, feasible or not; only the
+    winning chain is backtracked."""
     combos = transition_protocol()
     clips = [(ramp_clip(0.0, 1.0), *combos[0]), (ramp_clip(1.0, 0.0), *combos[1])]
     clips.append((ramp_clip(0.0, 1.0, T=3), *combos[2]))
@@ -143,9 +145,20 @@ def test_one_dp_call_per_chain(monkeypatch):
         calls.append(args[0])
         return real(*args)
 
+    backtracks = []
+    scores = inference._segment_scores
+
+    def counted_scores(*args):
+        backtracks.append(args[0])
+        return scores(*args)
+
     monkeypatch.setattr(summarize, "segment_viterbi_on_tables", counted)
+    monkeypatch.setattr(inference, "_segment_scores", counted_scores)
     classify_transition(ramp_clip(0.0, 1.0, T=4), library, threshold=0.4)
     assert len(calls) == len(library) == 3
+    assert len(backtracks) == 1
     calls.clear()
+    backtracks.clear()
     classify_transition(ramp_clip(0.0, 1.0), library, threshold=0.4, use_keyframes=False)
     assert len(calls) == 3
+    assert len(backtracks) == 1

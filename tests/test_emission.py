@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -28,6 +29,23 @@ ALL_CHANNELS = [
     for view in ("left", "center", "right")
     for modality in ("RGB", "Depth", "Mask")
 ]
+
+
+def two_temporary_emission(stream, models, Q):
+    """``log_emission_matrix`` as it was before it summed in place: both
+    products and their sum are separate temporaries."""
+    E = np.zeros((stream.T, Q))
+    covered = np.zeros(stream.T, dtype=bool)
+    for k, channel in enumerate(stream.channel_ids):
+        rows = np.flatnonzero(stream.mask[k])
+        if channel not in models or rows.size == 0:
+            continue
+        X = stream.X[k, rows]
+        means = models[channel].means
+        E[rows] += X @ np.log(means).T + (1.0 - X) @ np.log1p(-means).T
+        covered[rows] = True
+    E[~covered] = stream.F * np.log(0.5)
+    return E
 
 
 def stream_from(rows, channel=RGB, masks=None):
@@ -243,6 +261,7 @@ class TestLogEmissionMatrix:
             for c in model_channels
         }
         E = log_emission_matrix(stream, models, Q)
+        assert E.tobytes() == two_temporary_emission(stream, models, Q).tobytes()
         for t, frame in enumerate(stream.frames):
             if frame.available & set(models):
                 for i in range(Q):
@@ -251,3 +270,24 @@ class TestLogEmissionMatrix:
                     )
             else:
                 assert E[t].tolist() == [F * math.log(0.5)] * Q
+
+    def test_one_day_peak(self):
+        """T = 86,400 (one day at 1 Hz), Q = 22, F = 6, the channel available
+        at 70% of ticks: the matrix sums its two products in place, so above
+        its inputs it peaks at E and three (rows, Q) arrays.  The
+        two-temporary sum peaked at 51.1 MiB, above this bound."""
+        rng = np.random.default_rng(0)
+        T, Q, F = 86_400, 22, 6
+        stream = FeatureStream.from_arrays(
+            {RGB: rng.random((T, F))}, {RGB: rng.random(T) < 0.7}
+        )
+        models = {RGB: ChannelEmissionModel(RGB, rng.uniform(0.05, 0.95, (Q, F)))}
+        rows = int(stream.mask.sum())
+        tracemalloc.start()
+        try:
+            E = log_emission_matrix(stream, models, Q)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert E.tobytes() == two_temporary_emission(stream, models, Q).tobytes()
+        assert peak < (T + 3 * rows) * Q * 8

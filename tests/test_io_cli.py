@@ -367,6 +367,94 @@ class TestCliArgumentErrors:
         assert err.count("\n") == 1
 
 
+class TestSummarizeArguments:
+    """summarize rejects settings the history cannot use, and a model whose
+    states have no pose names, with one error line and exit code 1."""
+
+    @pytest.mark.parametrize(
+        "flags",
+        [["--window", "0"], ["--sample-every", "0"],
+         ["--sample-every", "3", "--window", "2"], ["--consistency", "nan"],
+         ["--consistency", "1.5"], ["--tick-seconds", "0"],
+         ["--tick-seconds", "inf"]],
+        ids=["window-0", "sample-every-0", "window-below-step", "consistency-nan",
+             "consistency-above-1", "tick-seconds-0", "tick-seconds-inf"],
+    )
+    def test_bad_flag(self, workdir, capsys, flags):
+        rc = main(["summarize", "--model", str(workdir / "fit.model"),
+                   "--stream", str(workdir / "s1.stream"), *flags])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {flags[-2]} must be ")
+        assert err.count("\n") == 1
+
+    def test_model_without_states(self, workdir, tmp_path, capsys):
+        text = (workdir / "fit.model").read_text().splitlines()
+        nameless = tmp_path / "nameless.model"
+        nameless.write_text(
+            "\n".join(ln for ln in text if not ln.startswith("state ")) + "\n"
+        )
+        assert fileio.read_model(nameless).states is None
+        rc = main(["summarize", "--model", str(nameless),
+                   "--stream", str(workdir / "s1.stream")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {nameless}: model has no state lines")
+        assert err.count("\n") == 1
+
+
+class TestEvaluateInputs:
+    """evaluate rejects a history header or transitions file it cannot use
+    with one error line naming the file, and exit code 1."""
+
+    @pytest.fixture(scope="class")
+    def history(self, workdir, tmp_path_factory):
+        path = tmp_path_factory.mktemp("history") / "s1.history"
+        rc = main(["summarize", "--model", str(workdir / "fit.model"),
+                   "--stream", str(workdir / "s1.stream"), "--out", str(path)])
+        assert rc == 0
+        return path.read_text().splitlines()
+
+    @pytest.mark.parametrize(
+        "key, value, bad_key",
+        [("window", "abc", "window"), ("window", "0", "window"),
+         ("sample_every", "0", "sample_every"),
+         ("sample_every", "20", "window"),
+         ("consistency", "nan", "consistency"),
+         ("consistency", "1.5", "consistency")],
+        ids=["window-abc", "window-0", "sample-every-0", "window-below-step",
+             "consistency-nan", "consistency-above-1"],
+    )
+    def test_bad_history_header(
+        self, workdir, history, tmp_path, capsys, key, value, bad_key
+    ):
+        lines = [f"{key}: {value}" if ln.startswith(f"{key}: ") else ln
+                 for ln in history]
+        path = tmp_path / "bad.history"
+        path.write_text("\n".join(lines) + "\n")
+        lineno = 1 + next(i for i, ln in enumerate(lines) if ln.startswith(f"{bad_key}: "))
+        rc = main(["evaluate", "--truth", str(workdir / "s1.truth"),
+                   "--history", str(path)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}:{lineno}: ")
+        assert err.count("\n") == 1
+
+    def test_transitions_without_records(self, tmp_path, capsys):
+        rc = main(["simulate", "--transition", "solU", "fetR", "left",
+                   "--out", str(tmp_path / "clip.stream"),
+                   "--truth-out", str(tmp_path / "clip.truth")])
+        assert rc == 0
+        empty = tmp_path / "empty.transition"
+        empty.write_text("format: v1\nkind: transition\n")
+        rc = main(["evaluate", "--truth", str(tmp_path / "clip.truth"),
+                   "--transitions", str(empty)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {empty}: ")
+        assert err.count("\n") == 1
+
+
 class TestFeatureWidthMismatch:
     """A stream whose F differs from the model's or the manifest's is a
     one-line error naming the stream file, with exit code 1."""

@@ -7,6 +7,7 @@ statistics, 0.5 / 0.25 emission means) exercise every tie-break.
 """
 
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -212,3 +213,37 @@ def test_memory_is_linear_in_T():
         tracemalloc.stop()
     assert result.segmentation.T == 8000
     assert peak < 32 * 2**20
+
+
+class TestDeferredResult:
+    """The DP returns ``log_prob`` at once and backtracks on first read."""
+
+    @pytest.mark.parametrize("first", ["segmentation", "per_segment_scores"])
+    def test_first_read_resolves_and_drops_the_dp_arrays(self, first):
+        T, Q, D, log_pi, log_A, log_dur, C, _ = random_tables(
+            np.random.default_rng(5), False, 2 * DP_BLOCK + 3, 6
+        )
+        result = segment_viterbi_on_tables(T, log_pi, log_A, log_dur, C)
+        # best and earg, the only int arrays it holds, owned by nothing else
+        dp_arrays = [
+            weakref.ref(a) for a in result._trace
+            if isinstance(a, np.ndarray) and a.dtype.kind == "i"
+        ]
+        assert len(dp_arrays) == 2 and all(ref() is not None for ref in dp_arrays)
+        getattr(result, first)
+        assert all(ref() is None for ref in dp_arrays)
+        want = reference_segment_viterbi(T, Q, D, log_pi, log_A, log_dur, C)
+        assert outcome(lambda: result) == outcome(lambda: want)
+        assert result == want and hash(result) == hash(want)
+
+    @pytest.mark.parametrize("poison", ["-inf", "nan"])
+    def test_infeasible_raises_in_the_call(self, poison):
+        T, Q, D, log_pi, log_A, log_dur, C, _ = random_tables(
+            np.random.default_rng(6), False, 40, 6
+        )
+        if poison == "-inf":
+            log_dur[:] = -np.inf
+        else:
+            C[1:] = np.nan
+        with pytest.raises(NoFeasiblePath):
+            segment_viterbi_on_tables(T, log_pi, log_A, log_dur, C)
