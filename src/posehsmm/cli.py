@@ -313,8 +313,16 @@ def _cmd_keyframes(args) -> int:
 
 
 def _read_manifest(path):
+    """Check every manifest line, then return its clips as a one-pass iterator.
+
+    Field counts and labels are checked for every line before any clip is
+    read, so a bad line is reported at ``path:line`` first.  The iterator
+    yields ``(stream, from, to, direction)`` and reads each clip's stream
+    only when asked for it; a clip that cannot be read, or whose F differs
+    from the first clip's, is reported at its own manifest line.
+    """
     base = Path(path).parent
-    items = []
+    entries = []
     for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -324,43 +332,57 @@ def _read_manifest(path):
             raise FormatError(
                 f"{path}:{lineno}: expected '<stream> <from> <to> <direction>'"
             )
-        clip_path = Path(parts[0])
-        if not clip_path.is_absolute():
-            clip_path = base / clip_path
         try:
-            item = (
-                fileio.read_stream(clip_path),
-                PoseLabel(parts[1]),
-                PoseLabel(parts[2]),
-                RotationDirection(parts[3]),
+            labels = (
+                PoseLabel(parts[1]), PoseLabel(parts[2]), RotationDirection(parts[3])
             )
         except ValueError as exc:
             raise FormatError(f"{path}:{lineno}: {exc}") from exc
-        if items and item[0].F != items[0][0].F:
-            raise FormatError(
-                f"{path}:{lineno}: {clip_path}: stream has F={item[0].F}, "
-                f"earlier clips have F={items[0][0].F}"
-            )
-        items.append(item)
-    if not items:
+        # an absolute clip path replaces the manifest's directory
+        entries.append((lineno, base / parts[0], labels))
+    if not entries:
         raise FormatError(f"{path}: manifest lists no clips")
-    return items
+
+    def clips():
+        F = None
+        for lineno, clip_path, labels in entries:
+            try:
+                stream = fileio.read_stream(clip_path)
+            except OSError as exc:
+                raise FormatError(
+                    f"{path}:{lineno}: {clip_path}: {exc.strerror or exc}"
+                ) from exc
+            except ValueError as exc:
+                raise FormatError(f"{path}:{lineno}: {exc}") from exc
+            F = stream.F if F is None else F
+            if stream.F != F:
+                raise FormatError(
+                    f"{path}:{lineno}: {clip_path}: stream has F={stream.F}, "
+                    f"earlier clips have F={F}"
+                )
+            yield (stream, *labels)
+            # hold no stream while the next one is read
+            del stream
+
+    return clips()
 
 
 def _cmd_classify_transition(args) -> int:
     _check_keyframe_args(args)
-    items = _read_manifest(args.manifest)
-    library = build_transition_library(items, args.k_max, args.th, args.stage2_th)
+    clips = _read_manifest(args.manifest)
+    library = build_transition_library(clips, args.k_max, args.th, args.stage2_th)
     if not library.entries:
         raise FormatError(
             f"{args.manifest}: every clip is static at --th {args.th}; "
             "no transition chain to score against"
         )
     clip = fileio.read_stream(args.clip)
-    if clip.F != items[0][0].F:
+    # every chain has a channel, and the manifest's F check leaves one width
+    (F,) = library.tables.widths
+    if clip.F != F:
         raise FormatError(
             f"{args.clip}: clip has F={clip.F}, manifest {args.manifest} clips "
-            f"have F={items[0][0].F}"
+            f"have F={F}"
         )
     record = classify_transition(
         clip,

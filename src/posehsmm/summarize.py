@@ -7,6 +7,10 @@ fine resolution classifies a short transition clip by compressing it to
 keyframes and scoring the resulting pseudo-pose stream against a library of
 left-to-right chains, one per (initial pose, final pose, rotation direction).
 
+A library is fitted one training clip at a time: each clip's keyframe rows
+go into running per-key sums, counts and gap lists, and the clip is let go
+before the next one is read, so a build holds the library and one clip.
+
 A library stacks its chains once, on first use, into ``ChainTables``: chains
 side by side in name order, one stacked emission model per channel set.  A
 clip is then scored against every chain with one emission pass per channel
@@ -38,7 +42,7 @@ from .inference import (
     hsmm_viterbi,
     segment_viterbi_on_tables,
 )
-from .keyframes import KeyframeSet, keyframes_to_pseudo_pose_stream, select_keyframes
+from .keyframes import keyframes_to_pseudo_pose_stream, select_keyframes
 from .states import (
     DurationModel,
     PoseLabel,
@@ -96,6 +100,8 @@ def history_from_labels(
     """
     if sample_every < 1 or window < sample_every:
         raise ValueError("need window >= sample_every >= 1")
+    if not 0.0 <= consistency <= 1.0:
+        raise BadArgument(f"consistency must be in [0, 1], got {consistency}")
     T = len(state_indices)
     # value order, so the first of the modal counts is the tie-break winner
     poses = sorted({s.pose for s in space}, key=lambda p: p.value)
@@ -216,6 +222,63 @@ class TransitionLibrary:
         return ChainTables.build(self)
 
 
+class _ChainSums:
+    """Running keyframe sums of one key's clips, added in arrival order.
+
+    Per channel, row p holds position p's feature sums and, in the last
+    column, how many clips saw the channel there; rows grow to the longest
+    keyframe set that touched the channel.  A sum starts at zero and takes
+    each clip's value in turn, so the means carry the bits of an average
+    over the whole group.
+    """
+
+    def __init__(self, F: int):
+        self.F = F
+        self.sums: dict[ChannelId, np.ndarray] = {}
+        self.gaps: list[list[float]] = []
+        self.n_clips = 0
+
+    def add(self, stream: FeatureStream, ticks: tuple[int, ...]) -> None:
+        L = len(ticks)
+        self.gaps += [[] for _ in range(L - len(self.gaps))]
+        rows = np.array(ticks) - 1
+        # X is +0.0 wherever its channel is unavailable, and a sum that starts
+        # at +0.0 never becomes -0.0, so adding whole rows gives every sum
+        # the bits of adding the available rows alone
+        X, seen = stream.X[:, rows], stream.mask[:, rows]
+        for k, c in enumerate(stream.channel_ids):
+            acc = self.sums.get(c)
+            if acc is None:
+                # a channel the clip never shows is not a chain channel (yet)
+                if not stream.mask[k].any():
+                    continue
+                acc = np.zeros((0, self.F + 1))
+            if len(acc) < L:
+                acc = self.sums[c] = np.vstack([acc, np.zeros((L - len(acc), self.F + 1))])
+            acc[:L, :-1] += X[k]
+            acc[:L, -1] += seen[k]
+        for p, (t, nxt) in enumerate(zip(ticks, ticks[1:] + (stream.T + 1,))):
+            self.gaps[p].append(float(nxt - t))
+        self.n_clips += 1
+
+    def chain(self) -> TransitionChain:
+        length = len(self.gaps)
+        means = {}
+        for c in sorted(self.sums):
+            acc = self.sums[c]
+            m = np.full((length, self.F), 0.5)
+            seen = acc[:, -1] > 0
+            m[: len(acc)][seen] = acc[seen, :-1] / acc[seen, -1:]
+            means[c] = m
+        gap_mean = np.zeros(length)
+        gap_std = np.zeros(length)
+        for p, values in enumerate(self.gaps):
+            arr = np.asarray(values)
+            gap_mean[p] = arr.mean()
+            gap_std[p] = max(float(arr.std()), MIN_GAP_STD)
+        return TransitionChain(means, gap_mean, gap_std, self.n_clips)
+
+
 def build_transition_library(
     clips: Iterable[
         tuple[FeatureStream, PoseLabel, PoseLabel, RotationDirection]
@@ -231,50 +294,27 @@ def build_transition_library(
     Static clips contribute nothing.  A position's channel mean falls back to
     0.5 when the channel was never available there.  Every clip must have
     the same feature width F.
-    """
-    grouped: dict[tuple, list[tuple[FeatureStream, KeyframeSet]]] = {}
-    widths = set()
-    for stream, from_pose, to_pose, direction in clips:
-        widths.add(stream.F)
-        if len(widths) > 1:
-            raise BadArgument(f"clips mix feature widths {sorted(widths)}")
-        kfs = select_keyframes(stream, k_max, threshold, stage2_threshold)
-        if kfs.static:
-            continue
-        grouped.setdefault((from_pose, to_pose, direction), []).append((stream, kfs))
 
-    entries = {}
-    for key, members in grouped.items():
-        length = max(len(kfs) for _, kfs in members)
-        channels = sorted({c for stream, _ in members for c in stream.channels})
-        F = members[0][0].F
-        sums = {c: np.zeros((length, F)) for c in channels}
-        counts = {c: np.zeros(length) for c in channels}
-        gaps: list[list[float]] = [[] for _ in range(length)]
-        for stream, kfs in members:
-            ticks = kfs.ticks
-            rows = np.array(ticks) - 1
-            for k, c in enumerate(stream.channel_ids):
-                seen = np.flatnonzero(stream.mask[k, rows])
-                if seen.size:
-                    sums[c][seen] += stream.X[k, rows[seen]]
-                    counts[c][seen] += 1.0
-            for p, (t, nxt) in enumerate(zip(ticks, ticks[1:] + (stream.T + 1,))):
-                gaps[p].append(float(nxt - t))
-        means = {}
-        for c in channels:
-            m = np.full((length, F), 0.5)
-            seen = counts[c] > 0
-            m[seen] = sums[c][seen] / counts[c][seen, None]
-            means[c] = m
-        gap_mean = np.zeros(length)
-        gap_std = np.zeros(length)
-        for p, values in enumerate(gaps):
-            arr = np.asarray(values if values else [1.0])
-            gap_mean[p] = arr.mean()
-            gap_std[p] = max(float(arr.std()), MIN_GAP_STD)
-        entries[key] = TransitionChain(means, gap_mean, gap_std, len(members))
-    return TransitionLibrary(entries)
+    ``clips`` is read once, in order, and one clip at a time: its keyframe
+    rows go into running per-key sums before the next clip is drawn, so a
+    build holds the library and a single stream, whatever the number of
+    clips.
+    """
+    fits: dict[tuple, _ChainSums] = {}
+    F = None
+    for stream, from_pose, to_pose, direction in clips:
+        F = stream.F if F is None else F
+        if stream.F != F:
+            raise BadArgument(f"clips mix feature widths {sorted({F, stream.F})}")
+        kfs = select_keyframes(stream, k_max, threshold, stage2_threshold)
+        if not kfs.static:
+            key = (from_pose, to_pose, direction)
+            if key not in fits:
+                fits[key] = _ChainSums(F)
+            fits[key].add(stream, kfs.ticks)
+        # release the stream before the iterable reads the next one
+        del stream
+    return TransitionLibrary({key: fit.chain() for key, fit in fits.items()})
 
 
 #: Stacked emission means are padded to a multiple of this many states.
@@ -322,7 +362,8 @@ class ChainTables:
 
     Chain i owns columns ``offsets[i]:offsets[i + 1]`` of the emission,
     prefix-sum and duration tables.  ``structure`` maps a chain length to
-    its strict left-to-right (log pi, log A, final log) arrays.
+    its strict left-to-right (log pi, log A, final log) arrays.  ``widths``
+    lists the chains' feature widths, sorted.
     """
 
     keys: tuple[tuple[PoseLabel, PoseLabel, RotationDirection], ...]
@@ -332,6 +373,7 @@ class ChainTables:
     gap_mean: np.ndarray
     gap_std: np.ndarray
     structure: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]]
+    widths: tuple[int, ...]
 
     @classmethod
     def build(cls, library: "TransitionLibrary") -> "ChainTables":
@@ -372,6 +414,7 @@ class ChainTables:
             np.concatenate([np.zeros(0), *(chain.gap_mean for chain in chains)]),
             np.concatenate([np.zeros(0), *(chain.gap_std for chain in chains)]),
             structure,
+            tuple(sorted({m.F for g in groups for m in g.models.values()})),
         )
 
 
@@ -386,10 +429,9 @@ def score_chains(
     runs once per chain on its columns.
     """
     tables = library.tables
-    widths = {m.F for group in tables.groups for m in group.models.values()}
-    if widths - {stream.F}:
+    if any(F != stream.F for F in tables.widths):
         raise BadArgument(
-            f"clip has feature width {stream.F}, library chains {sorted(widths)}"
+            f"clip has feature width {stream.F}, library chains {list(tables.widths)}"
         )
     T, n = stream.T, tables.offsets[-1]
     E = np.empty((T, n))

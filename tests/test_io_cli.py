@@ -489,6 +489,46 @@ class TestFeatureWidthMismatch:
         assert err.startswith(f"error: {manifest}:2: {clips / 'narrow.stream'}: ")
 
 
+class TestManifestLines:
+    """Every manifest line is checked before any clip is read, and a clip
+    that cannot be read is reported at its manifest line."""
+
+    @pytest.mark.parametrize(
+        "bad, why",
+        [("solU-logR-right.stream solU bogus right", "'bogus'"),
+         ("solU-logR-right.stream solU logR", "expected '<stream> ")],
+        ids=["bad-label", "field-count"],
+    )
+    def test_bad_line_before_missing_clip(self, clips, capsys, bad, why):
+        manifest = clips / "bad-line.manifest"
+        manifest.write_text(
+            "solU-fetR-left.stream solU fetR left\n"
+            "missing.stream solU logR right\n"
+            f"{bad}\n"
+        )
+        rc = main(["classify-transition", "--manifest", str(manifest),
+                   "--clip", str(clips / "solU-fetR-left.stream"), "--th", "0.25"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {manifest}:3: ")
+        assert why in err
+        assert err.count("\n") == 1
+
+    def test_missing_clip_names_its_line(self, clips, capsys):
+        manifest = clips / "missing.manifest"
+        manifest.write_text(
+            "solU-fetR-left.stream solU fetR left\n"
+            "missing.stream solU logR right\n"
+        )
+        rc = main(["classify-transition", "--manifest", str(manifest),
+                   "--clip", str(clips / "solU-fetR-left.stream"), "--th", "0.25"])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"error: {manifest}:2: {clips / 'missing.stream'}: "
+            "No such file or directory\n"
+        )
+
+
 @pytest.fixture(scope="module")
 def clean_stream(tmp_path_factory):
     """A 40-tick bc-sim stream: no dropout, so every tick carries values."""

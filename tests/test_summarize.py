@@ -102,6 +102,17 @@ class TestHistoryFromLabels:
             history_from_labels([0], SPACE3, sample_every=0)
 
 
+    @pytest.mark.parametrize("consistency", [float("nan"), 1.5, -0.1])
+    def test_unusable_consistency_rejected(self, consistency):
+        with pytest.raises(BadArgument, match="consistency must be in"):
+            history_from_labels([0] * 10, SPACE3, consistency=consistency)
+
+    @pytest.mark.parametrize("consistency", [0.0, 1.0])
+    def test_consistency_bounds_accepted(self, consistency):
+        (rec,) = history_from_labels([0] * 10, SPACE3, consistency=consistency)
+        assert rec.label is PL.SOLDIER_UP
+
+
 class TestSummarizeHistory:
     def test_matches_truth_on_peaked_emissions(self):
         # near-deterministic emissions make the decode recover the plan
