@@ -16,7 +16,7 @@ import os
 import sys
 from pathlib import Path
 
-from . import fileio
+from . import fileio, keyframes, summarize
 from .emission import binarize_stream, fit_channel_emissions
 from .errors import (
     BadArgument,
@@ -57,6 +57,8 @@ _DIR_CHOICES = [d.value for d in RotationDirection]
 _CFG_INT = {"t_target", "F", "d_max", "transition_hold", "transition_ramp", "seed", "model_seed"}
 _CFG_FLOAT = {"duration_mean", "duration_std"}
 _CFG_BOOL = {"scene_switch", "scene_doubling"}
+
+_KEYFRAME_FLAGS = ("--k-max", "--th", "--stage2-th")
 
 
 def _preset_file_overrides(name: str) -> dict:
@@ -136,9 +138,11 @@ def _scenario_from_args(args) -> ScenarioConfig:
 def _cmd_simulate(args) -> int:
     config = _scenario_from_args(args)
     if args.transition is not None:
-        from_pose = PoseLabel(args.transition[0])
-        to_pose = PoseLabel(args.transition[1])
-        direction = RotationDirection(args.transition[2])
+        try:
+            from_pose, to_pose = map(PoseLabel, args.transition[:2])
+            direction = RotationDirection(args.transition[2])
+        except ValueError as exc:
+            raise BadArgument(f"--transition: {exc}") from None
         stream, truth = sample_transition_clip(from_pose, to_pose, direction, config)
     else:
         stream, truth = sample_sequence(config)
@@ -234,28 +238,16 @@ def _cmd_decode(args) -> int:
     return 0
 
 
-def _check_summarize_args(args) -> None:
-    """Reject a sampling step, window, threshold or tick length the history
-    cannot use."""
-    for flag, value in (("--sample-every", args.sample_every), ("--window", args.window)):
-        if value < 1:
-            raise BadArgument(f"{flag} must be at least 1, got {value}")
-    if args.window < args.sample_every:
-        raise BadArgument(
-            f"--window must be at least --sample-every {args.sample_every}, "
-            f"got {args.window}"
-        )
-    # a NaN or infinite value fails these comparisons too
-    if not 0.0 <= args.consistency <= 1.0:
-        raise BadArgument(f"--consistency must be in [0, 1], got {args.consistency}")
+def _cmd_summarize(args) -> int:
+    summarize.check_history_params(
+        args.sample_every, args.window, args.consistency,
+        ("--sample-every", "--window", "--consistency"),
+    )
+    # a NaN or infinite value fails the comparison too
     if not 0.0 < args.tick_seconds < math.inf:
         raise BadArgument(
             f"--tick-seconds must be a finite number > 0, got {args.tick_seconds}"
         )
-
-
-def _cmd_summarize(args) -> int:
-    _check_summarize_args(args)
     model, stream = _load_pair(args)
     if model.states is None:
         raise FormatError(
@@ -287,17 +279,8 @@ def _cmd_summarize(args) -> int:
     return 0
 
 
-def _check_keyframe_args(args) -> None:
-    """Reject a keyframe budget or threshold ``select_keyframes`` cannot use."""
-    if args.k_max < 2:
-        raise BadArgument(f"--k-max must be at least 2, got {args.k_max}")
-    for flag, value in (("--th", args.th), ("--stage2-th", args.stage2_th)):
-        if value is not None and not (math.isfinite(value) and value >= 0.0):
-            raise BadArgument(f"{flag} must be a finite number >= 0, got {value}")
-
-
 def _cmd_keyframes(args) -> int:
-    _check_keyframe_args(args)
+    keyframes.check_keyframe_params(args.k_max, args.th, args.stage2_th, _KEYFRAME_FLAGS)
     stream = fileio.read_stream(args.stream)
     if args.binarize:
         stream = binarize_stream(stream)
@@ -368,7 +351,7 @@ def _read_manifest(path):
 
 
 def _cmd_classify_transition(args) -> int:
-    _check_keyframe_args(args)
+    keyframes.check_keyframe_params(args.k_max, args.th, args.stage2_th, _KEYFRAME_FLAGS)
     clips = _read_manifest(args.manifest)
     library = build_transition_library(clips, args.k_max, args.th, args.stage2_th)
     if not library.entries:
@@ -454,6 +437,12 @@ def _add_binarize(p):
     )
 
 
+def _add_keyframe_args(p):
+    p.add_argument("--k-max", dest="k_max", type=int, default=keyframes.DEFAULT_K_MAX)
+    p.add_argument("--th", type=float, default=keyframes.DEFAULT_THRESHOLD)
+    p.add_argument("--stage2-th", dest="stage2_th", type=float, default=None)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="posehsmm",
@@ -509,9 +498,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("summarize", help="windowed pose history of a stream")
     p.add_argument("--model", required=True)
     p.add_argument("--stream", required=True)
-    p.add_argument("--sample-every", dest="sample_every", type=int, default=1)
-    p.add_argument("--window", type=int, default=10)
-    p.add_argument("--consistency", type=float, default=0.8)
+    p.add_argument(
+        "--sample-every",
+        dest="sample_every",
+        type=int,
+        default=summarize.DEFAULT_SAMPLE_EVERY,
+    )
+    p.add_argument("--window", type=int, default=summarize.DEFAULT_WINDOW)
+    p.add_argument("--consistency", type=float, default=summarize.DEFAULT_CONSISTENCY)
     p.add_argument(
         "--tick-seconds",
         dest="tick_seconds",
@@ -525,9 +519,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("keyframes", help="compress a clip to its key ticks")
     p.add_argument("--stream", required=True)
-    p.add_argument("--k-max", dest="k_max", type=int, default=5)
-    p.add_argument("--th", type=float, default=0.8)
-    p.add_argument("--stage2-th", dest="stage2_th", type=float, default=None)
+    _add_keyframe_args(p)
     _add_binarize(p)
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_keyframes)
@@ -537,9 +529,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--manifest", required=True, help="training clips: stream from to direction")
     p.add_argument("--clip", required=True)
-    p.add_argument("--k-max", dest="k_max", type=int, default=5)
-    p.add_argument("--th", type=float, default=0.8)
-    p.add_argument("--stage2-th", dest="stage2_th", type=float, default=None)
+    _add_keyframe_args(p)
     p.add_argument(
         "--full-rate",
         dest="full_rate",

@@ -19,7 +19,13 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import ChannelAbsent, EmptySequence, LabelMismatch, NoObservation
+from .errors import (
+    BadArgument,
+    ChannelAbsent,
+    EmptySequence,
+    LabelMismatch,
+    NoObservation,
+)
 
 #: Clamp for fitted Bernoulli means; keeps log terms finite.
 MEAN_CLAMP = 1e-6
@@ -90,12 +96,15 @@ class FeatureStream:
         mask = np.array(self.mask, dtype=bool)
         ids = self.channel_ids
         if X.ndim != 3 or mask.shape != X.shape[:2] or len(ids) != X.shape[0]:
-            raise ValueError(f"X {X.shape}, mask {mask.shape}, {len(ids)} channels")
+            raise BadArgument(f"X {X.shape}, mask {mask.shape}, {len(ids)} channels")
         if list(ids) != sorted(set(ids)):
-            raise ValueError("stream channels must be unique and sorted")
+            raise BadArgument("stream channels must be unique and sorted")
         if X.shape[1] == 0:
             raise EmptySequence("feature stream has no frames")
         X = np.where(mask[..., None], X, 0.0)
+        # NaN fails the comparison too
+        if not np.all((X >= 0.0) & (X <= 1.0)):
+            raise BadArgument("available features must lie in [0, 1]")
         X.flags.writeable = False
         mask.flags.writeable = False
         object.__setattr__(self, "X", X)
@@ -163,9 +172,13 @@ class ChannelEmissionModel:
     means: np.ndarray
 
     def __post_init__(self):
-        self.means = np.clip(np.asarray(self.means, dtype=float), MEAN_CLAMP, 1.0 - MEAN_CLAMP)
-        if self.means.ndim != 2:
-            raise ValueError("means must be a (Q, F) matrix")
+        means = np.asarray(self.means, dtype=float)
+        if means.ndim != 2:
+            raise BadArgument("means must be a (Q, F) matrix")
+        # NaN fails the comparison too
+        if not np.all((means >= 0.0) & (means <= 1.0)):
+            raise BadArgument("emission means must lie in [0, 1]")
+        self.means = np.clip(means, MEAN_CLAMP, 1.0 - MEAN_CLAMP)
 
     @property
     def n_states(self) -> int:

@@ -45,8 +45,13 @@ class LabelMismatch(PoseHsmmError):
     """Label sequence and feature stream disagree in length."""
 
 
-class BadArgument(PoseHsmmError):
-    """A parameter lies outside the domain the computation accepts."""
+class BadArgument(PoseHsmmError, ValueError):
+    """A parameter lies outside the domain the computation accepts;
+    ``param`` names it when the check knows it."""
+
+    def __init__(self, message: str, param: str | None = None):
+        super().__init__(message)
+        self.param = param
 
 
 class FormatError(PoseHsmmError):

@@ -17,7 +17,7 @@ from typing import NoReturn
 import numpy as np
 
 from .emission import ChannelEmissionModel, ChannelId, FeatureStream
-from .errors import FormatError, MalformedSegmentation
+from .errors import BadArgument, FormatError, MalformedSegmentation
 from .inference import ROW_SUM_TOL, HsmmModel
 from .keyframes import KeyframeSet
 from .states import (
@@ -31,7 +31,7 @@ from .states import (
     StateSpace,
     decode_segments,
 )
-from .summarize import DEFAULT_CONSISTENCY, HistoryRecord, TransitionRecord
+from .summarize import HistoryRecord, TransitionRecord, check_history_params
 
 FORMAT_VERSION = "v1"
 
@@ -503,47 +503,24 @@ def write_history(records, path, params: dict | None = None) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def read_history_header(path) -> dict[str, str]:
-    return dict(_Reader(path, "history").head)
-
-
 def read_history_params(path) -> tuple[int, int, float]:
     """The (sample_every, window, consistency) a history was made with.
 
-    A field the header lacks takes ``history_from_labels``' default.  Each
-    must be one the history could have been made with: sample_every and
-    window at least 1, the window no shorter than the sampling step, and the
-    consistency in [0, 1].
+    ``check_history_params`` checks the header's fields and gives a field
+    it lacks the default; a field it rejects is a ``FormatError`` naming
+    that field's line.
     """
     r = _Reader(path, "history")
-
-    def field(key, parse, default):
-        return r.header(key, parse) if key in r.head else default
-
-    sample_every = field("sample_every", _at_least_one, 1)
-    window = field("window", _at_least_one, 10)
-    if window < sample_every:
-        key = "window" if "window" in r.head else "sample_every"
-        raise FormatError(
-            f"{path}:{r.head_lines[key]}: window {window} is shorter than "
-            f"sample_every {sample_every}"
+    fields = {"sample_every": int, "window": int, "consistency": float}
+    try:
+        return check_history_params(
+            **{key: r.header(key, parse) for key, parse in fields.items() if key in r.head}
         )
-    return sample_every, window, field("consistency", _fraction, DEFAULT_CONSISTENCY)
-
-
-def _at_least_one(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise ValueError(f"{value} is below 1")
-    return value
-
-
-def _fraction(text: str) -> float:
-    value = float(text)
-    # NaN fails the comparison too
-    if not 0.0 <= value <= 1.0:
-        raise ValueError(f"{value} is outside [0, 1]")
-    return value
+    except BadArgument as exc:
+        # a default is valid alone, so a rejected field the header lacks is a
+        # default window shorter than the header's sampling step
+        line = r.head_lines.get(exc.param, r.head_lines.get("sample_every"))
+        raise FormatError(f"{path}:{line}: {exc}") from None
 
 
 def read_history(path) -> list[HistoryRecord]:

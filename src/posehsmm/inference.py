@@ -98,17 +98,18 @@ def check_transition_matrix(A: np.ndarray, zero_diagonal: bool = False) -> np.nd
     """Validate a (Q, Q) row-stochastic matrix; returns it as float array."""
     A = np.asarray(A, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise ValueError(f"transition matrix has shape {A.shape}")
-    if np.any(A < 0.0):
-        raise ValueError("transition probabilities must be nonnegative")
+        raise BadArgument(f"transition matrix has shape {A.shape}")
+    # NaN fails this comparison and the row-sum one
+    if not np.all(A >= 0.0):
+        raise BadArgument("transition probabilities must be nonnegative")
     q = A.shape[0]
     if zero_diagonal and q == 1:
         # Degenerate single-state case: no successor exists, row stays zero.
         return A
-    if np.any(np.abs(A.sum(axis=1) - 1.0) > ROW_SUM_TOL):
-        raise ValueError("transition rows must sum to 1")
+    if not np.all(np.abs(A.sum(axis=1) - 1.0) <= ROW_SUM_TOL):
+        raise BadArgument("transition rows must sum to 1")
     if zero_diagonal and np.any(np.diag(A) != 0.0):
-        raise ValueError("diagonal must be structurally zero")
+        raise BadArgument("diagonal must be structurally zero")
     return A
 
 

@@ -14,11 +14,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Integral, Real
 
 import numpy as np
 
 from .emission import ChannelId, FeatureStream
-from .errors import ChannelAbsent, EmptySequence
+from .errors import BadArgument, ChannelAbsent, EmptySequence
+
+#: Keyframe budget and Stage-1/2 threshold unless a caller sets them.
+DEFAULT_K_MAX = 5
+DEFAULT_THRESHOLD = 0.8
 
 
 @dataclass(frozen=True)
@@ -88,10 +93,28 @@ def _frame_scores(clip: FeatureStream, a: int, b: int) -> tuple[np.ndarray, np.n
     return d[rows, np.arange(clip.T)], rows
 
 
+def check_keyframe_params(
+    k_max, threshold, stage2_threshold, names=("k_max", "threshold", "stage2_threshold")
+) -> None:
+    """Raise ``BadArgument`` unless ``k_max`` is an integer >= 2, ``threshold``
+    a finite number >= 0 and ``stage2_threshold`` None or a finite number
+    >= 0; its message calls them by ``names`` (a caller's flags, say) and its
+    ``param`` is the one that failed."""
+    if not isinstance(k_max, Integral) or k_max < 2:
+        raise BadArgument(f"{names[0]} must be an integer >= 2, got {k_max}", "k_max")
+    # a None Stage-2 threshold takes the Stage-1 one; NaN fails the comparison
+    ratio = threshold if stage2_threshold is None else stage2_threshold
+    for param, name, value in (
+        ("threshold", names[1], threshold), ("stage2_threshold", names[2], ratio)
+    ):
+        if not (isinstance(value, Real) and math.isfinite(value) and value >= 0.0):
+            raise BadArgument(f"{name} must be a finite number >= 0, got {value}", param)
+
+
 def select_keyframes(
     clip: FeatureStream,
-    k_max: int = 5,
-    threshold: float = 0.8,
+    k_max: int = DEFAULT_K_MAX,
+    threshold: float = DEFAULT_THRESHOLD,
     stage2_threshold: float | None = None,
 ) -> KeyframeSet:
     """Pick 2..k_max keyframes from a clip.
@@ -101,12 +124,12 @@ def select_keyframes(
     interior candidates are admitted best-first while their score stays at or
     above ratio * best, at least ceil(T / k_max) ticks away from every frame
     admitted so far.  Deterministic: ties prefer the earlier frame and the
-    channel-order-first channel.
+    channel-order-first channel.  Parameters ``check_keyframe_params``
+    rejects raise ``BadArgument``.
     """
+    check_keyframe_params(k_max, threshold, stage2_threshold)
     if clip.T < 2:
         raise EmptySequence(f"clip has {clip.T} frame(s); need at least 2")
-    if k_max < 2:
-        raise ValueError("k_max must be at least 2")
     ratio = threshold if stage2_threshold is None else stage2_threshold
     channels = clip.channel_ids
 

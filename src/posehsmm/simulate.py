@@ -17,12 +17,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from numbers import Integral
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from .emission import ChannelEmissionModel, ChannelId, FeatureStream, Modality, View
-from .errors import PoseHsmmError
+from .errors import BadArgument, PoseHsmmError
 from .inference import HsmmModel
 from .states import (
     CANONICAL_POSES,
@@ -68,7 +69,10 @@ class ScenarioConfig:
     ``seed`` drives the sampled trajectory and noise; ``model_seed`` drives
     the pose templates and generating parameters, so several trajectories can
     share one underlying scene.  ``noise``/``dropout`` may be single floats
-    (applied to both regimes) or per-scene maps.
+    (applied to both regimes) or per-scene maps.  A field outside its domain
+    raises ``BadArgument``: F, t_target, transition_hold and transition_ramp
+    are integers >= 1, the seeds integers >= 0, noise in [0, 1], dropout in
+    [0, 1), duration means finite and stds > 0, d_max None or an integer >= 1.
     """
 
     poses: tuple[PoseLabel, ...] = MOCK_ICU_POSES
@@ -97,6 +101,20 @@ class ScenarioConfig:
         self.channels = tuple(self.channels)
         self.noise = _per_scene(self.noise)
         self.dropout = _per_scene(self.dropout)
+        for name, low in (("F", 1), ("t_target", 1), ("transition_hold", 1),
+                          ("transition_ramp", 1), ("seed", 0), ("model_seed", 0)):
+            value = getattr(self, name)
+            if not isinstance(value, Integral) or value < low:
+                raise BadArgument(f"{name} must be an integer >= {low}, got {value}", name)
+        # NaN fails these comparisons too; a dropout of 1 leaves no channel to write
+        if not all(0.0 <= p <= 1.0 for p in self.noise.values()):
+            raise BadArgument(f"noise must be in [0, 1], got {list(self.noise.values())}")
+        if not all(0.0 <= p < 1.0 for p in self.dropout.values()):
+            raise BadArgument(f"dropout must be in [0, 1), got {list(self.dropout.values())}")
+        if not (self.poses and self.channels):
+            raise BadArgument("a scenario needs at least one pose and one channel")
+        # the generating model's dwell-time checks, without building its tables
+        DurationModel(*self.duration_arrays(), 1 if self.d_max is None else self.d_max)
 
     @property
     def n_poses(self) -> int:

@@ -12,11 +12,13 @@ import operator
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
+from numbers import Integral
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .errors import (
+    BadArgument,
     DegenerateSelfLoop,
     DurationOutOfRange,
     EmptySequence,
@@ -155,7 +157,7 @@ class StateSpace:
     def __post_init__(self):
         for i, s in enumerate(self.states):
             if s.index != i:
-                raise ValueError(f"state {s} at position {i} has index {s.index}")
+                raise BadArgument(f"state {s} at position {i} has index {s.index}")
 
     @classmethod
     def from_poses(
@@ -177,10 +179,6 @@ class StateSpace:
     @property
     def n_states(self) -> int:
         return len(self.states)
-
-    @property
-    def scene_doubled(self) -> bool:
-        return any(s.scene is not None for s in self.states)
 
     def index_of(self, pose: PoseLabel, scene: SceneCondition | None = None) -> int:
         for s in self.states:
@@ -228,7 +226,7 @@ def build_initial_distribution(
             raw[s.index] = prior[s.scene]
     total = raw.sum()
     if total <= 0.0:
-        raise ValueError("state space has no pose with a nonzero prior")
+        raise BadArgument("state space has no pose with a nonzero prior")
     pi = raw / total
     pi[np.argmax(pi)] += 1.0 - pi.sum()
     return pi
@@ -343,6 +341,13 @@ def geometric_duration_pmf(self_loop: float, d: int) -> float:
     return self_loop ** (d - 1) * (1.0 - self_loop)
 
 
+def _check_d_max(d_max) -> None:
+    if not isinstance(d_max, Integral):
+        raise BadArgument(f"d_max must be an integer, got {d_max}")
+    if d_max < 1:
+        raise DurationOutOfRange(f"d_max {d_max} < 1")
+
+
 @dataclass
 class DurationModel:
     """Per-state dwell-time distributions: Gaussians discretized on 1..d_max.
@@ -360,11 +365,11 @@ class DurationModel:
         self.mean = np.asarray(self.mean, dtype=float)
         self.std = np.asarray(self.std, dtype=float)
         if self.mean.shape != self.std.shape or self.mean.ndim != 1:
-            raise ValueError("mean and std must be 1-d arrays of equal length")
-        if np.any(self.std <= 0.0):
-            raise ValueError("duration std must be positive")
-        if self.d_max < 1:
-            raise DurationOutOfRange(f"d_max {self.d_max} < 1")
+            raise BadArgument("mean and std must be 1-d arrays of equal length")
+        # NaN fails these comparisons too
+        if not (np.all(np.isfinite(self.mean)) and np.all(self.std > 0.0)):
+            raise BadArgument("duration means must be finite and stds positive")
+        _check_d_max(self.d_max)
 
     @property
     def n_states(self) -> int:
@@ -413,10 +418,10 @@ class GeometricDurationModel:
 
     def __post_init__(self):
         self.self_loop = np.asarray(self.self_loop, dtype=float)
-        if np.any((self.self_loop < 0.0) | (self.self_loop >= 1.0)):
+        # NaN fails the comparison too
+        if not np.all((self.self_loop >= 0.0) & (self.self_loop < 1.0)):
             raise DegenerateSelfLoop("self-loop probabilities must lie in [0, 1)")
-        if self.d_max < 1:
-            raise DurationOutOfRange(f"d_max {self.d_max} < 1")
+        _check_d_max(self.d_max)
 
     @property
     def n_states(self) -> int:

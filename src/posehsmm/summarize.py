@@ -24,6 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate
+from numbers import Integral, Real
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -42,7 +43,13 @@ from .inference import (
     hsmm_viterbi,
     segment_viterbi_on_tables,
 )
-from .keyframes import keyframes_to_pseudo_pose_stream, select_keyframes
+from .keyframes import (
+    DEFAULT_K_MAX,
+    DEFAULT_THRESHOLD,
+    check_keyframe_params,
+    keyframes_to_pseudo_pose_stream,
+    select_keyframes,
+)
 from .states import (
     DurationModel,
     PoseLabel,
@@ -52,7 +59,10 @@ from .states import (
     decode_segments,
 )
 
-#: Minimum fraction of window samples that must agree before a pose is reported.
+#: A history's sampling step, window and consistency unless a caller sets them;
+#: a window reports its modal pose when at least this fraction of samples agree.
+DEFAULT_SAMPLE_EVERY = 1
+DEFAULT_WINDOW = 10
 DEFAULT_CONSISTENCY = 0.8
 
 #: Duration std floor reused for chain dwell statistics.
@@ -85,11 +95,35 @@ class TransitionRecord:
     n_pseudo_poses: int
 
 
+def check_history_params(
+    sample_every=DEFAULT_SAMPLE_EVERY,
+    window=DEFAULT_WINDOW,
+    consistency=DEFAULT_CONSISTENCY,
+    names=("sample_every", "window", "consistency"),
+) -> tuple[int, int, float]:
+    """Return the parameters, defaults filled in, if ``sample_every`` and
+    ``window`` are integers >= 1, ``window >= sample_every`` and
+    ``consistency`` lies in [0, 1]; else raise ``BadArgument``, whose message
+    calls them by ``names`` (a caller's flags, say) and whose ``param`` is the
+    one that failed (``window`` when the two disagree)."""
+    for param, name, value in zip(("sample_every", "window"), names, (sample_every, window)):
+        if not isinstance(value, Integral) or value < 1:
+            raise BadArgument(f"{name} must be an integer >= 1, got {value}", param)
+    if window < sample_every:
+        raise BadArgument(
+            f"{names[1]} must be at least {names[0]} {sample_every}, got {window}", "window"
+        )
+    # NaN fails the comparison too
+    if not (isinstance(consistency, Real) and 0.0 <= consistency <= 1.0):
+        raise BadArgument(f"{names[2]} must be in [0, 1], got {consistency}", "consistency")
+    return sample_every, window, consistency
+
+
 def history_from_labels(
     state_indices: Sequence[int],
     space: StateSpace,
-    sample_every: int = 1,
-    window: int = 10,
+    sample_every: int = DEFAULT_SAMPLE_EVERY,
+    window: int = DEFAULT_WINDOW,
     consistency: float = DEFAULT_CONSISTENCY,
 ) -> list[HistoryRecord]:
     """Windowed modal summary of a per-tick state sequence.
@@ -97,12 +131,16 @@ def history_from_labels(
     Ticks 1, 1+sample_every, ... are sampled; windows tile from tick 1 and
     the trailing partial window is kept as long as it contains a sample.
     Ties on the modal pose or scene resolve by name order for determinism.
+    Parameters ``check_history_params`` rejects, or a state index outside
+    0..Q-1, raise ``BadArgument``.
     """
-    if sample_every < 1 or window < sample_every:
-        raise ValueError("need window >= sample_every >= 1")
-    if not 0.0 <= consistency <= 1.0:
-        raise BadArgument(f"consistency must be in [0, 1], got {consistency}")
+    check_history_params(sample_every, window, consistency)
     T = len(state_indices)
+    labels = np.asarray(state_indices) if T else np.zeros(0, dtype=int)
+    if T and not (labels.dtype.kind in "iu" and labels.min() >= 0 and labels.max() < len(space)):
+        raise BadArgument(f"state indices must be integers in 0..{len(space) - 1}")
+    # a step or window past T makes the same history as one of T, and fits in int64
+    sample_every, window = min(sample_every, max(T, 1)), min(window, max(T, 1))
     # value order, so the first of the modal counts is the tie-break winner
     poses = sorted({s.pose for s in space}, key=lambda p: p.value)
     scenes = sorted({s.scene for s in space} - {None}, key=lambda c: c.value)
@@ -111,7 +149,7 @@ def history_from_labels(
     scene_of = np.array([len(scenes) if s.scene is None else scenes.index(s.scene)
                          for s in space])
     # sampled ticks 1, 1 + sample_every, ...; tick t lies in window (t - 1) // window
-    sampled = np.asarray(state_indices, dtype=int)[::sample_every]
+    sampled = labels[::sample_every]
     where = np.arange(0, T, sample_every) // window
     n_windows = -(-T // window)
 
@@ -149,13 +187,15 @@ def history_from_labels(
 def summarize_history(
     stream: FeatureStream,
     model: HsmmModel,
-    sample_every: int = 1,
-    window: int = 10,
+    sample_every: int = DEFAULT_SAMPLE_EVERY,
+    window: int = DEFAULT_WINDOW,
     consistency: float = DEFAULT_CONSISTENCY,
 ) -> list[HistoryRecord]:
     """Decode a stream and produce its windowed pose history."""
     if model.states is None:
-        raise ValueError("model carries no state space; cannot name poses")
+        raise BadArgument("model carries no state space; cannot name poses")
+    # a bad parameter fails before the decode, not after it
+    check_history_params(sample_every, window, consistency)
     result = hsmm_viterbi(stream, model)
     labels = decode_segments(result.segmentation)
     return history_from_labels(labels, model.states, sample_every, window, consistency)
@@ -169,6 +209,8 @@ def window_detection_rate(
         raise LabelMismatch(
             f"{len(predicted)} predicted windows vs {len(reference)} reference"
         )
+    if not reference:
+        raise BadArgument("no windows to compare")
     hits = sum(p.label is r.label for p, r in zip(predicted, reference))
     return hits / len(reference)
 
@@ -283,8 +325,8 @@ def build_transition_library(
     clips: Iterable[
         tuple[FeatureStream, PoseLabel, PoseLabel, RotationDirection]
     ],
-    k_max: int = 5,
-    threshold: float = 0.8,
+    k_max: int = DEFAULT_K_MAX,
+    threshold: float = DEFAULT_THRESHOLD,
     stage2_threshold: float | None = None,
 ) -> TransitionLibrary:
     """Fit pseudo-pose chains from labeled training clips.
@@ -300,6 +342,8 @@ def build_transition_library(
     build holds the library and a single stream, whatever the number of
     clips.
     """
+    # a bad parameter fails before the first clip is read, and with no clips
+    check_keyframe_params(k_max, threshold, stage2_threshold)
     fits: dict[tuple, _ChainSums] = {}
     F = None
     for stream, from_pose, to_pose, direction in clips:
@@ -460,8 +504,8 @@ def score_chains(
 def classify_transition(
     clip: FeatureStream,
     library: TransitionLibrary,
-    k_max: int = 5,
-    threshold: float = 0.8,
+    k_max: int = DEFAULT_K_MAX,
+    threshold: float = DEFAULT_THRESHOLD,
     stage2_threshold: float | None = None,
     use_keyframes: bool = True,
 ) -> TransitionRecord:
@@ -474,7 +518,7 @@ def classify_transition(
     prefer the shorter chain, then name order.
     """
     if not library.entries:
-        raise ValueError("transition library is empty")
+        raise BadArgument("transition library is empty")
     kfs = select_keyframes(clip, k_max, threshold, stage2_threshold)
     if kfs.static:
         raise NoTransitionDetected("clip shows no endpoint motion on any channel")

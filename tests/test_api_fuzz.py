@@ -1,0 +1,223 @@
+"""Public entry points return a result inside their documented domain and
+raise a ``PoseHsmmError`` outside it.
+
+The library-side twin of ``test_format_fuzz.py``.  Each example picks an
+entry point and a set of its parameters; each picked parameter takes one of
+0, -1, 2.5, NaN, +inf, -inf and 10**18, the others keep a valid value.  When
+every parameter lies in the domain the entry point documents, the call must
+return (or raise one of the outcomes it documents for valid input, such as
+a static clip); otherwise it must raise a ``PoseHsmmError``.  Any other
+exception or result fails.  Parameters are only checked and stored, never
+used to size an array, so 10**18 allocates nothing.
+"""
+
+import math
+from dataclasses import dataclass, field
+from numbers import Integral, Real
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from posehsmm.emission import ChannelEmissionModel, ChannelId, FeatureStream
+from posehsmm.errors import NoTransitionDetected, PoseHsmmError
+from posehsmm.inference import check_transition_matrix
+from posehsmm.keyframes import select_keyframes
+from posehsmm.simulate import (
+    ScenarioConfig,
+    build_generating_model,
+    sample_sequence,
+    sample_transition_clip,
+)
+from posehsmm.states import (
+    INITIAL_POSE_PRIORS,
+    DurationModel,
+    GeometricDurationModel,
+    PoseLabel,
+    RotationDirection,
+    StateId,
+    StateSpace,
+    build_initial_distribution,
+)
+from posehsmm.summarize import (
+    build_transition_library,
+    classify_transition,
+    history_from_labels,
+    summarize_history,
+)
+
+SCALARS = [0, -1, 2.5, math.nan, math.inf, -math.inf, 10**18]
+PL = PoseLabel
+RGB = ChannelId.parse("left:RGB")
+SPACE3 = StateSpace.from_poses([PL.SOLDIER_UP, PL.LOG_RIGHT, PL.OTHER], scene_doubling=False)
+
+
+def integer(low):
+    return lambda v: isinstance(v, Integral) and v >= low
+
+
+def finite_at_least_zero(v):
+    return isinstance(v, Real) and math.isfinite(v) and v >= 0.0
+
+
+def unit(v):
+    return 0.0 <= v <= 1.0
+
+
+@dataclass
+class Param:
+    valid: object
+    domain: object
+    candidates: list = field(default_factory=lambda: SCALARS)
+
+
+@dataclass
+class EntryPoint:
+    call: object
+    params: dict
+    joint: object = lambda p: True
+    valid_outcomes: tuple = ()
+
+
+KEYFRAME_PARAMS = {
+    "k_max": Param(5, integer(2)),
+    "threshold": Param(0.25, finite_at_least_zero),
+    "stage2_threshold": Param(
+        None, lambda v: v is None or finite_at_least_zero(v), SCALARS + [None]
+    ),
+}
+HISTORY_PARAMS = {
+    "sample_every": Param(2, integer(1)),
+    "window": Param(5, integer(1)),
+    "consistency": Param(0.5, unit),
+}
+
+
+def history_joint(p):
+    return p["window"] >= p["sample_every"]
+
+
+@pytest.fixture(scope="module")
+def inputs():
+    """A moving transition clip, a library fitted from two clips, and a short
+    stream with its generating model."""
+    config = ScenarioConfig()
+    clips = [
+        (sample_transition_clip(a, b, d, config)[0], a, b, d)
+        for a, b, d in [(PL.SOLDIER_UP, PL.FETAL_RIGHT, RotationDirection.LEFT),
+                        (PL.FETAL_LEFT, PL.LOG_RIGHT, RotationDirection.RIGHT)]
+    ]
+    library = build_transition_library(clips, threshold=0.25)
+    assert library.entries
+    scenario = ScenarioConfig(t_target=20, duration_mean=4.0, duration_std=1.0,
+                              scene_doubling=False)
+    stream, _ = sample_sequence(scenario)
+    model, _ = build_generating_model(scenario)
+    return {"clips": clips, "library": library, "stream": stream, "model": model}
+
+
+def _stream_with(v):
+    X = np.full((1, 3, 2), 0.5)
+    X[0, 1, 0] = v
+    return FeatureStream(X, np.ones((1, 3), dtype=bool), (RGB,))
+
+
+def _means_with(v):
+    means = np.full((2, 2), 0.5)
+    means[0, 0] = v
+    return ChannelEmissionModel(RGB, means)
+
+
+ENTRY_POINTS = {
+    "select_keyframes": EntryPoint(
+        lambda x, **p: select_keyframes(x["clips"][0][0], **p), KEYFRAME_PARAMS
+    ),
+    "build_transition_library": EntryPoint(
+        lambda x, **p: build_transition_library(x["clips"], **p), KEYFRAME_PARAMS
+    ),
+    "classify_transition": EntryPoint(
+        lambda x, **p: classify_transition(x["clips"][0][0], x["library"], **p),
+        KEYFRAME_PARAMS,
+        valid_outcomes=(NoTransitionDetected,),
+    ),
+    "history_from_labels": EntryPoint(
+        lambda x, label, **p: history_from_labels([0, label] * 6, SPACE3, **p),
+        {"label": Param(1, lambda v: isinstance(v, Integral) and 0 <= v < 3),
+         **HISTORY_PARAMS},
+        history_joint,
+    ),
+    "summarize_history": EntryPoint(
+        lambda x, **p: summarize_history(x["stream"], x["model"], **p),
+        HISTORY_PARAMS,
+        history_joint,
+    ),
+    "check_transition_matrix": EntryPoint(
+        lambda x, p, zero_diagonal: check_transition_matrix(
+            [[0.0, 1.0], [1 - p, p]], zero_diagonal
+        ),
+        {"p": Param(0.25, unit), "zero_diagonal": Param(False, None, [True])},
+        lambda q: not q["zero_diagonal"] or q["p"] == 0,
+    ),
+    "FeatureStream": EntryPoint(
+        lambda x, v: _stream_with(v), {"v": Param(0.25, unit)}
+    ),
+    "ChannelEmissionModel": EntryPoint(
+        lambda x, v: _means_with(v), {"v": Param(0.25, unit)}
+    ),
+    "DurationModel": EntryPoint(
+        lambda x, mean, std, d_max: DurationModel([mean, 3.0], [std, 1.0], d_max),
+        {"mean": Param(4.0, math.isfinite),
+         "std": Param(1.0, lambda v: v > 0.0),
+         "d_max": Param(6, integer(1))},
+    ),
+    "GeometricDurationModel": EntryPoint(
+        lambda x, a, d_max: GeometricDurationModel([a, 0.5], d_max),
+        {"a": Param(0.25, lambda v: 0.0 <= v < 1.0), "d_max": Param(6, integer(1))},
+    ),
+    "StateSpace": EntryPoint(
+        lambda x, index: StateSpace((StateId(PL.SOLDIER_UP, None, index),)),
+        {"index": Param(0, lambda v: isinstance(v, Integral) and v == 0)},
+    ),
+    "build_initial_distribution": EntryPoint(
+        lambda x, pose: build_initial_distribution(
+            StateSpace.from_poses([pose], scene_doubling=False)
+        ),
+        {"pose": Param(PL.SOLDIER_UP, lambda v: v in INITIAL_POSE_PRIORS, list(PL))},
+    ),
+    "ScenarioConfig": EntryPoint(
+        lambda x, **p: ScenarioConfig(**p),
+        {"t_target": Param(400, integer(1)),
+         "F": Param(6, integer(1)),
+         "transition_hold": Param(6, integer(1)),
+         "transition_ramp": Param(6, integer(1)),
+         "seed": Param(0, integer(0)),
+         "model_seed": Param(7151, integer(0)),
+         "d_max": Param(None, lambda v: v is None or integer(1)(v), SCALARS + [None]),
+         "duration_mean": Param(12.0, math.isfinite),
+         "duration_std": Param(3.0, lambda v: v > 0.0),
+         "noise": Param(0.05, unit),
+         "dropout": Param(0.0, lambda v: 0.0 <= v < 1.0)},
+    ),
+}
+
+
+@given(name=st.sampled_from(sorted(ENTRY_POINTS)), data=st.data())
+@settings(max_examples=400, deadline=None)
+def test_in_domain_returns_else_clean_error(inputs, name, data):
+    entry = ENTRY_POINTS[name]
+    picked = data.draw(st.sets(st.sampled_from(sorted(entry.params))), label="picked")
+    params = {
+        key: data.draw(st.sampled_from(param.candidates), label=key)
+        if key in picked else param.valid
+        for key, param in entry.params.items()
+    }
+    in_domain = all(
+        param.domain is None or param.domain(params[key])
+        for key, param in entry.params.items()
+    ) and entry.joint(params)
+    try:
+        entry.call(inputs, **params)
+    except PoseHsmmError as exc:
+        assert not in_domain or isinstance(exc, entry.valid_outcomes), (name, params, exc)
+        return
+    assert in_domain, (name, params)

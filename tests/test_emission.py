@@ -19,7 +19,13 @@ from posehsmm.emission import (
     fit_channel_emissions,
     log_emission_matrix,
 )
-from posehsmm.errors import ChannelAbsent, EmptySequence, LabelMismatch, NoObservation
+from posehsmm.errors import (
+    BadArgument,
+    ChannelAbsent,
+    EmptySequence,
+    LabelMismatch,
+    NoObservation,
+)
 
 RGB = ChannelId.parse("left:RGB")
 DEPTH = ChannelId.parse("center:Depth")
@@ -76,6 +82,18 @@ class TestStreamConstruction:
     def test_empty_stream_rejected(self):
         with pytest.raises(EmptySequence):
             FeatureStream.from_arrays({RGB: np.zeros((0, 3))})
+
+    @pytest.mark.parametrize("value", [math.nan, -0.5, 1.5, math.inf])
+    def test_available_features_outside_unit_interval_rejected(self, value):
+        with pytest.raises(BadArgument, match=r"in \[0, 1\]"):
+            stream_from([[0.5], [value]])
+        # an unavailable tick's value is never read
+        assert stream_from([[0.5], [value]], masks=[True, False]).X[0, 1, 0] == 0.0
+
+    @pytest.mark.parametrize("value", [math.nan, -0.5, 1.5])
+    def test_emission_means_outside_unit_interval_rejected(self, value):
+        with pytest.raises(BadArgument, match=r"in \[0, 1\]"):
+            ChannelEmissionModel(RGB, np.array([[0.5], [value]]))
 
     def test_mask_shape_must_match(self):
         with pytest.raises(ValueError):

@@ -64,6 +64,14 @@ class TestTransitionMatrixCheck:
         with pytest.raises(ValueError):
             check_transition_matrix(np.array([[1.2, -0.2], [0.5, 0.5]]))
 
+    @pytest.mark.parametrize(
+        "A", [[[math.nan, 1.0], [0.5, 0.5]], [[math.inf, 0.0], [0.5, 0.5]]],
+        ids=["nan", "inf"],
+    )
+    def test_rejects_non_finite(self, A):
+        with pytest.raises(BadArgument):
+            check_transition_matrix(np.array(A))
+
     def test_zero_diagonal_enforced(self):
         with pytest.raises(ValueError):
             check_transition_matrix(

@@ -128,9 +128,7 @@ class TestHistoryFile:
         ]
         p = tmp_path / "h.history"
         fileio.write_history(records, p, {"window": 10, "sample_every": 2})
-        head = fileio.read_history_header(p)
-        assert head["window"] == "10"
-        assert head["sample_every"] == "2"
+        assert fileio.read_history_params(p) == (2, 10, 0.8)
         assert fileio.read_history(p) == records
 
 
@@ -313,6 +311,36 @@ class TestCliErrors:
                    "--out", str(tmp_path / "bad.model")])
         assert rc == 1
         assert "error:" in capsys.readouterr().err
+
+
+class TestSimulateArguments:
+    """simulate rejects a scenario it cannot sample, or a transition it cannot
+    name, with one error line, exit code 1 and no output file."""
+
+    @pytest.mark.parametrize(
+        "flags",
+        [["--t-target", "0"], ["--duration-std", "0"],
+         ["--transition", "solU", "fetR", "left", "--hold", "0", "--ramp", "0"],
+         ["--transition", "solU", "fetR", "sideways"], ["--dropout", "1.0"]],
+        ids=["t-target-0", "duration-std-0", "hold-and-ramp-0",
+             "transition-sideways", "dropout-1"],
+    )
+    def test_bad_flag(self, tmp_path, capsys, flags):
+        out = tmp_path / "s.stream"
+        assert main(["simulate", *flags, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
+    def test_bad_config_file_value(self, tmp_path, monkeypatch, capsys):
+        cfgdir = tmp_path / "conf"
+        cfgdir.mkdir()
+        (cfgdir / "bc-sim.cfg").write_text("t_target 0\n")
+        monkeypatch.setenv("POSEHSMM_CONFIG_DIR", str(cfgdir))
+        assert main(["simulate", "--out", str(tmp_path / "s.stream")]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: t_target must be an integer >= 1, got 0\n"
 
 
 @pytest.fixture(scope="module")

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from posehsmm.emission import ChannelId, FeatureStream
-from posehsmm.errors import ChannelAbsent, EmptySequence
+from posehsmm.errors import BadArgument, ChannelAbsent, EmptySequence
 from posehsmm.keyframes import (
     _distance,
     _frame_scores,
@@ -61,6 +61,20 @@ class TestStage1:
     def test_k_max_floor(self):
         with pytest.raises(ValueError):
             select_keyframes(clip_from([[0.0], [1.0]]), k_max=1)
+
+    @pytest.mark.parametrize(
+        "kwargs, param",
+        [({"k_max": 2.5}, "k_max"), ({"threshold": math.nan}, "threshold"),
+         ({"threshold": -1.0}, "threshold"), ({"threshold": math.inf}, "threshold"),
+         ({"stage2_threshold": math.nan}, "stage2_threshold"),
+         ({"stage2_threshold": -0.5}, "stage2_threshold")],
+        ids=["k-max-2.5", "th-nan", "th-negative", "th-inf", "stage2-nan",
+             "stage2-negative"],
+    )
+    def test_bad_parameter_is_named(self, kwargs, param):
+        with pytest.raises(BadArgument) as exc:
+            select_keyframes(clip_from([[0.0], [0.5], [1.0]]), **kwargs)
+        assert exc.value.param == param
 
     def test_strongest_channel_selected(self):
         strong = np.zeros((4, 1)); strong[-1] = 1.0

@@ -25,6 +25,7 @@ from posehsmm import (
     geometric_duration_pmf,
 )
 from posehsmm.errors import (
+    BadArgument,
     DegenerateSelfLoop,
     DurationOutOfRange,
     MalformedSegmentation,
@@ -133,6 +134,17 @@ class TestSegments:
         assert decode_segments(encode_segments(labels)) == labels
 
 
+@pytest.mark.parametrize(
+    "mean, std, d_max",
+    [([math.nan], [1.0], 4), ([math.inf], [1.0], 4), ([2.0], [math.nan], 4),
+     ([2.0], [1.0], 2.5), ([2.0], [1.0], math.nan)],
+    ids=["mean-nan", "mean-inf", "std-nan", "d-max-2.5", "d-max-nan"],
+)
+def test_duration_model_rejects_unusable_parameters(mean, std, d_max):
+    with pytest.raises(BadArgument):
+        DurationModel(np.array(mean), np.array(std), d_max)
+
+
 class TestGeometricDurations:
     def test_pmf_values(self):
         a = 0.3
@@ -151,6 +163,12 @@ class TestGeometricDurations:
             geometric_duration_pmf(1.0, 1)
         with pytest.raises(DegenerateSelfLoop):
             GeometricDurationModel(np.array([1.0]), 5)
+
+    def test_nan_self_loop_and_fractional_d_max_rejected(self):
+        with pytest.raises(DegenerateSelfLoop):
+            GeometricDurationModel(np.array([math.nan]), 5)
+        with pytest.raises(BadArgument):
+            GeometricDurationModel(np.array([0.5]), 2.5)
 
     def test_duration_out_of_range(self):
         with pytest.raises(DurationOutOfRange):

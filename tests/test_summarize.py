@@ -102,6 +102,37 @@ class TestHistoryFromLabels:
             history_from_labels([0], SPACE3, sample_every=0)
 
 
+    @pytest.mark.parametrize(
+        "kwargs, param",
+        [({"window": 2.5}, "window"), ({"window": float("nan")}, "window"),
+         ({"sample_every": 0}, "sample_every"),
+         ({"sample_every": 4, "window": 2}, "window"),
+         ({"consistency": float("inf")}, "consistency")],
+        ids=["window-2.5", "window-nan", "sample-every-0", "window-below-step",
+             "consistency-inf"],
+    )
+    def test_bad_parameter_is_named(self, kwargs, param):
+        with pytest.raises(BadArgument) as exc:
+            history_from_labels([0] * 10, SPACE3, **kwargs)
+        assert exc.value.param == param
+
+    def test_step_and_window_beyond_int64(self):
+        labels = [0, 1, 1, 2, 0, 0, 1]
+        huge = history_from_labels(labels, SPACE3, sample_every=10**19, window=10**19)
+        assert huge == history_from_labels(labels, SPACE3, sample_every=7, window=7)
+        assert history_from_labels(labels, SPACE3, window=10**19) == history_from_labels(
+            labels, SPACE3, window=7
+        )
+
+    @pytest.mark.parametrize("state", [-1, 3, 99, 1.5])
+    def test_state_index_outside_space_rejected(self, state):
+        with pytest.raises(BadArgument, match=r"integers in 0\.\.2"):
+            history_from_labels([state] * 10, SPACE3)
+
+    def test_no_labels_no_windows(self):
+        assert history_from_labels([], SPACE3) == []
+        assert history_from_labels(np.zeros(0, dtype=int), SPACE3) == []
+
     @pytest.mark.parametrize("consistency", [float("nan"), 1.5, -0.1])
     def test_unusable_consistency_rejected(self, consistency):
         with pytest.raises(BadArgument, match="consistency must be in"):
@@ -145,6 +176,23 @@ class TestSummarizeHistory:
             summarize_history(clip_from([[1.0]] * 4), model)
 
 
+def test_library_build_checks_its_parameters_without_clips():
+    with pytest.raises(BadArgument) as exc:
+        build_transition_library([], threshold=float("nan"))
+    assert exc.value.param == "threshold"
+
+
+def test_model_without_states_is_a_bad_argument():
+    model = HsmmModel(
+        pi=np.ones(2) / 2,
+        A=np.array([[0.0, 1.0], [1.0, 0.0]]),
+        durations=DurationModel(np.ones(2), np.ones(2), 4),
+        emissions={RGB: ChannelEmissionModel(RGB, np.array([[0.2], [0.8]]))},
+    )
+    with pytest.raises(BadArgument, match="no state space"):
+        summarize_history(clip_from([[1.0]] * 4), model)
+
+
 class TestWindowDetectionRate:
     def rec(self, label):
         return HistoryRecord(1, 10, label, None, 1.0)
@@ -161,6 +209,10 @@ class TestWindowDetectionRate:
     def test_length_mismatch(self):
         with pytest.raises(LabelMismatch):
             window_detection_rate([self.rec(PL.OTHER)], [])
+
+    def test_no_windows(self):
+        with pytest.raises(BadArgument, match="no windows"):
+            window_detection_rate([], [])
 
 
 def ramp_clip(lo=0.0, hi=1.0, T=21, F=2):
@@ -254,6 +306,12 @@ class TestClassifyTransition:
         from posehsmm.summarize import TransitionLibrary
 
         with pytest.raises(ValueError):
+            classify_transition(ramp_clip(), TransitionLibrary({}), threshold=0.4)
+
+    def test_empty_library_is_a_bad_argument(self):
+        from posehsmm.summarize import TransitionLibrary
+
+        with pytest.raises(BadArgument, match="library is empty"):
             classify_transition(ramp_clip(), TransitionLibrary({}), threshold=0.4)
 
     def test_clip_shorter_than_every_chain(self):
