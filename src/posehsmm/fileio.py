@@ -147,6 +147,9 @@ def _scene_parse(text: str) -> SceneCondition | None:
 
 def write_stream(stream: FeatureStream, path) -> None:
     channels = stream.channels
+    if not channels:
+        # read_stream refuses a header that lists no channel
+        raise FormatError(f"{path}: no channel of the stream is ever available")
     ever = stream.mask.any(axis=1)
     X, mask = stream.X[ever], stream.mask[ever]
     lines = _header(

@@ -16,10 +16,11 @@ d = 1..min(t, d_max) in one vector op, ``(enter[t-d] + log_dur[:, d]) +
 (C[t] - C[t-d])``, keeps the best in ``delta`` and its column in
 ``best[t]``.  That is O(T x D x Q + T x Q^2) time.
 
-The fill returns ``log_prob`` and leaves the backtrack for later: the first
-read of the result's segmentation or per-segment scores turns ``best[t]``
-back into d, reads the predecessor from ``earg[t - d]``, and scores the
-segments.  A chain library's losing chains are never backtracked.
+The fill returns ``log_prob`` and ``path``, a handle on the backtrack:
+calling it turns ``best[t]`` back into d, reads the predecessor from
+``earg[t - d]``, scores the segments and returns the ``DecodeResult``.
+Only ``path`` holds ``best`` and ``earg``, so they go when it does, and a
+chain library never backtracks its losing chains.
 
 Every maximum is an argmax along contiguous rows and a gather at it.
 ``log_A`` is transposed once, so row j of ``log_A.T + delta`` lists the
@@ -57,6 +58,7 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass
+from functools import partial
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -154,69 +156,13 @@ class HsmmModel:
         return self.durations.d_max
 
 
+@dataclass(frozen=True)
 class DecodeResult:
-    """Best segmentation with its log-probability and per-segment breakdown.
+    """Best segmentation with its log-probability and per-segment breakdown."""
 
-    ``DecodeResult(segmentation, log_prob, per_segment_scores)`` is a
-    finished result.  The segment DP returns its results unfinished: only
-    ``log_prob`` is set, and the first read of ``segmentation`` or
-    ``per_segment_scores`` runs the backtrack, caches both and drops the DP's
-    arrays.  Either way the three fields read, and compare, the same.
-    """
-
-    __slots__ = ("log_prob", "_segmentation", "_per_segment_scores", "_trace")
-
-    def __init__(
-        self,
-        segmentation: Segmentation,
-        log_prob: float,
-        per_segment_scores: tuple[float, ...],
-    ):
-        self._segmentation = segmentation
-        self.log_prob = log_prob
-        self._per_segment_scores = per_segment_scores
-        self._trace = None
-
-    @classmethod
-    def _deferred(cls, log_prob: float, *trace) -> DecodeResult:
-        """A result whose other fields come from ``_backtrack(*trace)``."""
-        result = cls(None, log_prob, None)
-        result._trace = trace
-        return result
-
-    def _resolve(self) -> None:
-        self._segmentation, self._per_segment_scores = _backtrack(*self._trace)
-        self._trace = None
-
-    @property
-    def segmentation(self) -> Segmentation:
-        if self._trace is not None:
-            self._resolve()
-        return self._segmentation
-
-    @property
-    def per_segment_scores(self) -> tuple[float, ...]:
-        if self._trace is not None:
-            self._resolve()
-        return self._per_segment_scores
-
-    def _fields(self) -> tuple:
-        return self.segmentation, self.log_prob, self.per_segment_scores
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, DecodeResult):
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    def __hash__(self) -> int:
-        return hash(self._fields())
-
-    def __repr__(self) -> str:
-        segmentation, log_prob, scores = self._fields()
-        return (
-            f"DecodeResult(segmentation={segmentation!r}, log_prob={log_prob!r}, "
-            f"per_segment_scores={scores!r})"
-        )
+    segmentation: Segmentation
+    log_prob: float
+    per_segment_scores: tuple[float, ...]
 
 
 # =====================================================================
@@ -436,9 +382,8 @@ def hsmm_viterbi(stream: FeatureStream, model: HsmmModel) -> DecodeResult:
     """
     log_pi, log_A, log_dur, E, C = _log_tables(model, stream)
     del E  # dead during the DP: frees a (T, Q) array
-    result = segment_viterbi_on_tables(stream.T, log_pi, log_A, log_dur, C)
-    # every caller reads the segmentation: backtrack now, and let C go
-    return DecodeResult(result.segmentation, result.log_prob, result.per_segment_scores)
+    _, path = segment_viterbi_on_tables(stream.T, log_pi, log_A, log_dur, C)
+    return path()
 
 
 def segment_viterbi_on_tables(
@@ -448,7 +393,7 @@ def segment_viterbi_on_tables(
     log_dur: np.ndarray,
     emission_cumsum: np.ndarray,
     final_log: np.ndarray | None = None,
-) -> DecodeResult:
+) -> tuple[float, partial[DecodeResult]]:
     """Run the segment decoder on caller-built log tables.
 
     ``log_dur`` is a (Q, d_max + 1) table indexable by duration, and
@@ -457,6 +402,9 @@ def segment_viterbi_on_tables(
     left-to-right chains) whose transition structure would not pass the
     public model validation; ``final_log`` adds a terminal per-state score
     (-inf forbids ending there).
+
+    Returns the best ``log_prob`` and ``path``, which backtracks when called
+    and returns the ``DecodeResult``; raises ``NoFeasiblePath`` at once.
     """
     n = log_pi.shape[0]
     d_cap = min(log_dur.shape[1] - 1, T)
@@ -510,12 +458,14 @@ def segment_viterbi_on_tables(
     # NaN and -inf alike fail here, as they would on the maximum
     if not math.isfinite(terminal[y]):
         raise NoFeasiblePath("all segmentations have probability zero")
-    return DecodeResult._deferred(
-        float(delta[y]), T, d_cap, y, best, earg, log_pi, log_A, log_dur, C
+    log_prob = float(delta[y])
+    return log_prob, partial(
+        _backtrack, log_prob, T, d_cap, y, best, earg, log_pi, log_A, log_dur, C
     )
 
 
 def _backtrack(
+    log_prob: float,
     T: int,
     d_cap: int,
     y: int,
@@ -525,8 +475,8 @@ def _backtrack(
     log_A: np.ndarray,
     log_dur: np.ndarray,
     C: np.ndarray,
-) -> tuple[Segmentation, tuple[float, ...]]:
-    """The segmentation a finished fill chose, ending in state y at T, and
+) -> DecodeResult:
+    """The segmentation a finished fill chose, ending in state y at T, with
     each segment's score."""
     rev: list[Segment] = []
     t = T
@@ -535,7 +485,8 @@ def _backtrack(
         rev.append(Segment(t - d + 1, d, y))
         t, y = t - d, int(earg[t - d, y])
     segmentation = Segmentation(tuple(reversed(rev)), T)
-    return segmentation, _segment_scores(segmentation, log_pi, log_A, log_dur, C)
+    scores = _segment_scores(segmentation, log_pi, log_A, log_dur, C)
+    return DecodeResult(segmentation, log_prob, scores)
 
 
 def brute_force_decode(

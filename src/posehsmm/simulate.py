@@ -113,21 +113,28 @@ class ScenarioConfig:
             raise BadArgument(f"dropout must be in [0, 1), got {list(self.dropout.values())}")
         if not (self.poses and self.channels):
             raise BadArgument("a scenario needs at least one pose and one channel")
-        # the generating model's dwell-time checks, without building its tables
-        DurationModel(*self.duration_arrays(), 1 if self.d_max is None else self.d_max)
+        # the generating model's dwell-time checks, without building its tables;
+        # a mean that is not finite fails them before d_max is read
+        mean, std = self.duration_arrays()
+        DurationModel(mean, std, self.resolved_d_max() if np.isfinite(mean).all() else 1)
 
     @property
     def n_poses(self) -> int:
         return len(self.poses)
 
     def duration_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        mean = np.broadcast_to(
-            np.asarray(self.duration_mean, dtype=float), (self.n_poses,)
-        ).copy()
-        std = np.broadcast_to(
-            np.asarray(self.duration_std, dtype=float), (self.n_poses,)
-        ).copy()
-        return mean, std
+        """Per-pose duration means and stds; each field is one value or one
+        per pose, else ``BadArgument`` names it."""
+        arrays = []
+        for name in ("duration_mean", "duration_std"):
+            value = np.asarray(getattr(self, name), dtype=float)
+            if value.shape not in ((), (1,), (self.n_poses,)):
+                raise BadArgument(
+                    f"{name} must be one value or {self.n_poses} (one per pose), "
+                    f"got shape {value.shape}", name
+                )
+            arrays.append(np.broadcast_to(value, (self.n_poses,)).copy())
+        return tuple(arrays)
 
     def resolved_d_max(self) -> int:
         if self.d_max is not None:

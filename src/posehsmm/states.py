@@ -370,6 +370,18 @@ class DurationModel:
         if not (np.all(np.isfinite(self.mean)) and np.all(self.std > 0.0)):
             raise BadArgument("duration means must be finite and stds positive")
         _check_d_max(self.d_max)
+        # a row's largest exponent is at the tick nearest its mean; the row is
+        # all NaN when that exponent is not finite
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            gap = (np.clip(np.round(self.mean), 1, self.d_max) - self.mean) ** 2
+            peak = -gap / (2.0 * self.std**2)
+        for param, values, ok in (("mean", self.mean, gap), ("std", self.std, peak)):
+            bad = np.flatnonzero(~np.isfinite(ok))
+            if bad.size:
+                raise BadArgument(
+                    f"duration {param} {values[bad[0]]} of state {bad[0]} leaves no "
+                    f"finite pmf on 1..{self.d_max}", param
+                )
 
     @property
     def n_states(self) -> int:
@@ -381,7 +393,10 @@ class DurationModel:
 
     @cached_property
     def _pmf(self) -> np.ndarray:
-        """Rows sum to 1.  Stable for tiny std."""
+        """Rows sum to 1.  Each row's exponents are shifted by their maximum,
+        so a tiny std puts the mass on the ticks nearest the mean; the
+        constructor refuses a std (or mean) that leaves that maximum
+        non-finite."""
         d = np.arange(1, self.d_max + 1, dtype=float)
         z = -((d[None, :] - self.mean[:, None]) ** 2) / (2.0 * self.std[:, None] ** 2)
         z -= z.max(axis=1, keepdims=True)

@@ -15,14 +15,14 @@ A library stacks its chains once, on first use, into ``ChainTables``: chains
 side by side in name order, one stacked emission model per channel set.  A
 clip is then scored against every chain with one emission pass per channel
 set, one prefix sum and one duration table; only the segment DP still runs
-chain by chain, on each chain's columns.  Its results are backtracked on
-first read, so classifying a clip backtracks only the winning chain.
+chain by chain, on each chain's columns.  Each DP returns its log-prob and a
+backtrack handle, and classifying a clip calls only the winner's.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import accumulate
 from numbers import Integral, Real
 from typing import Iterable, Sequence
@@ -464,13 +464,14 @@ class ChainTables:
 
 def score_chains(
     library: "TransitionLibrary", stream: FeatureStream, use_keyframes: bool = True
-) -> list[DecodeResult | None]:
+) -> list[tuple[float, partial[DecodeResult]] | None]:
     """Best left-to-right alignment of a stream onto every library chain.
 
-    Results follow ``sorted_keys()`` order; None marks a chain the stream
-    cannot traverse (one longer than the stream).  Emissions, prefix sums
-    and the duration table are computed once for all chains; the segment DP
-    runs once per chain on its columns.
+    Results follow ``sorted_keys()`` order, each the segment DP's
+    ``(log_prob, path)`` pair, where calling ``path`` backtracks the chain;
+    None marks a chain the stream cannot traverse (one longer than the
+    stream).  Emissions, prefix sums and the duration table are computed
+    once for all chains; the segment DP runs once per chain on its columns.
     """
     tables = library.tables
     if any(F != stream.F for F in tables.widths):
@@ -487,7 +488,7 @@ def score_chains(
     else:
         dur = DurationModel(tables.gap_mean, tables.gap_std, T)
     log_dur = dur.log_pmf_table()
-    results: list[DecodeResult | None] = []
+    results = []
     for L, a, b in zip(tables.lengths, tables.offsets, tables.offsets[1:]):
         log_pi, log_A, final_log = tables.structure[L]
         try:
@@ -532,12 +533,14 @@ def classify_transition(
     for key, length, result in zip(tables.keys, tables.lengths, results):
         if result is None:
             continue
-        rank = (-result.log_prob, length)
+        log_prob, path = result
+        rank = (-log_prob, length)
         if best is None or rank < best[0]:
-            best = (rank, key, result)
+            best = (rank, key, path)
     if best is None:
         raise NoTransitionDetected("no library chain fits within the clip length")
-    _, key, result = best
+    _, key, path = best
+    result = path()
     return TransitionRecord(
         key[0], key[1], key[2], result.log_prob, len(result.segmentation)
     )

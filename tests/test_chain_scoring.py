@@ -33,9 +33,13 @@ EXTRA = ChannelId.parse("left:Depth")
 
 
 def outcome(result):
-    """A chain result reduced to bit-exact comparable values."""
+    """A chain's ``(log_prob, path)`` pair, backtracked and reduced to
+    bit-exact comparable values."""
     if result is None:
         return "infeasible"
+    log_prob, path = result
+    result = path()
+    assert result.log_prob.hex() == log_prob.hex()
     return (
         result.segmentation,
         result.log_prob.hex(),

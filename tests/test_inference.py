@@ -271,12 +271,14 @@ class TestConstrainedTrellis:
         E = np.zeros((3, 2))
         E[:, 1] = -5.0  # state 1 is expensive
         C = np.vstack([np.zeros(2), np.cumsum(E, axis=0)])
-        free = segment_viterbi_on_tables(3, log_pi, log_A, dur.log_pmf_table(), C)
+        _, path = segment_viterbi_on_tables(3, log_pi, log_A, dur.log_pmf_table(), C)
+        free = path()
         assert [s.y for s in free.segmentation] == [0]
-        forced = segment_viterbi_on_tables(
+        _, path = segment_viterbi_on_tables(
             3, log_pi, log_A, dur.log_pmf_table(), C,
             final_log=np.array([-np.inf, 0.0]),
         )
+        forced = path()
         assert [s.y for s in forced.segmentation] == [0, 1]
         assert forced.log_prob < free.log_prob
 

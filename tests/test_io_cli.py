@@ -54,6 +54,18 @@ class TestStreamFile:
         with pytest.raises(FormatError):
             fileio.read_truth(p)
 
+    def test_stream_without_channels_is_not_written(self, tmp_path):
+        """A header listing no channel could not be read back: refuse it
+        before the file exists."""
+        never = FeatureStream.from_arrays(
+            {ChannelId.parse("left:RGB"): np.zeros((4, 2))},
+            {ChannelId.parse("left:RGB"): np.zeros(4, dtype=bool)},
+        )
+        p = tmp_path / "never.stream"
+        with pytest.raises(FormatError, match="^" + re.escape(f"{p}: ")):
+            fileio.write_stream(never, p)
+        assert not p.exists()
+
     def test_garbage_rejected(self, tmp_path):
         p = tmp_path / "junk"
         p.write_text("not a header\n")
@@ -667,6 +679,22 @@ class TestStrictTruthAndModelParsing:
         capsys.readouterr()
         assert main(argv) == 1
         assert capsys.readouterr().err.startswith(f"error: {bad}:{line}: ")
+
+    def test_dur_mean_without_a_finite_pmf(self, workdir, tmp_path, capsys):
+        """A finite duration mean so far from 1..d_max that its pmf row would
+        be NaN is a one-line error naming the file."""
+        lines = (workdir / "fit.model").read_text().splitlines()
+        k = next(i for i, ln in enumerate(lines) if ln.startswith("dur 0 "))
+        lines[k] = f"dur 0 1e200 {lines[k].split()[3]}"
+        bad = tmp_path / "bad.model"
+        bad.write_text("\n".join(lines) + "\n")
+        message = f"{bad}: duration mean 1e+200 of state 0 leaves no finite pmf"
+        with pytest.raises(FormatError, match="^" + re.escape(message)):
+            fileio.read_model(bad)
+        capsys.readouterr()
+        assert main(["decode", "--model", str(bad),
+                     "--stream", str(workdir / "s1.stream")]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {message}")
 
 
 class TestSizeHeaders:

@@ -26,11 +26,17 @@ TIE_LOGS = np.log([0.25, 0.5, 1.0])
 
 
 def outcome(decode):
-    """Decoder result reduced to bit-exact comparable values."""
+    """Decoder result reduced to bit-exact comparable values.  The DP's
+    ``(log_prob, path)`` pair is backtracked, and its log-prob must carry the
+    bits of the result's."""
     try:
         r = decode()
     except NoFeasiblePath:
         return "infeasible"
+    if isinstance(r, tuple):
+        log_prob, path = r
+        r = path()
+        assert r.log_prob.hex() == log_prob.hex()
     return (
         r.segmentation,
         r.log_prob.hex(),
@@ -191,11 +197,11 @@ def test_dp_peak_is_best_and_earg():
     log_pi, log_A, log_dur, _, C = _log_tables(model, stream)
     tracemalloc.start()
     try:
-        result = segment_viterbi_on_tables(8000, log_pi, log_A, log_dur, C)
+        _, path = segment_viterbi_on_tables(8000, log_pi, log_A, log_dur, C)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert result.segmentation.T == 8000
+    assert path().segmentation.T == 8000
     assert peak < 8001 * 22 * 16 + 2 * 2**20
 
 
@@ -216,25 +222,42 @@ def test_memory_is_linear_in_T():
 
 
 class TestDeferredResult:
-    """The DP returns ``log_prob`` at once and backtracks on first read."""
+    """The DP returns ``log_prob`` at once and a ``path`` that backtracks."""
 
-    @pytest.mark.parametrize("first", ["segmentation", "per_segment_scores"])
-    def test_first_read_resolves_and_drops_the_dp_arrays(self, first):
+    def test_path_alone_holds_the_dp_arrays(self):
         T, Q, D, log_pi, log_A, log_dur, C, _ = random_tables(
             np.random.default_rng(5), False, 2 * DP_BLOCK + 3, 6
         )
-        result = segment_viterbi_on_tables(T, log_pi, log_A, log_dur, C)
+        log_prob, path = segment_viterbi_on_tables(T, log_pi, log_A, log_dur, C)
         # best and earg, the only int arrays it holds, owned by nothing else
         dp_arrays = [
-            weakref.ref(a) for a in result._trace
+            weakref.ref(a) for a in path.args
             if isinstance(a, np.ndarray) and a.dtype.kind == "i"
         ]
         assert len(dp_arrays) == 2 and all(ref() is not None for ref in dp_arrays)
-        getattr(result, first)
-        assert all(ref() is None for ref in dp_arrays)
+        result = path()
         want = reference_segment_viterbi(T, Q, D, log_pi, log_A, log_dur, C)
         assert outcome(lambda: result) == outcome(lambda: want)
         assert result == want and hash(result) == hash(want)
+        assert log_prob.hex() == want.log_prob.hex()
+        # the result holds no DP array: dropping path frees them
+        del path
+        assert all(ref() is None for ref in dp_arrays)
+
+    def test_hsmm_viterbi_result_holds_no_dp_array(self):
+        rng = np.random.default_rng(8)
+        model = random_hsmm(rng, n_states=4, d_max=6, F=2)
+        stream = random_stream(rng, 2 * DP_BLOCK + 3, 2)
+        result = hsmm_viterbi(stream, model)
+        assert not any(
+            isinstance(v, np.ndarray) for v in vars(result).values()
+        )
+        again = hsmm_viterbi(stream, model)
+        assert result is not again
+        assert result == again and hash(result) == hash(again)
+        # a frozen value: no field can be reassigned
+        with pytest.raises(AttributeError):
+            result.log_prob = 0.0
 
     @pytest.mark.parametrize("poison", ["-inf", "nan"])
     def test_infeasible_raises_in_the_call(self, poison):

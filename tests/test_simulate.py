@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from posehsmm.errors import PoseHsmmError
+from posehsmm.errors import BadArgument, PoseHsmmError
 from posehsmm.keyframes import select_keyframes
 from posehsmm.simulate import (
     ANCHOR_MAGNITUDES,
@@ -65,6 +65,24 @@ class TestConfig:
         assert small_config(duration_mean=6.0).resolved_d_max() == 18
         assert small_config(duration_mean=0.2, d_max=None).resolved_d_max() == 2
         assert small_config(d_max=40).resolved_d_max() == 40
+
+    @pytest.mark.parametrize("field", ["duration_mean", "duration_std"])
+    @pytest.mark.parametrize("value", [[1.0, 2.0], [[3.0]], np.ones((2, 2))],
+                             ids=["two-values", "nested", "matrix"])
+    def test_duration_sequence_of_wrong_shape(self, field, value):
+        with pytest.raises(BadArgument) as exc:
+            small_config(**{field: value})
+        assert exc.value.param == field
+
+    def test_duration_sequence_one_per_pose(self):
+        n = small_config().n_poses
+        mean, std = small_config(duration_mean=[4.0] * n, duration_std=[1.0]).duration_arrays()
+        assert mean.tolist() == [4.0] * n and std.tolist() == [1.0] * n
+
+    def test_tiny_std_on_a_tick_is_accepted(self):
+        # 2 std**2 is subnormal, so the pmf is finite only for a mean on a
+        # tick: 6 is one within the resolved d_max (18), though not within 1
+        assert small_config(duration_mean=6.0, duration_std=1e-160).resolved_d_max() == 18
 
     def test_presets(self):
         assert preset_config("bc-sim").base_scene is SceneCondition.BC

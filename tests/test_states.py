@@ -145,6 +145,28 @@ def test_duration_model_rejects_unusable_parameters(mean, std, d_max):
         DurationModel(np.array(mean), np.array(std), d_max)
 
 
+@pytest.mark.parametrize(
+    "mean, std, param",
+    [([1e200], [1.0], "mean"), ([-1e200], [1.0], "mean"),
+     ([2.0, 2.0], [1.0, 1e-200], "std"), ([2.5], [1e-160], "std")],
+    ids=["mean-huge", "mean-huge-negative", "std-underflows", "std-overflows-spread"],
+)
+def test_duration_model_rejects_parameters_without_a_finite_pmf(mean, std, param):
+    """(d - mean)**2 overflowing, or 2 std**2 too small for the gap to the
+    nearest tick, would make the whole pmf row NaN."""
+    with pytest.raises(BadArgument) as exc:
+        DurationModel(np.array(mean), np.array(std), 4)
+    assert exc.value.param == param
+    assert f"of state {len(mean) - 1} " in str(exc.value)
+
+
+def test_duration_model_keeps_a_tiny_std_with_a_finite_pmf():
+    """2 std**2 is subnormal but the mean sits on a tick: the row is a point
+    mass, as before."""
+    model = DurationModel(np.array([4.0]), np.array([1e-160]), 4)
+    assert model.pmf_table()[0].tolist() == [0.0, 0.0, 0.0, 1.0]
+
+
 class TestGeometricDurations:
     def test_pmf_values(self):
         a = 0.3
