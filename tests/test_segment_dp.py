@@ -224,7 +224,8 @@ def test_memory_is_linear_in_T():
 class TestDeferredResult:
     """The DP returns ``log_prob`` at once and a ``path`` that backtracks."""
 
-    def test_path_alone_holds_the_dp_arrays(self):
+    @pytest.mark.parametrize("first", ["segmentation", "per_segment_scores"])
+    def test_first_read_resolves_and_drops_the_dp_arrays(self, first):
         T, Q, D, log_pi, log_A, log_dur, C, _ = random_tables(
             np.random.default_rng(5), False, 2 * DP_BLOCK + 3, 6
         )
@@ -237,6 +238,7 @@ class TestDeferredResult:
         assert len(dp_arrays) == 2 and all(ref() is not None for ref in dp_arrays)
         result = path()
         want = reference_segment_viterbi(T, Q, D, log_pi, log_A, log_dur, C)
+        assert getattr(result, first) == getattr(want, first)
         assert outcome(lambda: result) == outcome(lambda: want)
         assert result == want and hash(result) == hash(want)
         assert log_prob.hex() == want.log_prob.hex()
