@@ -8,7 +8,6 @@ from .emission import (
     Modality,
     View,
     binarize_stream,
-    emission_log_likelihood,
     fit_channel_emissions,
     log_emission_matrix,
 )
@@ -45,7 +44,6 @@ from .inference import (
 from .keyframes import (
     Keyframe,
     KeyframeSet,
-    channel_endpoint_dissimilarity,
     keyframes_to_pseudo_pose_stream,
     select_keyframes,
 )
@@ -74,9 +72,7 @@ from .states import (
     StateSpace,
     build_initial_distribution,
     decode_segments,
-    default_state_space,
     encode_segments,
-    gaussian_duration_pmf,
     geometric_duration_pmf,
 )
 from .summarize import (

@@ -24,7 +24,6 @@ from .errors import (
     ChannelAbsent,
     EmptySequence,
     LabelMismatch,
-    NoObservation,
 )
 
 #: Clamp for fitted Bernoulli means; keeps log terms finite.
@@ -130,7 +129,7 @@ class FeatureStream:
 
     @cached_property
     def frames(self) -> tuple[FeatureFrame, ...]:
-        """Per-tick view for the per-frame oracle ``emission_log_likelihood``."""
+        """Per-tick view of the stream, one ``FeatureFrame`` per tick."""
         frames = []
         ids = self.channel_ids
         for t in range(self.T):
@@ -190,8 +189,8 @@ class ChannelEmissionModel:
 
 
 def fit_channel_emissions(
-    stream: FeatureStream | Sequence[FeatureStream],
-    labels: Sequence,
+    streams: Sequence[FeatureStream],
+    label_lists: Sequence[Sequence],
     channel: ChannelId,
     n_states: int,
 ) -> ChannelEmissionModel:
@@ -200,19 +199,21 @@ def fit_channel_emissions(
     mu[i] is the per-feature average of this channel's vectors over ticks
     labeled i; ticks where the channel is unavailable are excluded from both
     numerator and denominator.  States with no observation fall back to the
-    uninformative 0.5 row.  Accepts one stream with its labels, or a
-    sequence of streams with one label sequence each; the sums are pooled in
-    stream order, tick by tick.
+    uninformative 0.5 row.  Takes a list of streams of one feature width and
+    one label sequence per stream; the sums are pooled in stream order, tick
+    by tick.
     """
-    single = isinstance(stream, FeatureStream)
-    streams = [stream] if single else list(stream)
-    label_lists = [labels] if single else list(labels)
     if len(streams) != len(label_lists):
         raise LabelMismatch(f"{len(label_lists)} label lists for {len(streams)} streams")
     for s, labs in zip(streams, label_lists):
         if len(labs) != s.T:
             raise LabelMismatch(f"{len(labs)} labels for {s.T} frames")
-    F = streams[0].F
+    widths = {s.F for s in streams}
+    if len(widths) != 1:
+        raise BadArgument(
+            f"streams must share one feature width, got {sorted(widths)}", "streams"
+        )
+    (F,) = widths
     sums = np.zeros((n_states, F))
     counts = np.zeros(n_states)
     seen = False
@@ -234,29 +235,6 @@ def fit_channel_emissions(
     return ChannelEmissionModel(channel, means)
 
 
-def emission_log_likelihood(
-    frame: FeatureFrame,
-    state: int,
-    models: Mapping[ChannelId, ChannelEmissionModel],
-) -> float:
-    """Fused log-likelihood of one frame under one state.
-
-    Sums the Bernoulli cross-entropy over every channel that is both
-    available and modeled, in a fixed channel order so the result is
-    deterministic.  Raises NoObservation when nothing is scoreable.
-    """
-    i = operator.index(state)
-    scoreable = sorted(c for c in frame.available if c in models)
-    if not scoreable:
-        raise NoObservation(f"tick {frame.t}: no available channel has a model")
-    total = 0.0
-    for c in scoreable:
-        mu = models[c].means[i]
-        x = frame.vectors[c]
-        total += float(np.sum(x * np.log(mu) + (1.0 - x) * np.log1p(-mu)))
-    return total
-
-
 def log_emission_matrix(
     stream: FeatureStream,
     models: Mapping[ChannelId, ChannelEmissionModel],
@@ -266,17 +244,25 @@ def log_emission_matrix(
 
     Frames with no scoreable channel contribute the flat surrogate
     F * log(1/2) to every state, so they never sway the decoder but keep
-    scores finite.
+    scores finite.  A modelled stream channel whose means are not
+    (n_states, F) raises ``BadArgument``.
     """
     E = np.zeros((stream.T, n_states))
     covered = np.zeros(stream.T, dtype=bool)
     # stream channels are sorted, so channels add up in a fixed order
     for k, channel in enumerate(stream.channel_ids):
+        if channel not in models:
+            continue
+        means = models[channel].means
+        if means.shape != (n_states, stream.F):
+            raise BadArgument(
+                f"{channel} emission means have shape {means.shape}, expected "
+                f"({n_states}, {stream.F})", "emissions"
+            )
         rows = np.flatnonzero(stream.mask[k])
-        if channel not in models or rows.size == 0:
+        if rows.size == 0:
             continue
         X = stream.X[k, rows]
-        means = models[channel].means
         # summed in place: two (rows, Q) temporaries at a time, not four
         S = X @ np.log(means).T
         S += (1.0 - X) @ np.log1p(-means).T

@@ -18,7 +18,7 @@ import numpy as np
 
 from .emission import ChannelEmissionModel, ChannelId, FeatureStream
 from .errors import BadArgument, FormatError, MalformedSegmentation
-from .inference import ROW_SUM_TOL, HsmmModel
+from .inference import HsmmModel, check_initial_distribution
 from .keyframes import KeyframeSet
 from .states import (
     DurationModel,
@@ -415,9 +415,7 @@ def read_model(path) -> HsmmModel:
                 states.append(_state(rec))
             elif rec[0] == "pi":
                 once("pi")
-                pi = np.array(_floats(rec[1:], Q))
-                if np.any(pi < 0.0) or abs(pi.sum() - 1.0) > ROW_SUM_TOL:
-                    raise ValueError("pi must be nonnegative and sum to 1")
+                pi = check_initial_distribution(_floats(rec[1:], Q))
             elif rec[0] == "trans":
                 i = _index(rec[1], Q)
                 once("trans", i)

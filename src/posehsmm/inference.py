@@ -115,9 +115,41 @@ def check_transition_matrix(A: np.ndarray, zero_diagonal: bool = False) -> np.nd
     return A
 
 
+def check_initial_distribution(pi: np.ndarray) -> np.ndarray:
+    """Validate a 1-d distribution: nonnegative, summing to 1 within
+    ``ROW_SUM_TOL``; returns it as float array."""
+    pi = np.asarray(pi, dtype=float)
+    if pi.ndim != 1:
+        raise BadArgument(f"pi has shape {pi.shape}", "pi")
+    # NaN fails both comparisons
+    if not (np.all(pi >= 0.0) and abs(pi.sum() - 1.0) <= ROW_SUM_TOL):
+        raise BadArgument("pi must be nonnegative and sum to 1", "pi")
+    return pi
+
+
+def _check_state_count(model, **parts: int) -> None:
+    """Raise ``BadArgument`` naming the first of A, ``parts``, the states and
+    each channel's emission means whose state count is not pi's."""
+    q = model.pi.shape[0]
+    parts = {"A": model.A.shape[0], **parts}
+    if model.states is not None:
+        parts["states"] = len(model.states)
+    for name, n in parts.items():
+        if n != q:
+            raise BadArgument(f"pi gives Q={q}, {name} has {n} states", name)
+    for c, m in model.emissions.items():
+        if m.n_states != q:
+            raise BadArgument(
+                f"pi gives Q={q}, {c} emission means have {m.n_states} rows", "emissions"
+            )
+
+
 @dataclass
 class HmmModel:
-    """Tick-level Markov model: self-loops carry the dwell behaviour."""
+    """Tick-level Markov model: self-loops carry the dwell behaviour.
+
+    ``pi``, ``A``, every channel's emission means and ``states`` must agree
+    on the state count Q."""
 
     pi: np.ndarray
     A: np.ndarray
@@ -125,8 +157,9 @@ class HmmModel:
     states: StateSpace | None = None
 
     def __post_init__(self):
-        self.pi = np.asarray(self.pi, dtype=float)
+        self.pi = check_initial_distribution(self.pi)
         self.A = check_transition_matrix(self.A)
+        _check_state_count(self)
 
     @property
     def n_states(self) -> int:
@@ -135,7 +168,10 @@ class HmmModel:
 
 @dataclass
 class HsmmModel:
-    """Segment-level model: explicit dwell distributions, zero-diagonal A."""
+    """Segment-level model: explicit dwell distributions, zero-diagonal A.
+
+    ``pi``, ``A``, the durations, every channel's emission means and
+    ``states`` must agree on the state count Q."""
 
     pi: np.ndarray
     A: np.ndarray
@@ -144,8 +180,9 @@ class HsmmModel:
     states: StateSpace | None = None
 
     def __post_init__(self):
-        self.pi = np.asarray(self.pi, dtype=float)
+        self.pi = check_initial_distribution(self.pi)
         self.A = check_transition_matrix(self.A, zero_diagonal=True)
+        _check_state_count(self, durations=self.durations.n_states)
 
     @property
     def n_states(self) -> int:
@@ -171,26 +208,20 @@ class DecodeResult:
 
 
 def fit_transitions(
-    labels: Sequence,
+    sequences: Sequence[Sequence],
     n_states: int,
     semi_markov: bool = False,
 ) -> np.ndarray:
-    """Maximum-likelihood transition matrix from label sequences.
+    """Maximum-likelihood transition matrix from a list of label sequences.
 
     a[i, j] = count(i -> j) / count(i -> anything).  With ``semi_markov`` each
     sequence is first collapsed to one label per maximal run, so self-counts
     vanish and the diagonal is structurally zero.  Rows with no outgoing
     observation fall back to uniform (uniform off-diagonal when semi-Markov).
-    Accepts one label sequence or a list of them; counts are pooled before
-    normalizing.
+    Counts are pooled over the sequences before normalizing.
     """
-    if len(labels) == 0:
+    if len(sequences) == 0:
         raise EmptySequence("cannot fit transitions on an empty sequence")
-    try:
-        operator.index(labels[0])
-        sequences = [labels]
-    except TypeError:
-        sequences = list(labels)
     counts = np.zeros((n_states, n_states))
     for seq in sequences:
         idx = [operator.index(y) for y in seq]
@@ -213,18 +244,17 @@ def fit_transitions(
 
 
 def fit_durations(
-    segmentations: Segmentation | Sequence[Segmentation],
+    segmentations: Sequence[Segmentation],
     n_states: int,
     d_max: int,
 ) -> DurationModel:
-    """Per-state dwell statistics from observed segments.
+    """Per-state dwell statistics from the segments of a list of
+    segmentations.
 
     Uses the sample mean and the population standard deviation of each
     state's durations, floored at ``MIN_DURATION_STD``.  States with no
     segment default to (d_max/2, d_max/4).
     """
-    if isinstance(segmentations, Segmentation):
-        segmentations = [segmentations]
     observed: list[list[int]] = [[] for _ in range(n_states)]
     for seg_list in segmentations:
         for seg in seg_list:

@@ -19,7 +19,7 @@ from numbers import Integral, Real
 import numpy as np
 
 from .emission import ChannelId, FeatureStream
-from .errors import BadArgument, ChannelAbsent, EmptySequence
+from .errors import BadArgument, EmptySequence
 
 #: Keyframe budget and Stage-1/2 threshold unless a caller sets them.
 DEFAULT_K_MAX = 5
@@ -62,23 +62,12 @@ class KeyframeSet:
         return iter(self.frames)
 
 
-def _distance(a: np.ndarray, b: np.ndarray) -> float:
-    return float(np.linalg.norm(a - b)) / math.sqrt(a.shape[0])
-
-
 def _distances(X: np.ndarray, ref: np.ndarray) -> np.ndarray:
-    """``_distance`` of every (C, T, F) row to its channel's (C, F) reference;
-    ``np.vecdot`` sums squares as ``np.linalg.norm`` does, so bit for bit."""
+    """Euclidean distance over sqrt(F) of every (C, T, F) row to its
+    channel's (C, F) reference; ``np.vecdot`` sums squares as
+    ``np.linalg.norm`` does, so bit for bit."""
     D = X - ref[:, None, :]
     return np.sqrt(np.vecdot(D, D)) / math.sqrt(X.shape[2])
-
-
-def channel_endpoint_dissimilarity(clip: FeatureStream, channel: ChannelId) -> float:
-    """Normalized Euclidean distance between a channel's first and last frame."""
-    k = clip.channel_index(channel)
-    if k is None or not (clip.mask[k, 0] and clip.mask[k, -1]):
-        raise ChannelAbsent(f"{channel} unavailable at a clip endpoint")
-    return _distance(clip.X[k, 0], clip.X[k, -1])
 
 
 def _frame_scores(clip: FeatureStream, a: int, b: int) -> tuple[np.ndarray, np.ndarray]:

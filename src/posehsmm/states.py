@@ -51,10 +51,6 @@ class PoseLabel(Enum):
         """Signed display symbol; sign encodes side/direction of the pose."""
         return _POSE_SYMBOLS[self]
 
-    @classmethod
-    def from_symbol(cls, symbol: int) -> "PoseLabel":
-        return _SYMBOL_TO_POSE[symbol]
-
     def __str__(self) -> str:
         return self.value
 
@@ -73,7 +69,6 @@ _POSE_SYMBOLS = {
     PoseLabel.FETAL_RIGHT: 6,
     PoseLabel.FETAL_LEFT: -6,
 }
-_SYMBOL_TO_POSE = {v: k for k, v in _POSE_SYMBOLS.items()}
 
 #: The ten poses that participate in transition protocols.
 CANONICAL_POSES = (
@@ -176,10 +171,6 @@ class StateSpace:
                 states.append(StateId(pose, None, len(states)))
         return cls(tuple(states))
 
-    @property
-    def n_states(self) -> int:
-        return len(self.states)
-
     def index_of(self, pose: PoseLabel, scene: SceneCondition | None = None) -> int:
         for s in self.states:
             if s.pose is pose and s.scene is scene:
@@ -196,25 +187,16 @@ class StateSpace:
         return self.states[i]
 
 
-def default_state_space(scene_doubling: bool = True) -> StateSpace:
-    """The simulated-bedside default: 11 poses, 22 states when doubled."""
-    return StateSpace.from_poses(MOCK_ICU_POSES, scene_doubling)
+def build_initial_distribution(space: StateSpace) -> np.ndarray:
+    """Initial probabilities of ``space``'s states from the published
+    per-scene priors.
 
-
-def build_initial_distribution(
-    space: StateSpace | None = None,
-    scene_doubling: bool = True,
-) -> np.ndarray:
-    """Initial state probabilities from the published per-scene priors.
-
-    With scene doubling each (pose, scene) cell keeps its own raw value;
-    without doubling the two scene columns are summed per pose.  Either way
-    the raw values are renormalized, and the rounding residual is folded into
-    the largest entry so the result sums to 1.0 exactly.  Poses missing from
-    the prior table (only ASPIRATION) get probability zero.
+    A state bound to a scene keeps that scene's raw value; a scene-agnostic
+    state takes the sum of both scene columns.  The raw values are
+    renormalized, and the rounding residual is folded into the largest entry
+    so the result sums to 1.0 exactly.  Poses missing from the prior table
+    (only ASPIRATION) get probability zero.
     """
-    if space is None:
-        space = default_state_space(scene_doubling)
     raw = np.zeros(len(space))
     for s in space:
         prior = INITIAL_POSE_PRIORS.get(s.pose)
@@ -396,9 +378,13 @@ class DurationModel:
         """Rows sum to 1.  Each row's exponents are shifted by their maximum,
         so a tiny std puts the mass on the ticks nearest the mean; the
         constructor refuses a std (or mean) that leaves that maximum
-        non-finite."""
+        non-finite.  Away from the mean a tiny std's exponent overflows to
+        -inf (weight 0) and a huge std's square to inf (exponent 0, a flat
+        row); both rows are right, so the overflow is not reported."""
         d = np.arange(1, self.d_max + 1, dtype=float)
-        z = -((d[None, :] - self.mean[:, None]) ** 2) / (2.0 * self.std[:, None] ** 2)
+        with np.errstate(over="ignore"):
+            z = -((d[None, :] - self.mean[:, None]) ** 2)
+            z /= 2.0 * self.std[:, None] ** 2
         z -= z.max(axis=1, keepdims=True)
         w = np.exp(z)
         return w / w.sum(axis=1, keepdims=True)
@@ -409,13 +395,6 @@ class DurationModel:
         with np.errstate(divide="ignore"):
             table[:, 1:] = np.log(self.pmf_table())
         return table
-
-
-def gaussian_duration_pmf(model: DurationModel, state: int, d: int) -> float:
-    """Probability of staying exactly d ticks in ``state``."""
-    if not 1 <= d <= model.d_max:
-        raise DurationOutOfRange(f"duration {d} outside [1, {model.d_max}]")
-    return float(model.pmf_table()[operator.index(state), d - 1])
 
 
 @dataclass

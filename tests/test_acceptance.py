@@ -39,12 +39,12 @@ from posehsmm.simulate import (
 )
 from posehsmm.states import (
     CANONICAL_POSES,
+    MOCK_ICU_POSES,
     DurationModel,
     GeometricDurationModel,
     StateSpace,
     build_initial_distribution,
     decode_segments,
-    default_state_space,
     encode_segments,
     geometric_duration_pmf,
 )
@@ -283,17 +283,17 @@ def test_c4_supervised_parameter_recovery(capsys):
         n = model.n_states
         labels = labels_of(truth)
 
-        A_fit = fit_transitions(labels, n, semi_markov=True)
+        A_fit = fit_transitions([labels], n, semi_markov=True)
         tv = float(0.5 * np.abs(A_fit - model.A).sum(axis=1).max())
         assert tv <= 0.05
 
-        durations = fit_durations(truth.segmentation, n, cfg.resolved_d_max())
+        durations = fit_durations([truth.segmentation], n, cfg.resolved_d_max())
         dur_err = float(np.abs(durations.mean - 5.0).max())
         assert dur_err <= 0.1
 
         em_err = 0.0
         for c in cfg.channels:
-            fit = fit_channel_emissions(stream, labels, c, n)
+            fit = fit_channel_emissions([stream], [labels], c, n)
             em_err = max(
                 em_err, float(np.abs(fit.means - model.emissions[c].means).max())
             )
@@ -460,8 +460,10 @@ def test_c7_keyframe_contract_on_sweep(capsys):
 def test_c8_distribution_checks(capsys):
     """Priors and dwell pmfs normalize; geometric partial sums are closed form."""
     with verdict(capsys, 8, "distribution-checks") as info:
-        doubled = build_initial_distribution(default_state_space(True))
-        collapsed = build_initial_distribution(default_state_space(False))
+        doubled = build_initial_distribution(StateSpace.from_poses(MOCK_ICU_POSES))
+        collapsed = build_initial_distribution(
+            StateSpace.from_poses(MOCK_ICU_POSES, scene_doubling=False)
+        )
         assert doubled.sum() == 1.0
         assert collapsed.sum() == 1.0
 

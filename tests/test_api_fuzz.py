@@ -3,7 +3,8 @@ raise a ``PoseHsmmError`` outside it.
 
 The library-side twin of ``test_format_fuzz.py``.  Each example picks an
 entry point and a set of its parameters; each picked parameter takes one of
-0, -1, 2.5, NaN, +inf, -inf and 10**18, the others keep a valid value.  When
+0, -1, 2.5, NaN, +inf, -inf and 10**18 (a part's state count or feature
+width takes 1, 2 or 3), the others keep a valid value.  When
 every parameter lies in the domain the entry point documents, the call must
 return (or raise one of the outcomes it documents for valid input, such as
 a static clip); otherwise it must raise a ``PoseHsmmError``.  Any other
@@ -19,9 +20,20 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from posehsmm.emission import ChannelEmissionModel, ChannelId, FeatureStream
+from posehsmm.emission import (
+    ChannelEmissionModel,
+    ChannelId,
+    FeatureStream,
+    fit_channel_emissions,
+    log_emission_matrix,
+)
 from posehsmm.errors import NoTransitionDetected, PoseHsmmError
-from posehsmm.inference import check_transition_matrix
+from posehsmm.inference import (
+    HmmModel,
+    HsmmModel,
+    check_transition_matrix,
+    hsmm_viterbi,
+)
 from posehsmm.keyframes import select_keyframes
 from posehsmm.simulate import (
     ScenarioConfig,
@@ -30,6 +42,7 @@ from posehsmm.simulate import (
     sample_transition_clip,
 )
 from posehsmm.states import (
+    CANONICAL_POSES,
     INITIAL_POSE_PRIORS,
     DurationModel,
     GeometricDurationModel,
@@ -97,6 +110,25 @@ def history_joint(p):
     return p["window"] >= p["sample_every"]
 
 
+def size(valid=2):
+    """A state count or feature width that must equal ``valid``."""
+    return Param(valid, lambda v: v == valid, [1, 2, 3])
+
+
+def is_pi(v):
+    return len(v) == 2 and min(v) >= 0.0 and sum(v) == 1.0
+
+
+PI = Param([0.25, 0.75], is_pi, [[0.25, 0.75], [1.0, 1.0], [1.5, -0.5],
+                                  [math.nan, 1.0], [0.5, 0.5, 0.0], [1.0]])
+MODEL_PARAMS = {
+    "pi": PI,
+    "A": size(),
+    "means": size(),
+    "states": Param(2, lambda v: v in (None, 2), [None, 1, 2, 3]),
+}
+
+
 @pytest.fixture(scope="module")
 def inputs():
     """A moving transition clip, a library fitted from two clips, and a short
@@ -128,6 +160,29 @@ def _means_with(v):
     return ChannelEmissionModel(RGB, means)
 
 
+def _stream(F):
+    return FeatureStream(np.full((1, 4, F), 0.5), np.ones((1, 4), dtype=bool), (RGB,))
+
+
+def _emissions(Q, F=2):
+    return {RGB: ChannelEmissionModel(RGB, np.full((Q, F), 0.5))}
+
+
+def _space(Q):
+    if Q is None:
+        return None
+    return StateSpace.from_poses(CANONICAL_POSES[:Q], scene_doubling=False)
+
+
+def _hsmm(pi=(0.25, 0.75), A=2, durations=2, means=2, states=None):
+    """A model whose parts have the given state counts; A's rows cycle."""
+    return HsmmModel(
+        pi, (np.ones((A, A)) - np.eye(A)) / max(A - 1, 1),
+        DurationModel(np.full(durations, 3.0), np.ones(durations), 6),
+        _emissions(means), _space(states),
+    )
+
+
 ENTRY_POINTS = {
     "select_keyframes": EntryPoint(
         lambda x, **p: select_keyframes(x["clips"][0][0], **p), KEYFRAME_PARAMS
@@ -157,6 +212,28 @@ ENTRY_POINTS = {
         ),
         {"p": Param(0.25, unit), "zero_diagonal": Param(False, None, [True])},
         lambda q: not q["zero_diagonal"] or q["p"] == 0,
+    ),
+    "HsmmModel": EntryPoint(
+        lambda x, **p: _hsmm(**p), {**MODEL_PARAMS, "durations": size()}
+    ),
+    "HmmModel": EntryPoint(
+        lambda x, pi, A, means, states: HmmModel(
+            pi, np.full((A, A), 1.0 / A), _emissions(means), _space(states)
+        ),
+        MODEL_PARAMS,
+    ),
+    "hsmm_viterbi": EntryPoint(
+        lambda x, F: hsmm_viterbi(_stream(F), _hsmm()), {"F": size()}
+    ),
+    "log_emission_matrix": EntryPoint(
+        lambda x, Q, F: log_emission_matrix(_stream(2), _emissions(Q, F), 2),
+        {"Q": size(), "F": size()},
+    ),
+    "fit_channel_emissions": EntryPoint(
+        lambda x, F: fit_channel_emissions(
+            [_stream(2), _stream(F)], [[0] * 4, [1] * 4], RGB, 2
+        ),
+        {"F": size()},
     ),
     "FeatureStream": EntryPoint(
         lambda x, v: _stream_with(v), {"v": Param(0.25, unit)}

@@ -84,19 +84,19 @@ class TestTransitionMatrixCheck:
 
 class TestFitTransitions:
     def test_tick_level_counts(self):
-        A = fit_transitions([0, 0, 1, 1, 0], 2)
+        A = fit_transitions([[0, 0, 1, 1, 0]], 2)
         assert A.tolist() == [[0.5, 0.5], [0.5, 0.5]]
 
     def test_semi_markov_collapses_runs(self):
-        A = fit_transitions([0, 0, 1, 1, 0], 2, semi_markov=True)
+        A = fit_transitions([[0, 0, 1, 1, 0]], 2, semi_markov=True)
         assert A.tolist() == [[0.0, 1.0], [1.0, 0.0]]
 
     def test_unseen_row_uniform(self):
-        A = fit_transitions([0, 1], 3)
+        A = fit_transitions([[0, 1]], 3)
         assert A[2].tolist() == pytest.approx([1 / 3, 1 / 3, 1 / 3])
 
     def test_unseen_row_uniform_off_diagonal(self):
-        A = fit_transitions([0, 1], 3, semi_markov=True)
+        A = fit_transitions([[0, 1]], 3, semi_markov=True)
         assert A[2].tolist() == pytest.approx([0.5, 0.5, 0.0])
 
     def test_pooling_multiple_sequences(self):
@@ -108,19 +108,19 @@ class TestFitTransitions:
 class TestFitDurations:
     def test_worked_example(self):
         seg = Segmentation((Segment(1, 2, 0), Segment(3, 1, 1), Segment(4, 4, 0)), 7)
-        model = fit_durations(seg, 2, d_max=8)
+        model = fit_durations([seg], 2, d_max=8)
         assert model.mean[0] == pytest.approx(3.0)
         assert model.std[0] == pytest.approx(1.0)  # population std of {2, 4}
 
     def test_single_observation_floors_std(self):
         seg = Segmentation((Segment(1, 3, 0),), 3)
-        model = fit_durations(seg, 1, d_max=6)
+        model = fit_durations([seg], 1, d_max=6)
         assert model.mean[0] == pytest.approx(3.0)
         assert model.std[0] == 0.5
 
     def test_unobserved_state_defaults(self):
         seg = Segmentation((Segment(1, 3, 0),), 3)
-        model = fit_durations(seg, 2, d_max=8)
+        model = fit_durations([seg], 2, d_max=8)
         assert model.mean[1] == pytest.approx(4.0)
         assert model.std[1] == pytest.approx(2.0)
 

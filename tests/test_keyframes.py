@@ -6,11 +6,9 @@ import numpy as np
 import pytest
 
 from posehsmm.emission import ChannelId, FeatureStream
-from posehsmm.errors import BadArgument, ChannelAbsent, EmptySequence
+from posehsmm.errors import BadArgument, EmptySequence
 from posehsmm.keyframes import (
-    _distance,
     _frame_scores,
-    channel_endpoint_dissimilarity,
     keyframes_to_pseudo_pose_stream,
     select_keyframes,
 )
@@ -26,20 +24,29 @@ def clip_from(rows, channel=RGB, masks=None):
     return FeatureStream.from_arrays({channel: x}, avail)
 
 
+def endpoint_score(clip):
+    """Stage 1's endpoint dissimilarity, as its endpoint keyframes carry it."""
+    first = select_keyframes(clip, threshold=0.0).frames[0]
+    assert first.frame_index == 1 and first.stage == 1
+    return first.score
+
+
 class TestEndpointDissimilarity:
     def test_closed_form(self):
         clip = clip_from([[0.0, 0.0], [1.0, 1.0]])
-        assert channel_endpoint_dissimilarity(clip, RGB) == pytest.approx(1.0)
+        assert endpoint_score(clip) == pytest.approx(1.0)
 
     def test_normalized_by_feature_dim(self):
         # one differing unit feature out of four: sqrt(1)/sqrt(4)
         clip = clip_from([[0, 0, 0, 0], [1, 0, 0, 0]])
-        assert channel_endpoint_dissimilarity(clip, RGB) == pytest.approx(0.5)
+        assert endpoint_score(clip) == pytest.approx(0.5)
 
     def test_missing_endpoint_channel(self):
+        # no channel at both endpoints: static, no channel, score 0
         clip = clip_from([[0.0], [1.0], [1.0]], masks=[True, True, False])
-        with pytest.raises(ChannelAbsent):
-            channel_endpoint_dissimilarity(clip, RGB)
+        kfs = select_keyframes(clip, threshold=0.0)
+        assert kfs.static
+        assert [(kf.channel, kf.score) for kf in kfs] == [(None, 0.0), (None, 0.0)]
 
 
 class TestStage1:
@@ -200,6 +207,11 @@ class TestPseudoPoseStream:
         assert [f.t for f in pseudo.frames] == list(range(1, len(kfs) + 1))
 
 
+def scalar_distance(a, b):
+    """Euclidean distance over sqrt(F) of one pair of vectors."""
+    return float(np.linalg.norm(a - b)) / math.sqrt(a.shape[0])
+
+
 class TestVectorizedScores:
     def test_frame_scores_equal_scalar_distance_exactly(self):
         # reference: per frame, loop over the channels available at the frame
@@ -223,8 +235,8 @@ class TestVectorizedScores:
                     if c not in shared:
                         continue
                     score = min(
-                        _distance(frame.vectors[c], ref_a.vectors[c]),
-                        _distance(frame.vectors[c], ref_b.vectors[c]),
+                        scalar_distance(frame.vectors[c], ref_a.vectors[c]),
+                        scalar_distance(frame.vectors[c], ref_b.vectors[c]),
                     )
                     if score > best:
                         best, best_row = score, k

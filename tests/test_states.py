@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -19,9 +20,7 @@ from posehsmm import (
     Segmentation,
     build_initial_distribution,
     decode_segments,
-    default_state_space,
     encode_segments,
-    gaussian_duration_pmf,
     geometric_duration_pmf,
 )
 from posehsmm.errors import (
@@ -32,13 +31,14 @@ from posehsmm.errors import (
 )
 from posehsmm.states import StateSpace
 
+DOUBLED = StateSpace.from_poses(MOCK_ICU_POSES)
+COLLAPSED = StateSpace.from_poses(MOCK_ICU_POSES, scene_doubling=False)
+
 
 class TestPoseVocabulary:
     def test_symbol_bijection(self):
         symbols = [p.display_symbol for p in PoseLabel]
         assert len(set(symbols)) == len(symbols) == 12
-        for pose in PoseLabel:
-            assert PoseLabel.from_symbol(pose.display_symbol) is pose
 
     def test_signed_symbol_examples(self):
         assert PoseLabel.SOLDIER_UP.display_symbol == 1
@@ -54,16 +54,15 @@ class TestPoseVocabulary:
         assert PoseLabel.ASPIRATION not in MOCK_ICU_POSES
 
     def test_scene_doubling_layout(self):
-        space = default_state_space()
+        space = DOUBLED
         assert len(space) == 22
         # BC block first, then DO block, same pose order
         assert all(s.scene is SceneCondition.BC for s in space[:11])
         assert all(space[i].pose is space[i + 11].pose for i in range(11))
 
     def test_space_rejects_wrong_indices(self):
-        base = default_state_space(scene_doubling=False)
         with pytest.raises(ValueError):
-            StateSpace(tuple(reversed(base.states)))
+            StateSpace(tuple(reversed(COLLAPSED.states)))
 
 
 class TestInitialDistribution:
@@ -75,23 +74,21 @@ class TestInitialDistribution:
         assert raw == pytest.approx(1.049, abs=1e-9)
 
     def test_doubled_prior_sums_to_exactly_one(self):
-        pi = build_initial_distribution()
+        pi = build_initial_distribution(DOUBLED)
         assert pi.sum() == 1.0
         assert np.all(pi >= 0.0)
 
     def test_collapsed_prior_matches_scene_sums(self):
-        pi = build_initial_distribution(scene_doubling=False)
+        pi = build_initial_distribution(COLLAPSED)
         assert pi.sum() == 1.0
-        space = default_state_space(scene_doubling=False)
-        fetal = space.index_of(PoseLabel.FETAL_RIGHT)
+        fetal = COLLAPSED.index_of(PoseLabel.FETAL_RIGHT)
         expected = (0.145 + 0.07) / 1.049
         assert pi[fetal] == pytest.approx(expected, rel=1e-12)
 
     def test_proportions_preserved(self):
-        pi = build_initial_distribution()
-        space = default_state_space()
-        a = space.index_of(PoseLabel.SOLDIER_UP, SceneCondition.BC)
-        b = space.index_of(PoseLabel.SOLDIER_DOWN, SceneCondition.BC)
+        pi = build_initial_distribution(DOUBLED)
+        a = DOUBLED.index_of(PoseLabel.SOLDIER_UP, SceneCondition.BC)
+        b = DOUBLED.index_of(PoseLabel.SOLDIER_DOWN, SceneCondition.BC)
         assert pi[a] / pi[b] == pytest.approx(0.03 / 0.02, rel=1e-9)
 
 
@@ -167,6 +164,18 @@ def test_duration_model_keeps_a_tiny_std_with_a_finite_pmf():
     assert model.pmf_table()[0].tolist() == [0.0, 0.0, 0.0, 1.0]
 
 
+@pytest.mark.parametrize(
+    "std, row", [(1e-160, [0.0, 0.0, 0.0, 1.0]), (1e300, [0.25] * 4)]
+)
+def test_extreme_std_row_warns_nothing(std, row):
+    """A tiny std overflows the exponent off the mean and a huge one its
+    square; both rows are right, and building them warns of nothing."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        table = DurationModel(np.array([4.0]), np.array([std]), 4).pmf_table()
+    assert table[0].tolist() == row
+
+
 class TestGeometricDurations:
     def test_pmf_values(self):
         a = 0.3
@@ -215,9 +224,7 @@ class TestGaussianDurations:
         )
         dense /= dense.sum()
         for d in range(1, d_max + 1):
-            assert gaussian_duration_pmf(model, 0, d) == pytest.approx(
-                dense[d - 1], rel=1e-12
-            )
+            assert model.pmf_table()[0, d - 1] == pytest.approx(dense[d - 1], rel=1e-12)
 
     def test_mode_at_rounded_mean(self):
         model = DurationModel(np.array([5.4]), np.array([1.0]), 12)
