@@ -22,7 +22,6 @@ from .errors import (
     LabelMismatch,
     MalformedSegmentation,
     NoFeasiblePath,
-    NoObservation,
     NoTransitionDetected,
     PoseHsmmError,
 )
@@ -82,6 +81,7 @@ from .summarize import (
     TransitionRecord,
     build_transition_library,
     classify_transition,
+    frame_accuracy,
     history_from_labels,
     score_chains,
     summarize_history,

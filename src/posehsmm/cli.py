@@ -46,6 +46,7 @@ from .states import (
 from .summarize import (
     build_transition_library,
     classify_transition,
+    frame_accuracy,
     history_from_labels,
     summarize_history,
     window_detection_rate,
@@ -151,11 +152,9 @@ def _cmd_simulate(args) -> int:
     fileio.write_stream(stream, args.out)
     print(f"wrote {stream.T} ticks x {len(stream.channels)} channels to {args.out}")
     if args.truth_out:
-        space = truth.generating_model.states
-        info = truth.transition
         fileio.write_truth(
-            space, truth.segmentation, truth.scene_track, args.truth_out,
-            transition=info,
+            truth.generating_model.states, truth.segmentation, truth.scene_track,
+            args.truth_out, transition=truth.transition,
         )
         print(f"wrote truth sidecar to {args.truth_out}")
     return 0
@@ -185,7 +184,7 @@ def _cmd_train(args) -> int:
             raise FormatError("all truth sidecars must share one state table")
     n = len(space)
 
-    label_lists = [truth.labels for _, truth in pairs]
+    label_lists = [decode_segments(truth.segmentation) for _, truth in pairs]
     A = fit_transitions(label_lists, n, semi_markov=True)
 
     segmentations = [truth.segmentation for _, truth in pairs]
@@ -393,17 +392,16 @@ def _cmd_evaluate(args) -> int:
         segmentation, _ = fileio.read_decoded(args.decoded)
         if segmentation.T != truth.segmentation.T:
             raise FormatError("decoded and truth cover different T")
-        pred = decode_segments(segmentation)
-        ref = truth.labels
         metrics.append(
-            ("frame_accuracy", sum(p == r for p, r in zip(pred, ref)) / len(ref))
+            ("frame_accuracy", frame_accuracy(segmentation, truth.segmentation))
         )
 
     if args.history:
         sample_every, window, consistency = fileio.read_history_params(args.history)
         predicted = fileio.read_history(args.history)
         reference = history_from_labels(
-            truth.labels, truth.space, sample_every, window, consistency
+            decode_segments(truth.segmentation), truth.space,
+            sample_every, window, consistency,
         )
         metrics.append(
             ("window_detection_rate", window_detection_rate(predicted, reference))

@@ -11,7 +11,6 @@ same cross-entropy form, which is the natural generalization.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -25,6 +24,7 @@ from .errors import (
     EmptySequence,
     LabelMismatch,
 )
+from .states import check_labels
 
 #: Clamp for fitted Bernoulli means; keeps log terms finite.
 MEAN_CLAMP = 1e-6
@@ -201,13 +201,14 @@ def fit_channel_emissions(
     numerator and denominator.  States with no observation fall back to the
     uninformative 0.5 row.  Takes a list of streams of one feature width and
     one label sequence per stream; the sums are pooled in stream order, tick
-    by tick.
+    by tick.  A label outside [0, n_states) raises ``BadArgument``.
     """
     if len(streams) != len(label_lists):
         raise LabelMismatch(f"{len(label_lists)} label lists for {len(streams)} streams")
     for s, labs in zip(streams, label_lists):
         if len(labs) != s.T:
             raise LabelMismatch(f"{len(labs)} labels for {s.T} frames")
+    indices = [check_labels(labs, n_states, "label_lists") for labs in label_lists]
     widths = {s.F for s in streams}
     if len(widths) != 1:
         raise BadArgument(
@@ -217,13 +218,13 @@ def fit_channel_emissions(
     sums = np.zeros((n_states, F))
     counts = np.zeros(n_states)
     seen = False
-    for s, labs in zip(streams, label_lists):
+    for s, labels in zip(streams, indices):
         k = s.channel_index(channel)
         if k is None or not s.mask[k].any():
             continue
         seen = True
         rows = s.mask[k]
-        idx = np.array([operator.index(y) for y in labs], dtype=np.intp)[rows]
+        idx = labels[rows]
         # np.add.at adds row by row in tick order, like a running sum
         np.add.at(sums, idx, s.X[k, rows])
         np.add.at(counts, idx, 1.0)

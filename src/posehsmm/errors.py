@@ -25,10 +25,6 @@ class ChannelAbsent(PoseHsmmError):
     """Requested channel is never available in the data at hand."""
 
 
-class NoObservation(PoseHsmmError):
-    """A frame exposes no scoreable channel."""
-
-
 class NoFeasiblePath(PoseHsmmError):
     """Every candidate segmentation has probability zero."""
 

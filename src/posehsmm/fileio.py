@@ -29,7 +29,6 @@ from .states import (
     Segmentation,
     StateId,
     StateSpace,
-    decode_segments,
 )
 from .summarize import HistoryRecord, TransitionRecord, check_history_params
 
@@ -265,16 +264,12 @@ def _first_bad_tick(r: _Reader, T: int, F: int, n_ch: int) -> NoReturn:
 
 @dataclass
 class TruthFile:
-    """Planted truth as persisted: states, segments, scenes, transition."""
+    """Planted truth as persisted: states, segments, scene runs, transition."""
 
     space: StateSpace
     segmentation: Segmentation
-    scene_track: tuple[SceneCondition, ...]
+    scene_track: tuple[tuple[int, int, SceneCondition], ...]
     transition: tuple[PoseLabel, PoseLabel, RotationDirection] | None = None
-
-    @property
-    def labels(self) -> list[int]:
-        return decode_segments(self.segmentation)
 
 
 def write_truth(
@@ -284,18 +279,14 @@ def write_truth(
     path,
     transition=None,
 ) -> None:
+    """Write one ``scene`` line per (first tick, length, scene) run, as given."""
     lines = _header("truth", {"T": segmentation.T, "Q": len(space)})
     for s in space:
         lines.append(f"state {s.index} {s.pose.value} {_scene_str(s.scene)}")
     for seg in segmentation:
         lines.append(f"segment {seg.b} {seg.d} {seg.y_index}")
-    start = 0
-    while start < len(scene_track):
-        end = start
-        while end + 1 < len(scene_track) and scene_track[end + 1] is scene_track[start]:
-            end += 1
-        lines.append(f"scene {start + 1} {end - start + 1} {scene_track[start].value}")
-        start = end + 1
+    for b, n, scene in scene_track:
+        lines.append(f"scene {b} {n} {scene.value}")
     if transition is not None:
         lines.append(
             "transition "
@@ -306,14 +297,15 @@ def write_truth(
 
 
 def read_truth(path) -> TruthFile:
-    """Parse a truth file: Q states, segment states in 0..Q-1 and segments
-    covering 1..T, else ``FormatError`` naming file (and line)."""
+    """Parse a truth file: Q states, segment states in 0..Q-1, and segments
+    and scene runs tiling 1..T, else ``FormatError`` naming file (and line)."""
     r = _Reader(path, "truth")
     T = r.header("T")
     Q = r.header("Q")
     states: list[StateId] = []
     segments: list[Segment] = []
-    scenes: list[SceneCondition] = []
+    scenes: list[tuple[int, int, SceneCondition]] = []
+    covered = 0
     transition = None
     for lineno, rec in r.numbered_records():
         with r.line(lineno):
@@ -324,9 +316,10 @@ def read_truth(path) -> TruthFile:
                 segments.append(Segment(int(b), int(d), _index(y, Q)))
             elif rec[0] == "scene":
                 b, n, scene = _fields(rec, 3)
-                if int(b) != len(scenes) + 1 or not 1 <= int(n) <= T - len(scenes):
+                if int(b) != covered + 1 or not 1 <= int(n) <= T - covered:
                     raise ValueError(f"scene runs must tile 1..T, got {b} {n}")
-                scenes.extend([SceneCondition(scene)] * int(n))
+                scenes.append((int(b), int(n), SceneCondition(scene)))
+                covered += int(n)
             elif rec[0] == "transition":
                 a, b, direction = _fields(rec, 3)
                 transition = (PoseLabel(a), PoseLabel(b), RotationDirection(direction))
@@ -339,8 +332,8 @@ def read_truth(path) -> TruthFile:
         raise FormatError(f"{path}: {exc}") from None
     if len(space) != Q:
         raise FormatError(f"{path}: {len(space)} states for Q={Q}")
-    if len(scenes) != T:
-        raise FormatError(f"{path}: scene runs cover {len(scenes)} ticks for T={T}")
+    if covered != T:
+        raise FormatError(f"{path}: scene runs cover {covered} ticks for T={T}")
     return TruthFile(space, segmentation, tuple(scenes), transition)
 
 
@@ -479,14 +472,21 @@ def write_decoded(segmentation: Segmentation, log_prob: float, path, space=None)
 
 
 def read_decoded(path) -> tuple[Segmentation, float]:
+    """Parse a decoded file: ``segment`` records of the five fields
+    ``write_decoded`` writes, each state index >= 0, covering 1..T, else
+    ``FormatError`` naming file (and line)."""
     r = _Reader(path, "decoded")
     T = r.header("T")
     log_prob = r.header("log_prob", float)
     segments = []
     for lineno, rec in r.numbered_records():
-        if rec[0] == "segment":
-            with r.line(lineno):
-                segments.append(Segment(int(rec[1]), int(rec[2]), int(rec[3])))
+        if rec[0] != "segment":
+            raise FormatError(f"{path}:{lineno}: unexpected record {rec[0]!r}")
+        with r.line(lineno):
+            b, d, y, _, _ = _fields(rec, 5)
+            if int(y) < 0:
+                raise ValueError(f"negative state index {y}")
+            segments.append(Segment(int(b), int(d), int(y)))
     try:
         return Segmentation(tuple(segments), T), log_prob
     except MalformedSegmentation as exc:

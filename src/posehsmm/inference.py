@@ -80,6 +80,7 @@ from .states import (
     Segment,
     Segmentation,
     StateSpace,
+    check_labels,
     encode_segments,
 )
 
@@ -218,13 +219,14 @@ def fit_transitions(
     sequence is first collapsed to one label per maximal run, so self-counts
     vanish and the diagonal is structurally zero.  Rows with no outgoing
     observation fall back to uniform (uniform off-diagonal when semi-Markov).
-    Counts are pooled over the sequences before normalizing.
+    Counts are pooled over the sequences before normalizing.  A label outside
+    [0, n_states) raises ``BadArgument``.
     """
     if len(sequences) == 0:
         raise EmptySequence("cannot fit transitions on an empty sequence")
     counts = np.zeros((n_states, n_states))
     for seq in sequences:
-        idx = [operator.index(y) for y in seq]
+        idx = check_labels(seq, n_states, "sequences").tolist()
         if semi_markov:
             idx = [y for k, y in enumerate(idx) if k == 0 or y != idx[k - 1]]
         for a, b in zip(idx[:-1], idx[1:]):
@@ -253,12 +255,14 @@ def fit_durations(
 
     Uses the sample mean and the population standard deviation of each
     state's durations, floored at ``MIN_DURATION_STD``.  States with no
-    segment default to (d_max/2, d_max/4).
+    segment default to (d_max/2, d_max/4).  A segment state outside
+    [0, n_states) raises ``BadArgument``.
     """
     observed: list[list[int]] = [[] for _ in range(n_states)]
     for seg_list in segmentations:
-        for seg in seg_list:
-            observed[seg.y_index].append(seg.d)
+        states = check_labels((seg.y for seg in seg_list), n_states, "segmentations")
+        for seg, y in zip(seg_list, states):
+            observed[y].append(seg.d)
     mean = np.full(n_states, d_max / 2.0)
     std = np.full(n_states, d_max / 4.0)
     for i, durs in enumerate(observed):

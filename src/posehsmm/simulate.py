@@ -16,6 +16,7 @@ contrast).  Everything is reproducible from the two seeds in the config.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from numbers import Integral
 from typing import Mapping, Sequence
@@ -116,7 +117,15 @@ class ScenarioConfig:
         # the generating model's dwell-time checks, without building its tables;
         # a mean that is not finite fails them before d_max is read
         mean, std = self.duration_arrays()
-        DurationModel(mean, std, self.resolved_d_max() if np.isfinite(mean).all() else 1)
+        try:
+            DurationModel(mean, std, self.resolved_d_max() if np.isfinite(mean).all() else 1)
+        except BadArgument as exc:
+            if exc.param != "d_max" or self.d_max is not None:
+                raise
+            raise BadArgument(
+                f"duration_mean {mean.max()} needs a d_max longer than any table "
+                "can hold; set d_max", "duration_mean"
+            ) from None
 
     @property
     def n_poses(self) -> int:
@@ -140,7 +149,8 @@ class ScenarioConfig:
         if self.d_max is not None:
             return self.d_max
         mean, _ = self.duration_arrays()
-        return max(2, math.ceil(3.0 * float(mean.max())))
+        # 3 x a mean near the float maximum overflows; its ceiling stays finite
+        return max(2, math.ceil(min(3.0 * float(mean.max()), sys.float_info.max)))
 
 
 PRESETS = {
@@ -171,10 +181,10 @@ class TransitionInfo:
 
 @dataclass
 class GroundTruth:
-    """Planted state structure behind one emitted stream."""
+    """Planted state segments and scene runs behind one emitted stream."""
 
     segmentation: Segmentation
-    scene_track: tuple[SceneCondition, ...]
+    scene_track: tuple[tuple[int, int, SceneCondition], ...]
     generating_model: HsmmModel
     transition: TransitionInfo | None = None
 
@@ -303,18 +313,13 @@ def _sample_pose_segments(
 
 def _scene_track(
     config: ScenarioConfig, rng: np.random.Generator, T: int
-) -> list[SceneCondition]:
-    track = [config.base_scene] * T
+) -> tuple[tuple[int, int, SceneCondition], ...]:
+    """(first tick, length, scene) runs; a switch falls in the middle half."""
     if config.scene_switch and T >= 4:
-        other = (
-            SceneCondition.DO
-            if config.base_scene is SceneCondition.BC
-            else SceneCondition.BC
-        )
+        (other,) = (s for s in SceneCondition if s is not config.base_scene)
         switch = int(rng.integers(T // 4, 3 * T // 4 + 1))
-        for t in range(switch, T):
-            track[t] = other
-    return track
+        return ((1, switch, config.base_scene), (switch + 1, T - switch, other))
+    return ((1, T, config.base_scene),)
 
 
 def sample_sequence(config: ScenarioConfig) -> tuple[FeatureStream, GroundTruth]:
@@ -331,25 +336,21 @@ def sample_sequence(config: ScenarioConfig) -> tuple[FeatureStream, GroundTruth]
     runs = _sample_pose_segments(config, rng)
     T = sum(d for _, d in runs)
     scene_track = _scene_track(config, rng, T)
-
-    pose_per_tick: list[PoseLabel] = []
-    for pose, d in runs:
-        pose_per_tick.extend([pose] * d)
-
+    # per-tick sampling arrays; the truth keeps the runs
+    scene_per_tick = [scene for _, n, scene in scene_track for _ in range(n)]
+    pose_per_tick = [pose for pose, d in runs for _ in range(d)]
+    labels = [
+        space.index_of(pose, scene if config.scene_doubling else None)
+        for pose, scene in zip(pose_per_tick, scene_per_tick)
+    ]
     pose_index = {pose: k for k, pose in enumerate(config.poses)}
-    if config.scene_doubling:
-        labels = [
-            space.index_of(pose_per_tick[t], scene_track[t]) for t in range(T)
-        ]
-    else:
-        labels = [space.index_of(pose_per_tick[t], None) for t in range(T)]
 
     templates = _pose_templates(config)
     bits = (templates >= 0.5).astype(float)
     n_channels = len(config.channels)
-    noise_t = np.array([config.noise[s] for s in scene_track])
-    dropout_t = np.array([config.dropout[s] for s in scene_track])
-    do_mask = np.array([s is SceneCondition.DO for s in scene_track])
+    noise_t = np.array([config.noise[s] for s in scene_per_tick])
+    dropout_t = np.array([config.dropout[s] for s in scene_per_tick])
+    do_mask = np.array([s is SceneCondition.DO for s in scene_per_tick])
 
     pose_rows = np.array([pose_index[p] for p in pose_per_tick])
     base = bits[pose_rows]  # (T, C, F)
@@ -364,7 +365,7 @@ def sample_sequence(config: ScenarioConfig) -> tuple[FeatureStream, GroundTruth]
 
     truth = GroundTruth(
         segmentation=encode_segments(labels),
-        scene_track=tuple(scene_track),
+        scene_track=scene_track,
         generating_model=model,
     )
     return stream, truth
@@ -491,7 +492,7 @@ def sample_transition_clip(
     labels = [from_state] * mid + [to_state] * (T - mid)
     truth = GroundTruth(
         segmentation=encode_segments(labels),
-        scene_track=tuple([scene] * T),
+        scene_track=((1, T, scene),),
         generating_model=model,
         transition=TransitionInfo(
             from_pose, to_pose, direction, anchor_ticks, len(anchors)

@@ -298,6 +298,20 @@ def encode_segments(labels: Sequence) -> Segmentation:
     return Segmentation(tuple(segs), len(labels))
 
 
+def check_labels(labels: Iterable, n_states: int, param: str) -> np.ndarray:
+    """``labels`` as an array of state indices; a label that is not an
+    integer in [0, n_states) raises ``BadArgument`` naming ``param``."""
+    try:
+        idx = np.fromiter(map(operator.index, labels), np.intp)
+    except (TypeError, OverflowError):
+        idx = None
+    if idx is None or np.any((idx < 0) | (idx >= n_states)):
+        raise BadArgument(
+            f"{param} must hold state indices, integers in [0, {n_states})", param
+        )
+    return idx
+
+
 def decode_segments(segmentation: Segmentation) -> list:
     """Expand segments back to one label per tick (inverse of encode)."""
     labels = []
@@ -328,6 +342,8 @@ def _check_d_max(d_max) -> None:
         raise BadArgument(f"d_max must be an integer, got {d_max}")
     if d_max < 1:
         raise DurationOutOfRange(f"d_max {d_max} < 1")
+    if d_max > np.iinfo(np.intp).max:
+        raise BadArgument(f"d_max {d_max} is longer than any table can hold", "d_max")
 
 
 @dataclass

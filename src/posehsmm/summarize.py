@@ -55,6 +55,7 @@ from .states import (
     PoseLabel,
     RotationDirection,
     SceneCondition,
+    Segmentation,
     StateSpace,
     decode_segments,
 )
@@ -213,6 +214,18 @@ def window_detection_rate(
         raise BadArgument("no windows to compare")
     hits = sum(p.label is r.label for p, r in zip(predicted, reference))
     return hits / len(reference)
+
+
+def frame_accuracy(predicted: Segmentation, reference: Segmentation) -> float:
+    """Fraction of ticks whose states agree, counted exactly over merged runs."""
+    if predicted.T != reference.T:
+        raise LabelMismatch(f"predicted covers T={predicted.T}, reference T={reference.T}")
+    ends = [np.array([seg.end for seg in s]) for s in (predicted, reference)]
+    merged = np.union1d(*ends)
+    # a merged run lies in the first segment of each side that ends at or after it
+    pred, ref = (np.array([seg.y_index for seg in s])[np.searchsorted(e, merged)]
+                 for s, e in zip((predicted, reference), ends))
+    return int(np.diff(merged, prepend=0)[pred == ref].sum()) / predicted.T
 
 
 # =====================================================================

@@ -10,7 +10,11 @@ from typing import Mapping
 import numpy as np
 
 from posehsmm.emission import ChannelEmissionModel, ChannelId, FeatureFrame
-from posehsmm.errors import NoObservation
+from posehsmm.errors import PoseHsmmError
+
+
+class NoObservation(PoseHsmmError):
+    """A frame exposes no scoreable channel."""
 
 
 def emission_log_likelihood(

@@ -32,6 +32,8 @@ from posehsmm.inference import (
     HmmModel,
     HsmmModel,
     check_transition_matrix,
+    fit_durations,
+    fit_transitions,
     hsmm_viterbi,
 )
 from posehsmm.keyframes import select_keyframes
@@ -48,6 +50,8 @@ from posehsmm.states import (
     GeometricDurationModel,
     PoseLabel,
     RotationDirection,
+    Segment,
+    Segmentation,
     StateId,
     StateSpace,
     build_initial_distribution,
@@ -115,18 +119,26 @@ def size(valid=2):
     return Param(valid, lambda v: v == valid, [1, 2, 3])
 
 
-def is_pi(v):
-    return len(v) == 2 and min(v) >= 0.0 and sum(v) == 1.0
+def one_q(p):
+    """A model's domain: ``pi`` is a distribution over Q states and every
+    other part has Q states, whether Q is 2 or another count."""
+    q = len(p["pi"])
+    sizes = [p[k] for k in ("A", "means", "durations") if k in p]
+    return (all(v >= 0.0 for v in p["pi"]) and sum(p["pi"]) == 1.0
+            and all(n == q for n in sizes) and p["states"] in (None, q))
 
 
-PI = Param([0.25, 0.75], is_pi, [[0.25, 0.75], [1.0, 1.0], [1.5, -0.5],
-                                  [math.nan, 1.0], [0.5, 0.5, 0.0], [1.0]])
+#: A model part's state count; ``one_q`` judges the counts together.
+COUNT = Param(2, None, [1, 2, 3])
 MODEL_PARAMS = {
-    "pi": PI,
-    "A": size(),
-    "means": size(),
-    "states": Param(2, lambda v: v in (None, 2), [None, 1, 2, 3]),
+    "pi": Param([0.25, 0.75], None, [[0.25, 0.75], [1.0, 1.0], [1.5, -0.5],
+                                     [math.nan, 1.0], [0.5, 0.5, 0.0], [1.0]]),
+    "A": COUNT,
+    "means": COUNT,
+    "states": Param(2, None, [None, 1, 2, 3]),
 }
+#: A label of a two-state fit.
+STATE_INDEX = Param(1, lambda v: isinstance(v, Integral) and 0 <= v < 2)
 
 
 @pytest.fixture(scope="module")
@@ -214,13 +226,14 @@ ENTRY_POINTS = {
         lambda q: not q["zero_diagonal"] or q["p"] == 0,
     ),
     "HsmmModel": EntryPoint(
-        lambda x, **p: _hsmm(**p), {**MODEL_PARAMS, "durations": size()}
+        lambda x, **p: _hsmm(**p), {**MODEL_PARAMS, "durations": COUNT}, one_q
     ),
     "HmmModel": EntryPoint(
         lambda x, pi, A, means, states: HmmModel(
             pi, np.full((A, A), 1.0 / A), _emissions(means), _space(states)
         ),
         MODEL_PARAMS,
+        one_q,
     ),
     "hsmm_viterbi": EntryPoint(
         lambda x, F: hsmm_viterbi(_stream(F), _hsmm()), {"F": size()}
@@ -234,6 +247,18 @@ ENTRY_POINTS = {
             [_stream(2), _stream(F)], [[0] * 4, [1] * 4], RGB, 2
         ),
         {"F": size()},
+    ),
+    "fit_channel_emissions labels": EntryPoint(
+        lambda x, label: fit_channel_emissions([_stream(2)], [[0, label, 0, 1]], RGB, 2),
+        {"label": STATE_INDEX},
+    ),
+    "fit_transitions": EntryPoint(
+        lambda x, label: fit_transitions([[0, label, 0]], 2), {"label": STATE_INDEX}
+    ),
+    "fit_durations": EntryPoint(
+        # one segment: a Segmentation compares no state index of its own
+        lambda x, label: fit_durations([Segmentation((Segment(1, 3, label),), 3)], 2, 4),
+        {"label": STATE_INDEX},
     ),
     "FeatureStream": EntryPoint(
         lambda x, v: _stream_with(v), {"v": Param(0.25, unit)}

@@ -23,9 +23,8 @@ from posehsmm.errors import (
     ChannelAbsent,
     EmptySequence,
     LabelMismatch,
-    NoObservation,
 )
-from reference_emission import emission_log_likelihood
+from reference_emission import NoObservation, emission_log_likelihood
 
 RGB = ChannelId.parse("left:RGB")
 DEPTH = ChannelId.parse("center:Depth")
@@ -157,6 +156,15 @@ class TestFitting:
         s = stream_from([[1.0], [0.0]])
         with pytest.raises(LabelMismatch):
             fit_channel_emissions([s], [[0]], RGB, 1)
+
+    @pytest.mark.parametrize("labels", [[0, -1], [0, 2], [0, 0.5]],
+                             ids=["negative", "beyond-Q", "float"])
+    def test_label_outside_states_names_label_lists(self, labels):
+        # the check covers ticks where the channel is unavailable too
+        s = stream_from([[1.0], [0.0]], masks=[True, False])
+        with pytest.raises(BadArgument) as exc:
+            fit_channel_emissions([s], [labels], RGB, 2)
+        assert exc.value.param == "label_lists"
 
     def test_means_clamped_away_from_boundary(self):
         s = stream_from([[1.0], [1.0]])

@@ -105,7 +105,23 @@ class TestFitTransitions:
         assert A[0].tolist() == pytest.approx([0.0, 2 / 3, 1 / 3])
 
 
+    @pytest.mark.parametrize(
+        "sequences", [[[0, -1, 0]], [[0, 5]], [[0, 1.0]], [0, 1]],
+        ids=["negative", "beyond-Q", "float", "not-a-list-of-sequences"],
+    )
+    def test_label_outside_states_names_sequences(self, sequences):
+        with pytest.raises(BadArgument) as exc:
+            fit_transitions(sequences, 2)
+        assert exc.value.param == "sequences"
+
+
 class TestFitDurations:
+    @pytest.mark.parametrize("labels", [[0, 0, -1], [0, 2]], ids=["negative", "beyond-Q"])
+    def test_segment_state_outside_states_names_segmentations(self, labels):
+        with pytest.raises(BadArgument) as exc:
+            fit_durations([encode_segments(labels)], 2, 4)
+        assert exc.value.param == "segmentations"
+
     def test_worked_example(self):
         seg = Segmentation((Segment(1, 2, 0), Segment(3, 1, 1), Segment(4, 4, 0)), 7)
         model = fit_durations([seg], 2, d_max=8)

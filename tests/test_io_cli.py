@@ -1,11 +1,17 @@
 """Text formats round-trip bit-exactly; the CLI wires them together."""
 
 import filecmp
+import os
 import re
+import resource
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import posehsmm
 from posehsmm import fileio
 from posehsmm.cli import main
 from posehsmm.emission import ChannelId, FeatureStream
@@ -103,6 +109,16 @@ class TestTruthFile:
         back = fileio.read_truth(p)
         assert back.transition == (PL.SOLDIER_UP, PL.FETAL_RIGHT,
                                    RotationDirection.LEFT)
+
+    @pytest.mark.parametrize("switch", [False, True], ids=["one-scene", "switch"])
+    def test_scene_runs_round_trip(self, tmp_path, switch):
+        """read_truth returns exactly the runs write_truth was given."""
+        _, truth = sample_sequence(ScenarioConfig(t_target=60, seed=3, scene_switch=switch))
+        assert len(truth.scene_track) == 1 + switch
+        p = tmp_path / "a.truth"
+        fileio.write_truth(truth.generating_model.states, truth.segmentation,
+                           truth.scene_track, p)
+        assert fileio.read_truth(p).scene_track == truth.scene_track
 
 
 class TestModelFile:
@@ -755,6 +771,65 @@ class TestSceneRunBeyondT:
         rc = main(["evaluate", "--truth", str(bad), "--decoded", str(decoded)])
         assert rc == 1
         assert capsys.readouterr().err == f"error: {self.message(bad)}\n"
+
+
+class TestHugeConsistentTruth:
+    """A consistent truth of 10**11 ticks is scored run by run, so evaluate
+    fits in a 2 GiB address space."""
+
+    def test_evaluate_under_2_gib(self, tmp_path):
+        T = 100_000_000_000
+        truth = tmp_path / "huge.truth"
+        truth.write_text(
+            f"format: v1\nkind: truth\nT: {T}\nQ: 1\n"
+            f"state 0 solU BC\nsegment 1 {T} 0\nscene 1 {T} BC\n"
+        )
+        decoded = tmp_path / "huge.decoded"
+        fileio.write_decoded(Segmentation((Segment(1, T, 0),), T), 0.0, decoded)
+        limit = 2 * 1024**3
+        src = str(Path(posehsmm.__file__).parent.parent)
+        proc = subprocess.run(
+            [sys.executable, "-m", "posehsmm.cli", "evaluate",
+             "--truth", str(truth), "--decoded", str(decoded)],
+            capture_output=True, text=True, timeout=300,
+            env={**os.environ, "PYTHONPATH": src},
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[0] == "frame_accuracy  1.000000"
+
+
+class TestStrictDecodedParsing:
+    """A record write_decoded does not write is a one-line error naming the
+    file and line, with exit code 1."""
+
+    TRUTH = (
+        "format: v1\nkind: truth\nT: 4\nQ: 2\nstate 0 solU BC\nstate 1 fetR BC\n"
+        "segment 1 2 0\nsegment 3 2 1\nscene 1 4 BC\n"
+    )
+
+    @pytest.mark.parametrize(
+        "records, line",
+        [
+            (["segment 1 2 0 solU BC extra fields", "segment 3 2 1 fetR BC"], 5),
+            (["segment 1 2 0 solU BC", "garbage here", "segment 3 2 1 fetR BC"], 6),
+            (["segment 1 2 0 solU BC", "segment 3 2 -1 - -"], 6),
+        ],
+        ids=["extra-fields", "unexpected-record", "negative-state"],
+    )
+    def test_bad_record(self, tmp_path, capsys, records, line):
+        bad = tmp_path / "bad.decoded"
+        bad.write_text("\n".join(["format: v1", "kind: decoded", "T: 4",
+                                  "log_prob: -1.5", *records]) + "\n")
+        with pytest.raises(FormatError, match="^" + re.escape(f"{bad}:{line}: ")):
+            fileio.read_decoded(bad)
+        truth = tmp_path / "a.truth"
+        truth.write_text(self.TRUTH)
+        capsys.readouterr()
+        assert main(["evaluate", "--truth", str(truth), "--decoded", str(bad)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}:{line}: ")
+        assert err.count("\n") == 1
 
 
 class TestMissingFile:

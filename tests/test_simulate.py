@@ -84,6 +84,16 @@ class TestConfig:
         # tick: 6 is one within the resolved d_max (18), though not within 1
         assert small_config(duration_mean=6.0, duration_std=1e-160).resolved_d_max() == 18
 
+    def test_mean_needing_a_table_too_long_names_duration_mean(self):
+        # ceil(3 x mean) is no intp; 1e308 x 3 overflows a float as well
+        for mean in (1e200, 1e308):
+            with pytest.raises(BadArgument) as exc:
+                sample_sequence(ScenarioConfig(duration_mean=mean, t_target=20))
+            assert exc.value.param == "duration_mean"
+        with pytest.raises(BadArgument) as exc:
+            ScenarioConfig(duration_mean=1e200, d_max=2**63)
+        assert exc.value.param == "d_max"
+
     def test_presets(self):
         assert preset_config("bc-sim").base_scene is SceneCondition.BC
         assert preset_config("do-sim").base_scene is SceneCondition.DO
@@ -199,12 +209,12 @@ class TestSampleSequence:
         cfg = ScenarioConfig(poses=CANONICAL_POSES[:3], scene_switch=True,
                              t_target=100, seed=5)
         _, truth = sample_sequence(cfg)
-        track = truth.scene_track
-        assert track[0] is SceneCondition.BC
-        assert track[-1] is SceneCondition.DO
-        flips = sum(a is not b for a, b in zip(track, track[1:]))
-        assert flips == 1
-        switch = track.index(SceneCondition.DO)
+        # two runs tiling 1..T: exactly one switch
+        (b0, n0, first), (b1, n1, last) = truth.scene_track
+        assert (b0, b1, b1 + n1 - 1) == (1, b0 + n0, truth.segmentation.T)
+        assert first is SceneCondition.BC
+        assert last is SceneCondition.DO
+        switch = b1 - 1  # 0-based index of the first DO tick
         assert 100 // 4 <= switch <= 3 * 100 // 4
 
 

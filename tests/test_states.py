@@ -157,6 +157,19 @@ def test_duration_model_rejects_parameters_without_a_finite_pmf(mean, std, param
     assert f"of state {len(mean) - 1} " in str(exc.value)
 
 
+@pytest.mark.parametrize(
+    "build",
+    [lambda d_max: DurationModel(np.array([2.0]), np.array([1.0]), d_max),
+     lambda d_max: GeometricDurationModel(np.array([0.5]), d_max)],
+    ids=["gaussian", "geometric"],
+)
+def test_d_max_no_table_can_hold_names_d_max(build):
+    """A table of more than the largest intp columns cannot be built."""
+    with pytest.raises(BadArgument) as exc:
+        build(int(np.iinfo(np.intp).max) + 1)
+    assert exc.value.param == "d_max"
+
+
 def test_duration_model_keeps_a_tiny_std_with_a_finite_pmf():
     """2 std**2 is subnormal but the mean sits on a tick: the row is a point
     mass, as before."""

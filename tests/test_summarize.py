@@ -4,6 +4,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from posehsmm.emission import ChannelEmissionModel, ChannelId, FeatureStream
 from posehsmm.errors import BadArgument, LabelMismatch, NoTransitionDetected
@@ -14,11 +15,14 @@ from posehsmm.states import (
     RotationDirection,
     SceneCondition,
     StateSpace,
+    decode_segments,
+    encode_segments,
 )
 from posehsmm.summarize import (
     HistoryRecord,
     build_transition_library,
     classify_transition,
+    frame_accuracy,
     history_from_labels,
     summarize_history,
     window_detection_rate,
@@ -213,6 +217,37 @@ class TestWindowDetectionRate:
     def test_no_windows(self):
         with pytest.raises(BadArgument, match="no windows"):
             window_detection_rate([], [])
+
+
+def per_tick_accuracy(predicted, reference):
+    """``evaluate``'s frame accuracy as it was: a zip of per-tick labels."""
+    pred, ref = decode_segments(predicted), decode_segments(reference)
+    return sum(p == r for p, r in zip(pred, ref)) / len(ref)
+
+
+class TestFrameAccuracy:
+    @given(data=st.data(), T=st.integers(1, 60), Q=st.integers(1, 4))
+    @settings(max_examples=300, deadline=None)
+    def test_equals_the_per_tick_zip(self, data, T, Q):
+        labels = st.lists(st.integers(0, Q - 1), min_size=T, max_size=T)
+        a, b = (encode_segments(data.draw(labels, label=n)) for n in ("pred", "ref"))
+        got = frame_accuracy(a, b)
+        assert type(got) is float and got == per_tick_accuracy(a, b)
+
+    @pytest.mark.parametrize(
+        "pred, ref",
+        [([0], [0]), ([0], [1]), ([2] * 7, [2] * 7), ([0] * 5, [1] * 5),
+         ([0] * 7, [1] * 3 + [0] * 4), ([0, 1, 0], [1, 1, 1])],
+        ids=["one-tick-hit", "one-tick-miss", "one-segment-hit", "one-segment-miss",
+             "one-segment-against-two", "three-against-one"],
+    )
+    def test_single_segment_and_one_tick(self, pred, ref):
+        a, b = encode_segments(pred), encode_segments(ref)
+        assert frame_accuracy(a, b) == per_tick_accuracy(a, b)
+
+    def test_length_mismatch(self):
+        with pytest.raises(LabelMismatch):
+            frame_accuracy(encode_segments([0, 0]), encode_segments([0, 0, 0]))
 
 
 def ramp_clip(lo=0.0, hi=1.0, T=21, F=2):
