@@ -16,31 +16,26 @@ import numpy as np
 from posehsmm.emission import fit_channel_emissions
 from posehsmm.inference import HsmmModel, fit_durations, fit_transitions
 from posehsmm.simulate import preset_config, sample_sequence
-from posehsmm.states import build_initial_distribution, decode_segments
+from posehsmm.states import build_initial_distribution
 from posehsmm.summarize import (
-    history_from_labels,
+    history_from_segments,
     summarize_history,
     window_detection_rate,
 )
 
 
-def labels_of(truth):
-    return decode_segments(truth.segmentation)
-
-
 def fit_supervised(pairs):
     space = pairs[0][1].generating_model.states
     n = len(space)
-    label_lists = [labels_of(t) for _, t in pairs]
-    A = fit_transitions(label_lists, n, semi_markov=True)
     segmentations = [t.segmentation for _, t in pairs]
+    A = fit_transitions(segmentations, n)
     longest = max(max(seg.d for seg in s) for s in segmentations)
     d_max = min(3 * longest, max(s.T for s in segmentations))
     durations = fit_durations(segmentations, n, d_max)
     streams = [stream for stream, _ in pairs]
     channels = sorted({c for s in streams for c in s.channels})
     emissions = {
-        c: fit_channel_emissions(streams, label_lists, c, n) for c in channels
+        c: fit_channel_emissions(streams, segmentations, c, n) for c in channels
     }
     return HsmmModel(build_initial_distribution(space), A, durations, emissions, space)
 
@@ -66,7 +61,7 @@ def main(argv=None) -> int:
         for seed in range(*args.eval_seeds):
             stream, truth = sample_sequence(preset_config(name, seed=seed))
             predicted = summarize_history(stream, model)
-            reference = history_from_labels(labels_of(truth), space)
+            reference = history_from_segments(truth.segmentation, space)
             per_seed.append(window_detection_rate(predicted, reference))
         rates[name] = per_seed
         print(f"{name}: mean {np.mean(per_seed):.3f}  min {min(per_seed):.3f}  "

@@ -70,7 +70,6 @@ from .states import (
     StateId,
     StateSpace,
     build_initial_distribution,
-    decode_segments,
     encode_segments,
     geometric_duration_pmf,
 )
@@ -82,7 +81,7 @@ from .summarize import (
     build_transition_library,
     classify_transition,
     frame_accuracy,
-    history_from_labels,
+    history_from_segments,
     score_chains,
     summarize_history,
     window_detection_rate,

@@ -41,13 +41,12 @@ from .states import (
     RotationDirection,
     SceneCondition,
     build_initial_distribution,
-    decode_segments,
 )
 from .summarize import (
     build_transition_library,
     classify_transition,
     frame_accuracy,
-    history_from_labels,
+    history_from_segments,
     summarize_history,
     window_detection_rate,
 )
@@ -161,7 +160,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    pairs = []
+    streams, truths = [], []
     for stream_path, truth_path in args.data:
         stream = fileio.read_stream(stream_path)
         truth = fileio.read_truth(truth_path)
@@ -172,22 +171,18 @@ def _cmd_train(args) -> int:
                 f"{stream_path}: stream has T={stream.T} but truth covers "
                 f"T={truth.segmentation.T}"
             )
-        if pairs and stream.F != pairs[0][0].F:
-            raise FormatError(
-                f"{stream_path}: stream has F={stream.F}, expected {pairs[0][0].F}"
-            )
-        pairs.append((stream, truth))
+        if streams and stream.F != streams[0].F:
+            raise FormatError(f"{stream_path}: stream has F={stream.F}, expected {streams[0].F}")
+        streams.append(stream)
+        truths.append(truth)
 
-    space = pairs[0][1].space
-    for _, truth in pairs[1:]:
-        if truth.space != space:
-            raise FormatError("all truth sidecars must share one state table")
+    space = truths[0].space
+    if any(truth.space != space for truth in truths):
+        raise FormatError("all truth sidecars must share one state table")
     n = len(space)
 
-    label_lists = [decode_segments(truth.segmentation) for _, truth in pairs]
-    A = fit_transitions(label_lists, n, semi_markov=True)
-
-    segmentations = [truth.segmentation for _, truth in pairs]
+    segmentations = [truth.segmentation for truth in truths]
+    A = fit_transitions(segmentations, n)
     if args.d_max is not None:
         d_max = args.d_max
     else:
@@ -195,15 +190,11 @@ def _cmd_train(args) -> int:
         d_max = min(3 * longest, max(s.T for s in segmentations))
     durations = fit_durations(segmentations, n, d_max)
 
-    streams = [stream for stream, _ in pairs]
     channels = sorted({c for s in streams for c in s.channels})
-    emissions = {
-        c: fit_channel_emissions(streams, label_lists, c, n) for c in channels
-    }
-    pi = build_initial_distribution(space)
-    model = HsmmModel(pi, A, durations, emissions, space)
+    emissions = {c: fit_channel_emissions(streams, segmentations, c, n) for c in channels}
+    model = HsmmModel(build_initial_distribution(space), A, durations, emissions, space)
     fileio.write_model(model, args.out)
-    print(f"trained {n}-state model on {len(pairs)} sequence(s); wrote {args.out}")
+    print(f"trained {n}-state model on {len(streams)} sequence(s); wrote {args.out}")
     return 0
 
 
@@ -389,20 +380,20 @@ def _cmd_evaluate(args) -> int:
     metrics: list[tuple[str, float]] = []
 
     if args.decoded:
-        segmentation, _ = fileio.read_decoded(args.decoded)
-        if segmentation.T != truth.segmentation.T:
-            raise FormatError("decoded and truth cover different T")
+        segmentation, _ = fileio.read_decoded(args.decoded, (args.truth, truth))
         metrics.append(
             ("frame_accuracy", frame_accuracy(segmentation, truth.segmentation))
         )
 
     if args.history:
-        sample_every, window, consistency = fileio.read_history_params(args.history)
+        params = fileio.read_history_params(args.history)
         predicted = fileio.read_history(args.history)
-        reference = history_from_labels(
-            decode_segments(truth.segmentation), truth.space,
-            sample_every, window, consistency,
-        )
+        reference = history_from_segments(truth.segmentation, truth.space, *params)
+        if len(predicted) != len(reference):
+            raise FormatError(
+                f"{args.history}: {len(predicted)} records, but truth {args.truth} "
+                f"gives {len(reference)} windows of {params[1]} ticks"
+            )
         metrics.append(
             ("window_detection_rate", window_detection_rate(predicted, reference))
         )

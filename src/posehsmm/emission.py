@@ -24,7 +24,7 @@ from .errors import (
     EmptySequence,
     LabelMismatch,
 )
-from .states import check_labels
+from .states import Segmentation, segment_runs
 
 #: Clamp for fitted Bernoulli means; keeps log terms finite.
 MEAN_CLAMP = 1e-6
@@ -190,25 +190,31 @@ class ChannelEmissionModel:
 
 def fit_channel_emissions(
     streams: Sequence[FeatureStream],
-    label_lists: Sequence[Sequence],
+    segmentations: Sequence[Segmentation],
     channel: ChannelId,
     n_states: int,
 ) -> ChannelEmissionModel:
     """Maximum-likelihood Bernoulli means for one channel.
 
     mu[i] is the per-feature average of this channel's vectors over ticks
-    labeled i; ticks where the channel is unavailable are excluded from both
-    numerator and denominator.  States with no observation fall back to the
-    uninformative 0.5 row.  Takes a list of streams of one feature width and
-    one label sequence per stream; the sums are pooled in stream order, tick
-    by tick.  A label outside [0, n_states) raises ``BadArgument``.
+    in a run of state i; ticks where the channel is unavailable are excluded
+    from both numerator and denominator.  States with no observation fall
+    back to the uninformative 0.5 row.  Takes a list of streams of one
+    feature width and one segmentation of the same T per stream; the sums
+    are pooled in stream order, tick by tick.  An item that is not a
+    ``FeatureStream`` or a ``Segmentation``, or a run state outside
+    [0, n_states), raises ``BadArgument``.
     """
-    if len(streams) != len(label_lists):
-        raise LabelMismatch(f"{len(label_lists)} label lists for {len(streams)} streams")
-    for s, labs in zip(streams, label_lists):
-        if len(labs) != s.T:
-            raise LabelMismatch(f"{len(labs)} labels for {s.T} frames")
-    indices = [check_labels(labs, n_states, "label_lists") for labs in label_lists]
+    runs = segment_runs(segmentations, n_states, "segmentations")
+    if len(streams) != len(runs):
+        raise LabelMismatch(f"{len(runs)} segmentations for {len(streams)} streams")
+    for s, (_, durations) in zip(streams, runs):
+        if not isinstance(s, FeatureStream):
+            raise BadArgument(
+                f"streams must hold FeatureStreams, got {type(s).__name__}", "streams"
+            )
+        if durations.sum() != s.T:
+            raise LabelMismatch(f"segmentation covers {durations.sum()} ticks for {s.T} frames")
     widths = {s.F for s in streams}
     if len(widths) != 1:
         raise BadArgument(
@@ -217,18 +223,16 @@ def fit_channel_emissions(
     (F,) = widths
     sums = np.zeros((n_states, F))
     counts = np.zeros(n_states)
-    seen = False
-    for s, labels in zip(streams, indices):
+    for s, (states, durations) in zip(streams, runs):
         k = s.channel_index(channel)
-        if k is None or not s.mask[k].any():
+        if k is None:
             continue
-        seen = True
         rows = s.mask[k]
-        idx = labels[rows]
+        idx = np.repeat(states, durations)[rows]
         # np.add.at adds row by row in tick order, like a running sum
         np.add.at(sums, idx, s.X[k, rows])
         np.add.at(counts, idx, 1.0)
-    if not seen:
+    if not counts.any():
         raise ChannelAbsent(f"{channel} is never available in this stream")
     means = np.full((n_states, F), 0.5)
     observed = counts > 0

@@ -471,22 +471,43 @@ def write_decoded(segmentation: Segmentation, log_prob: float, path, space=None)
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def read_decoded(path) -> tuple[Segmentation, float]:
+def read_decoded(path, truth=None) -> tuple[Segmentation, float]:
     """Parse a decoded file: ``segment`` records of the five fields
     ``write_decoded`` writes, each state index >= 0, covering 1..T, else
-    ``FormatError`` naming file (and line)."""
+    ``FormatError`` naming file (and line).
+
+    ``truth`` is a ``(path, TruthFile)`` pair to score the decode against.
+    With it the file must cover the truth's T, each state index must lie in
+    [0, Q), and a line that names a pose and scene (other than ``- -``) must
+    name that state's; else the ``FormatError`` names both files.
+    """
     r = _Reader(path, "decoded")
     T = r.header("T")
     log_prob = r.header("log_prob", float)
+    if truth is not None:
+        source, reference = truth
+        if T != reference.segmentation.T:
+            raise FormatError(f"{path}: decoded file covers T={T}, but truth {source} "
+                              f"covers T={reference.segmentation.T}")
     segments = []
     for lineno, rec in r.numbered_records():
         if rec[0] != "segment":
             raise FormatError(f"{path}:{lineno}: unexpected record {rec[0]!r}")
         with r.line(lineno):
-            b, d, y, _, _ = _fields(rec, 5)
+            b, d, y, pose, scene = _fields(rec, 5)
             if int(y) < 0:
                 raise ValueError(f"negative state index {y}")
             segments.append(Segment(int(b), int(d), int(y)))
+        if truth is not None:
+            y, space = segments[-1].y, reference.space
+            where = f"{path}:{lineno}: state {y}"
+            if y >= len(space):
+                raise FormatError(f"{where} is outside the {len(space)} states of {source}")
+            named = f"{space[y].pose.value} {_scene_str(space[y].scene)}"
+            if f"{pose} {scene}" not in ("- -", named):
+                raise FormatError(
+                    f"{where} is '{named}' in {source}, but the line names '{pose} {scene}'"
+                )
     try:
         return Segmentation(tuple(segments), T), log_prob
     except MalformedSegmentation as exc:

@@ -80,8 +80,7 @@ from .states import (
     Segment,
     Segmentation,
     StateSpace,
-    check_labels,
-    encode_segments,
+    segment_runs,
 )
 
 #: Row-stochasticity tolerance for transition matrices.
@@ -208,41 +207,27 @@ class DecodeResult:
 # =====================================================================
 
 
-def fit_transitions(
-    sequences: Sequence[Sequence],
-    n_states: int,
-    semi_markov: bool = False,
-) -> np.ndarray:
-    """Maximum-likelihood transition matrix from a list of label sequences.
+def fit_transitions(segmentations: Sequence[Segmentation], n_states: int) -> np.ndarray:
+    """Maximum-likelihood transition matrix from the runs of a list of
+    segmentations.
 
-    a[i, j] = count(i -> j) / count(i -> anything).  With ``semi_markov`` each
-    sequence is first collapsed to one label per maximal run, so self-counts
-    vanish and the diagonal is structurally zero.  Rows with no outgoing
-    observation fall back to uniform (uniform off-diagonal when semi-Markov).
-    Counts are pooled over the sequences before normalizing.  A label outside
-    [0, n_states) raises ``BadArgument``.
+    a[i, j] = count(i -> j) / count(i -> anything), counting consecutive
+    runs; runs are maximal, so the diagonal is structurally zero.  Rows with
+    no outgoing observation fall back to uniform off the diagonal (a single
+    state's row stays zero).  Counts are pooled over the segmentations before
+    normalizing.  An item that is not a ``Segmentation``, or a run state
+    outside [0, n_states), raises ``BadArgument``.
     """
-    if len(sequences) == 0:
-        raise EmptySequence("cannot fit transitions on an empty sequence")
+    runs = segment_runs(segmentations, n_states, "segmentations")
+    if not runs:
+        raise EmptySequence("cannot fit transitions on no segmentations")
     counts = np.zeros((n_states, n_states))
-    for seq in sequences:
-        idx = check_labels(seq, n_states, "sequences").tolist()
-        if semi_markov:
-            idx = [y for k, y in enumerate(idx) if k == 0 or y != idx[k - 1]]
-        for a, b in zip(idx[:-1], idx[1:]):
-            counts[a, b] += 1.0
-    A = np.zeros_like(counts)
-    for i in range(n_states):
-        row_total = counts[i].sum()
-        if row_total > 0.0:
-            A[i] = counts[i] / row_total
-        elif semi_markov:
-            if n_states > 1:
-                A[i] = 1.0 / (n_states - 1)
-                A[i, i] = 0.0
-        else:
-            A[i] = 1.0 / n_states
-    return check_transition_matrix(A, zero_diagonal=semi_markov)
+    for states, _ in runs:
+        np.add.at(counts, (states[:-1], states[1:]), 1.0)
+    totals = counts.sum(axis=1, keepdims=True)
+    uniform = (1.0 - np.eye(n_states)) / max(n_states - 1, 1)
+    A = np.where(totals > 0.0, counts / np.maximum(totals, 1.0), uniform)
+    return check_transition_matrix(A, zero_diagonal=True)
 
 
 def fit_durations(
@@ -250,26 +235,23 @@ def fit_durations(
     n_states: int,
     d_max: int,
 ) -> DurationModel:
-    """Per-state dwell statistics from the segments of a list of
-    segmentations.
+    """Per-state dwell statistics from the runs of a list of segmentations.
 
     Uses the sample mean and the population standard deviation of each
-    state's durations, floored at ``MIN_DURATION_STD``.  States with no
-    segment default to (d_max/2, d_max/4).  A segment state outside
-    [0, n_states) raises ``BadArgument``.
+    state's durations, in segmentation and run order, floored at
+    ``MIN_DURATION_STD``.  States with no run default to (d_max/2, d_max/4).
+    An item that is not a ``Segmentation``, or a run state outside
+    [0, n_states), raises ``BadArgument``.
     """
-    observed: list[list[int]] = [[] for _ in range(n_states)]
-    for seg_list in segmentations:
-        states = check_labels((seg.y for seg in seg_list), n_states, "segmentations")
-        for seg, y in zip(seg_list, states):
-            observed[y].append(seg.d)
+    runs = segment_runs(segmentations, n_states, "segmentations")
+    states = np.concatenate([np.zeros(0, np.intp), *(y for y, _ in runs)])
+    durations = np.concatenate([np.zeros(0), *(d for _, d in runs)])
     mean = np.full(n_states, d_max / 2.0)
     std = np.full(n_states, d_max / 4.0)
-    for i, durs in enumerate(observed):
-        if durs:
-            arr = np.asarray(durs, dtype=float)
-            mean[i] = arr.mean()
-            std[i] = arr.std()
+    for i in np.unique(states):
+        arr = durations[states == i]
+        mean[i] = arr.mean()
+        std[i] = arr.std()
     std = np.maximum(std, MIN_DURATION_STD)
     return DurationModel(mean, std, d_max)
 
@@ -393,13 +375,11 @@ def hsmm_joint_log_prob(
         raise LabelMismatch(
             f"segmentation covers {segmentation.T} ticks, stream has {stream.T}"
         )
-    for seg in segmentation:
-        if not 0 <= seg.y_index < model.n_states:
-            raise BadArgument(f"segment state {seg.y} outside [0, {model.n_states})")
-        if seg.d > model.d_max:
-            raise DurationOutOfRange(
-                f"segment duration {seg.d} exceeds d_max {model.d_max}"
-            )
+    ((_, durations),) = segment_runs([segmentation], model.n_states, "segmentation")
+    if durations.max() > model.d_max:
+        raise DurationOutOfRange(
+            f"segment duration {durations.max()} exceeds d_max {model.d_max}"
+        )
     log_pi, log_A, log_dur, _, C = _log_tables(model, stream)
     total = 0.0
     for s in _segment_scores(segmentation, log_pi, log_A, log_dur, C):

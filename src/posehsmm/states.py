@@ -8,6 +8,7 @@ tick, duration, and state.
 
 from __future__ import annotations
 
+import itertools
 import operator
 from dataclasses import dataclass
 from enum import Enum
@@ -287,37 +288,34 @@ def encode_segments(labels: Sequence) -> Segmentation:
     if len(labels) == 0:
         raise EmptySequence("cannot encode an empty label sequence")
     segs: list[Segment] = []
-    start = 1
-    cur = labels[0]
-    for t in range(1, len(labels)):
-        if labels[t] != cur:
-            segs.append(Segment(start, t - start + 1, cur))
-            start = t + 1
-            cur = labels[t]
-    segs.append(Segment(start, len(labels) - start + 1, cur))
+    b = 1
+    for y, run in itertools.groupby(labels):
+        d = len(list(run))
+        segs.append(Segment(b, d, y))
+        b += d
     return Segmentation(tuple(segs), len(labels))
 
 
-def check_labels(labels: Iterable, n_states: int, param: str) -> np.ndarray:
-    """``labels`` as an array of state indices; a label that is not an
-    integer in [0, n_states) raises ``BadArgument`` naming ``param``."""
-    try:
-        idx = np.fromiter(map(operator.index, labels), np.intp)
-    except (TypeError, OverflowError):
-        idx = None
-    if idx is None or np.any((idx < 0) | (idx >= n_states)):
-        raise BadArgument(
-            f"{param} must hold state indices, integers in [0, {n_states})", param
-        )
-    return idx
-
-
-def decode_segments(segmentation: Segmentation) -> list:
-    """Expand segments back to one label per tick (inverse of encode)."""
-    labels = []
-    for seg in segmentation:
-        labels.extend([seg.y] * seg.d)
-    return labels
+def segment_runs(
+    segmentations: Iterable, n_states: int, param: str
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Each segmentation's run states and run lengths, as two arrays; an
+    item that is not a ``Segmentation``, or a run state that is not an
+    integer in [0, n_states), raises ``BadArgument`` naming ``param``."""
+    runs = []
+    for s in segmentations:
+        try:
+            states = np.fromiter((operator.index(seg.y) for seg in s.segments), np.intp)
+        except (AttributeError, TypeError, OverflowError):
+            states = None
+        if not isinstance(s, Segmentation) or states is None:
+            raise BadArgument(f"{param} must hold Segmentations whose run states are "
+                              f"integers in [0, {n_states})", param)
+        bad = states[(states < 0) | (states >= n_states)]
+        if bad.size:
+            raise BadArgument(f"{param}: run state {bad[0]} outside [0, {n_states})", param)
+        runs.append((states, np.fromiter((seg.d for seg in s.segments), np.int64)))
+    return runs
 
 
 # =====================================================================

@@ -1,7 +1,7 @@
 """Two-resolution motion summaries: windowed pose history and transition labels.
 
-The coarse resolution decodes a long stream, samples the decoded labels at a
-fixed rate, and reports one modal pose per time window, demoting windows
+The coarse resolution decodes a long stream, samples the decoded runs' states
+at a fixed rate, and reports one modal pose per time window, demoting windows
 whose modal fraction falls below a consistency threshold to ``other``.  The
 fine resolution classifies a short transition clip by compressing it to
 keyframes and scoring the resulting pseudo-pose stream against a library of
@@ -57,7 +57,7 @@ from .states import (
     SceneCondition,
     Segmentation,
     StateSpace,
-    decode_segments,
+    segment_runs,
 )
 
 #: A history's sampling step, window and consistency unless a caller sets them;
@@ -120,28 +120,28 @@ def check_history_params(
     return sample_every, window, consistency
 
 
-def history_from_labels(
-    state_indices: Sequence[int],
+def history_from_segments(
+    segmentation: Segmentation,
     space: StateSpace,
     sample_every: int = DEFAULT_SAMPLE_EVERY,
     window: int = DEFAULT_WINDOW,
     consistency: float = DEFAULT_CONSISTENCY,
 ) -> list[HistoryRecord]:
-    """Windowed modal summary of a per-tick state sequence.
+    """Windowed modal summary of a segmentation's states.
 
     Ticks 1, 1+sample_every, ... are sampled; windows tile from tick 1 and
     the trailing partial window is kept as long as it contains a sample.
     Ties on the modal pose or scene resolve by name order for determinism.
-    Parameters ``check_history_params`` rejects, or a state index outside
-    0..Q-1, raise ``BadArgument``.
+    The runs are cut at the window ends, and each piece counts its sampled
+    ticks at once, so the work is O(windows + segments) whatever T is.
+    Parameters ``check_history_params`` rejects, an argument that is not a
+    ``Segmentation``, or a run state outside 0..Q-1 raise ``BadArgument``.
     """
     check_history_params(sample_every, window, consistency)
-    T = len(state_indices)
-    labels = np.asarray(state_indices) if T else np.zeros(0, dtype=int)
-    if T and not (labels.dtype.kind in "iu" and labels.min() >= 0 and labels.max() < len(space)):
-        raise BadArgument(f"state indices must be integers in 0..{len(space) - 1}")
+    ((states, durations),) = segment_runs([segmentation], len(space), "segmentation")
+    T = segmentation.T
     # a step or window past T makes the same history as one of T, and fits in int64
-    sample_every, window = min(sample_every, max(T, 1)), min(window, max(T, 1))
+    sample_every, window = min(sample_every, T), min(window, T)
     # value order, so the first of the modal counts is the tie-break winner
     poses = sorted({s.pose for s in space}, key=lambda p: p.value)
     scenes = sorted({s.scene for s in space} - {None}, key=lambda c: c.value)
@@ -149,13 +149,18 @@ def history_from_labels(
     # scene-agnostic states count in a last column
     scene_of = np.array([len(scenes) if s.scene is None else scenes.index(s.scene)
                          for s in space])
-    # sampled ticks 1, 1 + sample_every, ...; tick t lies in window (t - 1) // window
-    sampled = labels[::sample_every]
-    where = np.arange(0, T, sample_every) // window
+    # piece p covers ticks cut[p - 1] + 1 .. cut[p], in one run and one window;
+    # ticks 1..x hold ceil(x / sample_every) samples
+    ends = np.cumsum(durations)
+    cut = np.union1d(ends, np.arange(window, T, window))
+    sampled = np.diff(-(-cut // sample_every), prepend=0)
+    state = states[np.searchsorted(ends, cut)]
+    where = (cut - 1) // window
     n_windows = -(-T // window)
 
     def counts(code, width):
-        flat = np.bincount(where * width + code[sampled], minlength=n_windows * width)
+        flat = np.zeros(n_windows * width, np.int64)
+        np.add.at(flat, where * width + code[state], sampled)
         return flat.reshape(n_windows, width)
 
     pose_counts = counts(pose_of, len(poses))
@@ -165,7 +170,7 @@ def history_from_labels(
     scene_counts[:, -1] = scene_counts[:, :-1].sum(axis=1) == 0
     scenes.append(None)
     rows = zip(
-        np.bincount(where, minlength=n_windows).tolist(),
+        pose_counts.sum(axis=1).tolist(),
         pose_counts.argmax(axis=1).tolist(),
         pose_counts.max(axis=1).tolist(),
         scene_counts.argmax(axis=1).tolist(),
@@ -197,9 +202,8 @@ def summarize_history(
         raise BadArgument("model carries no state space; cannot name poses")
     # a bad parameter fails before the decode, not after it
     check_history_params(sample_every, window, consistency)
-    result = hsmm_viterbi(stream, model)
-    labels = decode_segments(result.segmentation)
-    return history_from_labels(labels, model.states, sample_every, window, consistency)
+    segmentation = hsmm_viterbi(stream, model).segmentation
+    return history_from_segments(segmentation, model.states, sample_every, window, consistency)
 
 
 def window_detection_rate(

@@ -25,6 +25,11 @@ def random_hsmm(rng, n_states=None, d_max=None, F=None, states=None):
     return HsmmModel(pi, A, dur, em, states)
 
 
+def tick_states(segmentation):
+    """One state per tick: the run-length inverse of ``encode_segments``."""
+    return [seg.y for seg in segmentation for _ in range(seg.d)]
+
+
 def random_stream(rng, T, F, channel=CH):
     x = (rng.random((T, F)) < 0.5).astype(float)
     return FeatureStream.from_arrays({channel: x})

@@ -13,7 +13,7 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from conftest import CH, random_hsmm, random_stream
+from conftest import CH, random_hsmm, random_stream, tick_states
 from posehsmm import fileio
 from posehsmm.emission import ChannelEmissionModel, fit_channel_emissions
 from posehsmm.errors import NoFeasiblePath, NoTransitionDetected
@@ -44,14 +44,13 @@ from posehsmm.states import (
     GeometricDurationModel,
     StateSpace,
     build_initial_distribution,
-    decode_segments,
     encode_segments,
     geometric_duration_pmf,
 )
 from posehsmm.summarize import (
     build_transition_library,
     classify_transition,
-    history_from_labels,
+    history_from_segments,
     summarize_history,
     window_detection_rate,
 )
@@ -80,24 +79,19 @@ def verdict(capsys, n, slug):
         )
 
 
-def labels_of(truth):
-    return decode_segments(truth.segmentation)
-
-
 def fit_supervised(pairs):
     """The CLI training pipeline, in-process: pooled counts over sequences."""
     space = pairs[0][1].generating_model.states
     n = len(space)
-    label_lists = [labels_of(t) for _, t in pairs]
-    A = fit_transitions(label_lists, n, semi_markov=True)
     segmentations = [t.segmentation for _, t in pairs]
+    A = fit_transitions(segmentations, n)
     longest = max(max(seg.d for seg in s) for s in segmentations)
     d_max = min(3 * longest, max(s.T for s in segmentations))
     durations = fit_durations(segmentations, n, d_max)
     streams = [stream for stream, _ in pairs]
     channels = sorted({c for s in streams for c in s.channels})
     emissions = {
-        c: fit_channel_emissions(streams, label_lists, c, n) for c in channels
+        c: fit_channel_emissions(streams, segmentations, c, n) for c in channels
     }
     return HsmmModel(build_initial_distribution(space), A, durations, emissions, space)
 
@@ -162,13 +156,13 @@ def test_c2_run_length_round_trip(capsys):
         raw = 0
         for L in range(1, 9):
             for labels in itertools.product(range(4), repeat=L):
-                assert decode_segments(encode_segments(labels)) == list(labels)
+                assert tick_states(encode_segments(labels)) == list(labels)
                 raw += 1
 
         classes = 0
         for L in range(9, 12):
             for labels in _restricted_growth(L, 4):
-                assert decode_segments(encode_segments(labels)) == list(labels)
+                assert tick_states(encode_segments(labels)) == list(labels)
                 classes += 1
 
         rng = np.random.default_rng(17)
@@ -181,7 +175,7 @@ def test_c2_run_length_round_trip(capsys):
             a = [(s.b, s.d, perm[s.y_index]) for s in encode_segments(x)]
             b = [(s.b, s.d, s.y_index) for s in encode_segments(px)]
             assert a == b
-            assert decode_segments(encode_segments(px)) == px
+            assert tick_states(encode_segments(px)) == px
             equivariant += 1
 
         patterns = 0
@@ -189,18 +183,18 @@ def test_c2_run_length_round_trip(capsys):
             labels = [0]
             for bit in bits:
                 labels.append((labels[-1] + 1) % 4 if bit else labels[-1])
-            assert decode_segments(encode_segments(labels)) == labels
+            assert tick_states(encode_segments(labels)) == labels
             alt = [0]
             for bit in bits:
                 step = int(rng.integers(1, 4))
                 alt.append((alt[-1] + step) % 4 if bit else alt[-1])
-            assert decode_segments(encode_segments(alt)) == alt
+            assert tick_states(encode_segments(alt)) == alt
             patterns += 1
 
         dense = 0
         for _ in range(20000):
             x = rng.integers(0, 4, size=12).tolist()
-            assert decode_segments(encode_segments(x)) == x
+            assert tick_states(encode_segments(x)) == x
             dense += 1
         info["detail"] = (
             f"{raw} raw <=8, {classes} classes 9..11, {patterns} boundary "
@@ -253,9 +247,7 @@ def test_c3_self_loop_chain_equivalence(capsys):
             stream = random_stream(rng, T, F)
             labels_h, lp_h = hmm_viterbi(stream, hmm)
             result = hsmm_viterbi(stream, hsmm_from_hmm(hmm, T, truncated=False))
-            back = hmm_joint_log_prob(
-                decode_segments(result.segmentation), stream, hmm
-            )
+            back = hmm_joint_log_prob(tick_states(result.segmentation), stream, hmm)
             assert abs(back - lp_h) <= 1e-10
             assert abs(result.log_prob - (lp_h + math.log(1.0 - rho))) <= 1e-10
             argmax_checked += 1
@@ -281,9 +273,7 @@ def test_c4_supervised_parameter_recovery(capsys):
         stream, truth = sample_sequence(cfg)
         model = truth.generating_model
         n = model.n_states
-        labels = labels_of(truth)
-
-        A_fit = fit_transitions([labels], n, semi_markov=True)
+        A_fit = fit_transitions([truth.segmentation], n)
         tv = float(0.5 * np.abs(A_fit - model.A).sum(axis=1).max())
         assert tv <= 0.05
 
@@ -293,7 +283,7 @@ def test_c4_supervised_parameter_recovery(capsys):
 
         em_err = 0.0
         for c in cfg.channels:
-            fit = fit_channel_emissions([stream], [labels], c, n)
+            fit = fit_channel_emissions([stream], [truth.segmentation], c, n)
             em_err = max(
                 em_err, float(np.abs(fit.means - model.emissions[c].means).max())
             )
@@ -323,7 +313,7 @@ def test_c5_window_detection_by_regime(capsys):
             for seed in range(1, 21):
                 stream, truth = sample_sequence(preset_config(name, seed=seed))
                 predicted = summarize_history(stream, model)
-                reference = history_from_labels(labels_of(truth), space)
+                reference = history_from_segments(truth.segmentation, space)
                 per_seed.append(window_detection_rate(predicted, reference))
             rates[name] = per_seed
         bc, do = rates["bc-sim"], rates["do-sim"]

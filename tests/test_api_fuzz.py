@@ -4,7 +4,8 @@ raise a ``PoseHsmmError`` outside it.
 The library-side twin of ``test_format_fuzz.py``.  Each example picks an
 entry point and a set of its parameters; each picked parameter takes one of
 0, -1, 2.5, NaN, +inf, -inf and 10**18 (a part's state count or feature
-width takes 1, 2 or 3), the others keep a valid value.  When
+width takes 1, 2 or 3, and a fit's list item a value that is not a
+segmentation), the others keep a valid value.  When
 every parameter lies in the domain the entry point documents, the call must
 return (or raise one of the outcomes it documents for valid input, such as
 a static clip); otherwise it must raise a ``PoseHsmmError``.  Any other
@@ -27,7 +28,7 @@ from posehsmm.emission import (
     fit_channel_emissions,
     log_emission_matrix,
 )
-from posehsmm.errors import NoTransitionDetected, PoseHsmmError
+from posehsmm.errors import BadArgument, NoTransitionDetected, PoseHsmmError
 from posehsmm.inference import (
     HmmModel,
     HsmmModel,
@@ -55,11 +56,12 @@ from posehsmm.states import (
     StateId,
     StateSpace,
     build_initial_distribution,
+    encode_segments,
 )
 from posehsmm.summarize import (
     build_transition_library,
     classify_transition,
-    history_from_labels,
+    history_from_segments,
     summarize_history,
 )
 
@@ -195,6 +197,18 @@ def _hsmm(pi=(0.25, 0.75), A=2, durations=2, means=2, states=None):
     )
 
 
+def _runs(label, T=4):
+    """T ticks in one run of state ``label``: a segmentation compares no
+    state index of its own when it has one run."""
+    return Segmentation((Segment(1, T, label),), T)
+
+
+#: A list item of a fit: a segmentation of the four ticks of ``_stream``.
+ITEM = Param(encode_segments([1, 1, 0, 0]), lambda v: isinstance(v, Segmentation),
+             SCALARS + [None, [1, 2], [0, 1, 0, 0], (Segment(1, 4, 0),),
+                        Segment(1, 4, 0), _stream(2)])
+
+
 ENTRY_POINTS = {
     "select_keyframes": EntryPoint(
         lambda x, **p: select_keyframes(x["clips"][0][0], **p), KEYFRAME_PARAMS
@@ -207,8 +221,8 @@ ENTRY_POINTS = {
         KEYFRAME_PARAMS,
         valid_outcomes=(NoTransitionDetected,),
     ),
-    "history_from_labels": EntryPoint(
-        lambda x, label, **p: history_from_labels([0, label] * 6, SPACE3, **p),
+    "history_from_segments": EntryPoint(
+        lambda x, label, **p: history_from_segments(_runs(label, 12), SPACE3, **p),
         {"label": Param(1, lambda v: isinstance(v, Integral) and 0 <= v < 3),
          **HISTORY_PARAMS},
         history_joint,
@@ -243,22 +257,22 @@ ENTRY_POINTS = {
         {"Q": size(), "F": size()},
     ),
     "fit_channel_emissions": EntryPoint(
-        lambda x, F: fit_channel_emissions(
-            [_stream(2), _stream(F)], [[0] * 4, [1] * 4], RGB, 2
+        lambda x, F, item: fit_channel_emissions(
+            [_stream(2), _stream(F)], [_runs(0), item], RGB, 2
         ),
-        {"F": size()},
+        {"F": size(), "item": ITEM},
     ),
     "fit_channel_emissions labels": EntryPoint(
-        lambda x, label: fit_channel_emissions([_stream(2)], [[0, label, 0, 1]], RGB, 2),
+        lambda x, label: fit_channel_emissions([_stream(2)], [_runs(label)], RGB, 2),
         {"label": STATE_INDEX},
     ),
     "fit_transitions": EntryPoint(
-        lambda x, label: fit_transitions([[0, label, 0]], 2), {"label": STATE_INDEX}
+        lambda x, label, item: fit_transitions([_runs(label), item], 2),
+        {"label": STATE_INDEX, "item": ITEM},
     ),
     "fit_durations": EntryPoint(
-        # one segment: a Segmentation compares no state index of its own
-        lambda x, label: fit_durations([Segmentation((Segment(1, 3, label),), 3)], 2, 4),
-        {"label": STATE_INDEX},
+        lambda x, label, item: fit_durations([_runs(label), item], 2, 4),
+        {"label": STATE_INDEX, "item": ITEM},
     ),
     "FeatureStream": EntryPoint(
         lambda x, v: _stream_with(v), {"v": Param(0.25, unit)}
@@ -323,3 +337,19 @@ def test_in_domain_returns_else_clean_error(inputs, name, data):
         assert not in_domain or isinstance(exc, entry.valid_outcomes), (name, params, exc)
         return
     assert in_domain, (name, params)
+
+
+@pytest.mark.parametrize(
+    "fit, param",
+    [(lambda: fit_channel_emissions([_stream(2)], [5], RGB, 2), "segmentations"),
+     (lambda: fit_channel_emissions([5], [_runs(0)], RGB, 2), "streams"),
+     (lambda: fit_durations([[1, 2]], 2, 4), "segmentations"),
+     (lambda: fit_transitions([[0, 1]], 2), "segmentations"),
+     (lambda: fit_transitions(_runs(0), 2), "segmentations")],
+    ids=["emissions-int-item", "emissions-int-stream", "durations-list-item",
+         "transitions-list-item", "transitions-single-segmentation"],
+)
+def test_fit_list_item_of_another_kind_is_named(fit, param):
+    with pytest.raises(BadArgument) as exc:
+        fit()
+    assert exc.value.param == param

@@ -24,6 +24,7 @@ from posehsmm.errors import (
     EmptySequence,
     LabelMismatch,
 )
+from posehsmm.states import Segment, Segmentation, encode_segments
 from reference_emission import NoObservation, emission_log_likelihood
 
 RGB = ChannelId.parse("left:RGB")
@@ -112,32 +113,36 @@ class TestStreamConstruction:
         assert b.frames[1].vectors[RGB].tolist() == [1.0, 0.0]
 
 
+def runs(*label_lists):
+    return [encode_segments(labels) for labels in label_lists]
+
+
 class TestFitting:
     def test_two_state_worked_example(self):
         # state 0 rows average to (0.5, 1.0); state 1 sees one row
         s = stream_from([[1, 1], [0, 1], [1, 0]])
-        model = fit_channel_emissions([s], [[0, 0, 1]], RGB, 2)
+        model = fit_channel_emissions([s], runs([0, 0, 1]), RGB, 2)
         assert model.means[0].tolist() == pytest.approx([0.5, 1.0 - MEAN_CLAMP])
         assert model.means[1].tolist() == pytest.approx([1.0 - MEAN_CLAMP, MEAN_CLAMP])
 
     def test_unavailable_ticks_excluded(self):
         s = stream_from([[1.0], [0.0], [0.0]], masks=[True, False, True])
-        model = fit_channel_emissions([s], [[0, 0, 0]], RGB, 1)
+        model = fit_channel_emissions([s], runs([0, 0, 0]), RGB, 1)
         assert model.means[0, 0] == pytest.approx(0.5)
 
     def test_unobserved_state_falls_back_to_half(self):
         s = stream_from([[1.0]])
-        model = fit_channel_emissions([s], [[0]], RGB, 3)
+        model = fit_channel_emissions([s], runs([0]), RGB, 3)
         assert model.means[1].tolist() == [0.5]
         assert model.means[2].tolist() == [0.5]
 
     def test_never_available_channel_raises(self):
         s = stream_from([[1.0], [0.0]], masks=[False, False])
         with pytest.raises(ChannelAbsent):
-            fit_channel_emissions([s], [[0, 0]], RGB, 1)
+            fit_channel_emissions([s], runs([0, 0]), RGB, 1)
         s = FeatureStream.from_arrays({DEPTH: np.zeros((2, 1))})
         with pytest.raises(ChannelAbsent):
-            fit_channel_emissions([s], [[0, 0]], RGB, 1)
+            fit_channel_emissions([s], runs([0, 0]), RGB, 1)
 
     def test_pooled_streams_match_one_long_stream(self):
         rng = np.random.default_rng(5)
@@ -146,29 +151,33 @@ class TestFitting:
         labels = rng.integers(0, 4, 30).tolist()
         whole = stream_from(x, masks=avail)
         parts = [stream_from(x[a:b], masks=avail[a:b]) for a, b in ((0, 7), (7, 30))]
-        pooled = fit_channel_emissions(parts, [labels[:7], labels[7:]], RGB, 4)
-        single = fit_channel_emissions([whole], [labels], RGB, 4)
+        pooled = fit_channel_emissions(parts, runs(labels[:7], labels[7:]), RGB, 4)
+        single = fit_channel_emissions([whole], runs(labels), RGB, 4)
         assert pooled.means.tobytes() == single.means.tobytes()
         with pytest.raises(LabelMismatch):
-            fit_channel_emissions(parts, [labels], RGB, 4)
+            fit_channel_emissions(parts, runs(labels), RGB, 4)
 
     def test_label_count_mismatch(self):
         s = stream_from([[1.0], [0.0]])
         with pytest.raises(LabelMismatch):
-            fit_channel_emissions([s], [[0]], RGB, 1)
+            fit_channel_emissions([s], runs([0]), RGB, 1)
 
-    @pytest.mark.parametrize("labels", [[0, -1], [0, 2], [0, 0.5]],
-                             ids=["negative", "beyond-Q", "float"])
-    def test_label_outside_states_names_label_lists(self, labels):
+    @pytest.mark.parametrize(
+        "segmentation",
+        [encode_segments([0, -1]), encode_segments([0, 2]),
+         Segmentation((Segment(1, 2, 0.5),), 2)],
+        ids=["negative", "beyond-Q", "float"],
+    )
+    def test_label_outside_states_names_label_lists(self, segmentation):
         # the check covers ticks where the channel is unavailable too
         s = stream_from([[1.0], [0.0]], masks=[True, False])
         with pytest.raises(BadArgument) as exc:
-            fit_channel_emissions([s], [labels], RGB, 2)
-        assert exc.value.param == "label_lists"
+            fit_channel_emissions([s], [segmentation], RGB, 2)
+        assert exc.value.param == "segmentations"
 
     def test_means_clamped_away_from_boundary(self):
         s = stream_from([[1.0], [1.0]])
-        model = fit_channel_emissions([s], [[0, 0]], RGB, 1)
+        model = fit_channel_emissions([s], runs([0, 0]), RGB, 1)
         assert model.means[0, 0] == 1.0 - MEAN_CLAMP
 
 

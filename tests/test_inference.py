@@ -19,9 +19,9 @@ from posehsmm import (
     brute_force_decode,
     check_transition_matrix,
     encode_segments,
-    decode_segments,
     fit_durations,
     fit_transitions,
+    frame_accuracy,
     hmm_joint_log_prob,
     hmm_viterbi,
     hsmm_from_hmm,
@@ -83,36 +83,32 @@ class TestTransitionMatrixCheck:
 
 
 class TestFitTransitions:
-    def test_tick_level_counts(self):
-        A = fit_transitions([[0, 0, 1, 1, 0]], 2)
-        assert A.tolist() == [[0.5, 0.5], [0.5, 0.5]]
-
     def test_semi_markov_collapses_runs(self):
-        A = fit_transitions([[0, 0, 1, 1, 0]], 2, semi_markov=True)
+        A = fit_transitions([encode_segments([0, 0, 1, 1, 0])], 2)
         assert A.tolist() == [[0.0, 1.0], [1.0, 0.0]]
 
-    def test_unseen_row_uniform(self):
-        A = fit_transitions([[0, 1]], 3)
-        assert A[2].tolist() == pytest.approx([1 / 3, 1 / 3, 1 / 3])
-
     def test_unseen_row_uniform_off_diagonal(self):
-        A = fit_transitions([[0, 1]], 3, semi_markov=True)
+        A = fit_transitions([encode_segments([0, 1])], 3)
         assert A[2].tolist() == pytest.approx([0.5, 0.5, 0.0])
 
     def test_pooling_multiple_sequences(self):
-        # 0->1 twice and 0->2 once, split across sequences
-        A = fit_transitions([[0, 1], [0, 1, 0, 2]], 3, semi_markov=True)
+        # 0->1 twice and 0->2 once, split across segmentations
+        A = fit_transitions([encode_segments([0, 1]), encode_segments([0, 1, 0, 2])], 3)
         assert A[0].tolist() == pytest.approx([0.0, 2 / 3, 1 / 3])
 
+    def test_single_state_row_stays_zero(self):
+        assert fit_transitions([encode_segments([0, 0])], 1).tolist() == [[0.0]]
 
     @pytest.mark.parametrize(
-        "sequences", [[[0, -1, 0]], [[0, 5]], [[0, 1.0]], [0, 1]],
+        "sequences",
+        [[encode_segments([0, -1, 0])], [encode_segments([0, 5])],
+         [Segmentation((Segment(1, 2, 1.0),), 2)], [0, 1]],
         ids=["negative", "beyond-Q", "float", "not-a-list-of-sequences"],
     )
     def test_label_outside_states_names_sequences(self, sequences):
         with pytest.raises(BadArgument) as exc:
             fit_transitions(sequences, 2)
-        assert exc.value.param == "sequences"
+        assert exc.value.param == "segmentations"
 
 
 class TestFitDurations:
@@ -368,7 +364,7 @@ class TestHmmHsmmEquivalence:
             assert result.log_prob == pytest.approx(
                 lp_chain + math.log(1.0 - rho), rel=1e-9
             )
-            assert decode_segments(result.segmentation) == labels
+            assert result.segmentation == encode_segments(labels)
 
 
 class TestDecodeInvariants:
@@ -455,10 +451,7 @@ class TestDecodeInvariants:
         )
         stream, truth = p.sample_sequence(cfg)
         result = hsmm_viterbi(stream, truth.generating_model)
-        pred = decode_segments(result.segmentation)
-        ref = decode_segments(truth.segmentation)
-        agree = sum(a == b for a, b in zip(pred, ref)) / len(ref)
-        assert agree >= 0.98
+        assert frame_accuracy(result.segmentation, truth.segmentation) >= 0.98
 
 
 def decode_outcome(decode, stream, model):

@@ -26,7 +26,7 @@ from posehsmm.states import (
     Segment,
     Segmentation,
 )
-from posehsmm.summarize import HistoryRecord, TransitionRecord, history_from_labels
+from posehsmm.summarize import HistoryRecord, TransitionRecord
 
 PL = PoseLabel
 
@@ -496,6 +496,19 @@ class TestEvaluateInputs:
         assert err.startswith(f"error: {path}:{lineno}: ")
         assert err.count("\n") == 1
 
+    def test_history_record_count_against_truth(self, workdir, history, tmp_path, capsys):
+        # the 120-tick truth gives 12 windows of the default 10 ticks
+        records = [ln for ln in history if ln.startswith("record ")]
+        assert len(records) == 12
+        path = tmp_path / "short.history"
+        path.write_text("\n".join(history[: len(history) - 4]) + "\n")
+        truth = workdir / "s1.truth"
+        rc = main(["evaluate", "--truth", str(truth), "--history", str(path)])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"error: {path}: 8 records, but truth {truth} gives 12 windows of 10 ticks\n"
+        )
+
     def test_transitions_without_records(self, tmp_path, capsys):
         rc = main(["simulate", "--transition", "solU", "fetR", "left",
                    "--out", str(tmp_path / "clip.stream"),
@@ -509,6 +522,51 @@ class TestEvaluateInputs:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {empty}: ")
         assert err.count("\n") == 1
+
+
+class TestDecodedAgainstTruth:
+    """A decoded file scored against a truth must cover its T and name its
+    states; else one error line names both files, with exit code 1."""
+
+    def evaluate(self, workdir, tmp_path, capsys, records, T=120):
+        decoded = tmp_path / "a.decoded"
+        decoded.write_text("\n".join(["format: v1", "kind: decoded", f"T: {T}",
+                                       "log_prob: -1.5", *records]) + "\n")
+        capsys.readouterr()
+        rc = main(["evaluate", "--truth", str(workdir / "s1.truth"),
+                   "--decoded", str(decoded)])
+        return rc, decoded, capsys.readouterr()
+
+    @pytest.mark.parametrize(
+        "record, why",
+        [("segment 1 120 7 nope XX", "state 7 is 'falD BC' in {truth}, but the line "
+          "names 'nope XX'"),
+         ("segment 1 120 7 solU BC", "state 7 is 'falD BC' in {truth}, but the line "
+          "names 'solU BC'"),
+         ("segment 1 120 7 falD DO", "state 7 is 'falD BC' in {truth}, but the line "
+          "names 'falD DO'"),
+         ("segment 1 120 22 - -", "state 22 is outside the 22 states of {truth}")],
+        ids=["unknown-names", "other-pose", "other-scene", "beyond-Q"],
+    )
+    def test_state_must_be_the_truths(self, workdir, tmp_path, capsys, record, why):
+        rc, decoded, out = self.evaluate(workdir, tmp_path, capsys, [record])
+        assert rc == 1
+        why = why.format(truth=workdir / "s1.truth")
+        assert out.err == f"error: {decoded}:5: {why}\n"
+
+    @pytest.mark.parametrize("names", ["- -", "falD BC"])
+    def test_unnamed_or_matching_state_is_scored(self, workdir, tmp_path, capsys, names):
+        rc, _, out = self.evaluate(workdir, tmp_path, capsys, [f"segment 1 120 7 {names}"])
+        assert rc == 0
+        assert out.out.startswith("frame_accuracy  ")
+
+    def test_T_mismatch_names_both_files(self, workdir, tmp_path, capsys):
+        rc, decoded, out = self.evaluate(
+            workdir, tmp_path, capsys, ["segment 1 60 7 - -"], T=60
+        )
+        assert rc == 1
+        assert out.err == (f"error: {decoded}: decoded file covers T=60, but truth "
+                           f"{workdir / 's1.truth'} covers T=120\n")
 
 
 class TestFeatureWidthMismatch:
@@ -777,26 +835,41 @@ class TestHugeConsistentTruth:
     """A consistent truth of 10**11 ticks is scored run by run, so evaluate
     fits in a 2 GiB address space."""
 
-    def test_evaluate_under_2_gib(self, tmp_path):
-        T = 100_000_000_000
+    T = 100_000_000_000
+
+    def evaluate(self, tmp_path, flag, path):
         truth = tmp_path / "huge.truth"
         truth.write_text(
-            f"format: v1\nkind: truth\nT: {T}\nQ: 1\n"
-            f"state 0 solU BC\nsegment 1 {T} 0\nscene 1 {T} BC\n"
+            f"format: v1\nkind: truth\nT: {self.T}\nQ: 1\n"
+            f"state 0 solU BC\nsegment 1 {self.T} 0\nscene 1 {self.T} BC\n"
         )
-        decoded = tmp_path / "huge.decoded"
-        fileio.write_decoded(Segmentation((Segment(1, T, 0),), T), 0.0, decoded)
         limit = 2 * 1024**3
         src = str(Path(posehsmm.__file__).parent.parent)
         proc = subprocess.run(
             [sys.executable, "-m", "posehsmm.cli", "evaluate",
-             "--truth", str(truth), "--decoded", str(decoded)],
+             "--truth", str(truth), flag, str(path)],
             capture_output=True, text=True, timeout=300,
             env={**os.environ, "PYTHONPATH": src},
             preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
         )
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.splitlines()[0] == "frame_accuracy  1.000000"
+        return proc.stdout.splitlines()[0]
+
+    def test_evaluate_under_2_gib(self, tmp_path):
+        T = self.T
+        decoded = tmp_path / "huge.decoded"
+        fileio.write_decoded(Segmentation((Segment(1, T, 0),), T), 0.0, decoded)
+        assert self.evaluate(tmp_path, "--decoded", decoded) == "frame_accuracy  1.000000"
+
+    def test_history_under_2_gib(self, tmp_path):
+        T = self.T
+        history = tmp_path / "huge.history"
+        record = HistoryRecord(1, T, PL.SOLDIER_UP, SceneCondition.BC, 1.0)
+        fileio.write_history([record], history,
+                             {"sample_every": 1, "window": T, "consistency": 0.8})
+        assert self.evaluate(tmp_path, "--history", history) == (
+            "window_detection_rate  1.000000"
+        )
 
 
 class TestStrictDecodedParsing:

@@ -25,8 +25,9 @@ from posehsmm.states import (
     PoseLabel,
     RotationDirection,
     SceneCondition,
-    decode_segments,
 )
+
+from conftest import tick_states
 
 PL = PoseLabel
 
@@ -176,7 +177,7 @@ class TestSampleSequence:
         cfg = small_config(noise=0.0, dropout=0.0)
         stream, truth = sample_sequence(cfg)
         model = truth.generating_model
-        labels = decode_segments(truth.segmentation)
+        labels = tick_states(truth.segmentation)
         for c in cfg.channels:
             # stored means are clamped away from {0, 1}; emitted bits are not
             bits = (model.emissions[c].means >= 0.5).astype(float)

@@ -19,7 +19,6 @@ from posehsmm import (
     Segment,
     Segmentation,
     build_initial_distribution,
-    decode_segments,
     encode_segments,
     geometric_duration_pmf,
 )
@@ -30,6 +29,8 @@ from posehsmm.errors import (
     MalformedSegmentation,
 )
 from posehsmm.states import StateSpace
+
+from conftest import tick_states
 
 DOUBLED = StateSpace.from_poses(MOCK_ICU_POSES)
 COLLAPSED = StateSpace.from_poses(MOCK_ICU_POSES, scene_doubling=False)
@@ -102,7 +103,7 @@ class TestSegments:
             (6, 1, 1),
             (7, 2, 2),
         ]
-        assert decode_segments(seg) == labels
+        assert tick_states(seg) == labels
 
     def test_single_state_sequence(self):
         seg = encode_segments([0] * 5)
@@ -128,7 +129,7 @@ class TestSegments:
         st.lists(st.integers(min_value=0, max_value=3), min_size=1, max_size=40)
     )
     def test_round_trip_property(self, labels):
-        assert decode_segments(encode_segments(labels)) == labels
+        assert tick_states(encode_segments(labels)) == labels
 
 
 @pytest.mark.parametrize(

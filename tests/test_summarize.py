@@ -15,7 +15,6 @@ from posehsmm.states import (
     RotationDirection,
     SceneCondition,
     StateSpace,
-    decode_segments,
     encode_segments,
 )
 from posehsmm.summarize import (
@@ -23,10 +22,13 @@ from posehsmm.summarize import (
     build_transition_library,
     classify_transition,
     frame_accuracy,
-    history_from_labels,
+    history_from_segments,
     summarize_history,
     window_detection_rate,
 )
+
+from conftest import tick_states
+from reference_history import history_from_labels
 
 PL = PoseLabel
 RGB = ChannelId.parse("left:RGB")
@@ -40,30 +42,30 @@ def clip_from(rows, channel=RGB):
     return FeatureStream.from_arrays({channel: np.asarray(rows, dtype=float)})
 
 
+def history(labels, space=SPACE3, *args, **kwargs):
+    return history_from_segments(encode_segments(labels), space, *args, **kwargs)
+
+
 class TestHistoryFromLabels:
     def test_nine_of_ten_reported(self):
-        labels = [0] * 9 + [1]
-        (rec,) = history_from_labels(labels, SPACE3, window=10)
+        (rec,) = history([0] * 9 + [1], window=10)
         assert rec.label is PL.SOLDIER_UP
         assert rec.confidence == pytest.approx(0.9)
 
     def test_seven_of_ten_demoted_to_other(self):
-        labels = [0] * 7 + [1] * 3
-        (rec,) = history_from_labels(labels, SPACE3, window=10)
+        (rec,) = history([0] * 7 + [1] * 3, window=10)
         assert rec.label is PL.OTHER
         assert rec.confidence == pytest.approx(0.7)
 
     def test_trailing_partial_window_kept(self):
-        labels = [0] * 23
-        recs = history_from_labels(labels, SPACE3, window=10)
+        recs = history([0] * 23, window=10)
         assert [r.window_start for r in recs] == [1, 11, 21]
         assert recs[-1].window_len == 3
 
     def test_sampling_rate(self):
         # samples at ticks 1, 4, 7, 10: three of the four hit state 0
         labels = [0, 1, 1, 0, 1, 1, 0, 1, 1, 1]
-        (rec,) = history_from_labels(labels, SPACE3, sample_every=3, window=10,
-                                     consistency=0.7)
+        (rec,) = history(labels, sample_every=3, window=10, consistency=0.7)
         assert rec.label is PL.SOLDIER_UP
         assert rec.confidence == pytest.approx(0.75)
 
@@ -74,7 +76,7 @@ class TestHistoryFromLabels:
         labels = np.random.default_rng(0).integers(0, 3, T).tolist()
         for every in range(1, 7):
             for window in range(every, 14):
-                recs = history_from_labels(labels, SPACE3, every, window, 0.0)
+                recs = history(labels, SPACE3, every, window, 0.0)
                 got = [(r.window_start, r.window_len, r.confidence) for r in recs]
                 want = []
                 for start in range(1, T + 1, window):
@@ -88,23 +90,21 @@ class TestHistoryFromLabels:
 
     def test_pose_tie_breaks_by_name(self):
         # 5 vs 5: logR sorts before solU
-        labels = [0] * 5 + [2] * 5
-        (rec,) = history_from_labels(labels, SPACE3, window=10, consistency=0.5)
+        (rec,) = history([0] * 5 + [2] * 5, window=10, consistency=0.5)
         assert rec.label is PL.LOG_RIGHT
 
     def test_scene_mode(self):
         space = StateSpace.from_poses([PL.SOLDIER_UP], scene_doubling=True)
-        labels = [0, 0, 1]  # two BC ticks, one DO tick
-        (rec,) = history_from_labels(labels, space, window=3)
+        # two BC ticks, one DO tick
+        (rec,) = history([0, 0, 1], space, window=3)
         assert rec.scene is SceneCondition.BC
-        assert history_from_labels([0], SPACE3)[0].scene is None
+        assert history([0])[0].scene is None
 
     def test_argument_validation(self):
         with pytest.raises(ValueError):
-            history_from_labels([0], SPACE3, sample_every=4, window=2)
+            history([0], sample_every=4, window=2)
         with pytest.raises(ValueError):
-            history_from_labels([0], SPACE3, sample_every=0)
-
+            history([0], sample_every=0)
 
     @pytest.mark.parametrize(
         "kwargs, param",
@@ -117,35 +117,61 @@ class TestHistoryFromLabels:
     )
     def test_bad_parameter_is_named(self, kwargs, param):
         with pytest.raises(BadArgument) as exc:
-            history_from_labels([0] * 10, SPACE3, **kwargs)
+            history([0] * 10, **kwargs)
         assert exc.value.param == param
 
     def test_step_and_window_beyond_int64(self):
         labels = [0, 1, 1, 2, 0, 0, 1]
-        huge = history_from_labels(labels, SPACE3, sample_every=10**19, window=10**19)
-        assert huge == history_from_labels(labels, SPACE3, sample_every=7, window=7)
-        assert history_from_labels(labels, SPACE3, window=10**19) == history_from_labels(
-            labels, SPACE3, window=7
-        )
+        huge = history(labels, sample_every=10**19, window=10**19)
+        assert huge == history(labels, sample_every=7, window=7)
+        assert history(labels, window=10**19) == history(labels, window=7)
 
     @pytest.mark.parametrize("state", [-1, 3, 99, 1.5])
     def test_state_index_outside_space_rejected(self, state):
-        with pytest.raises(BadArgument, match=r"integers in 0\.\.2"):
-            history_from_labels([state] * 10, SPACE3)
+        with pytest.raises(BadArgument, match=r"\[0, 3\)") as exc:
+            history([state] * 10)
+        assert exc.value.param == "segmentation"
 
-    def test_no_labels_no_windows(self):
-        assert history_from_labels([], SPACE3) == []
-        assert history_from_labels(np.zeros(0, dtype=int), SPACE3) == []
+    @pytest.mark.parametrize("arg", [[0, 1], [], None], ids=["labels", "empty", "none"])
+    def test_argument_that_is_not_a_segmentation_rejected(self, arg):
+        with pytest.raises(BadArgument) as exc:
+            history_from_segments(arg, SPACE3)
+        assert exc.value.param == "segmentation"
 
     @pytest.mark.parametrize("consistency", [float("nan"), 1.5, -0.1])
     def test_unusable_consistency_rejected(self, consistency):
         with pytest.raises(BadArgument, match="consistency must be in"):
-            history_from_labels([0] * 10, SPACE3, consistency=consistency)
+            history([0] * 10, consistency=consistency)
 
     @pytest.mark.parametrize("consistency", [0.0, 1.0])
     def test_consistency_bounds_accepted(self, consistency):
-        (rec,) = history_from_labels([0] * 10, SPACE3, consistency=consistency)
+        (rec,) = history([0] * 10, consistency=consistency)
         assert rec.label is PL.SOLDIER_UP
+
+
+SPACES = [
+    SPACE3,
+    StateSpace.from_poses([PL.SOLDIER_UP, PL.LOG_RIGHT], scene_doubling=True),
+    StateSpace.from_poses([PL.OTHER, PL.FETAL_LEFT, PL.FETAL_RIGHT, PL.FALLER_UP]),
+]
+
+
+@given(data=st.data(), space=st.sampled_from(SPACES),
+       consistency=st.sampled_from([0.0, 0.5, 2 / 3, 0.8, 1.0]))
+@settings(max_examples=300, deadline=None)
+def test_history_matches_the_per_tick_reference(data, space, consistency):
+    """Random runs give the records of the per-tick summary, with bit-equal
+    confidences."""
+    runs = data.draw(st.lists(st.tuples(st.integers(0, len(space) - 1), st.integers(1, 12)),
+                              min_size=1, max_size=30), label="runs")
+    segmentation = encode_segments([y for y, d in runs for _ in range(d)])
+    T = segmentation.T
+    every = data.draw(st.integers(1, T + 2), label="sample_every")
+    window = data.draw(st.integers(every, T + 5), label="window")
+    got = history_from_segments(segmentation, space, every, window, consistency)
+    want = history_from_labels(tick_states(segmentation), space, every, window, consistency)
+    assert got == want
+    assert [r.confidence.hex() for r in got] == [r.confidence.hex() for r in want]
 
 
 class TestSummarizeHistory:
@@ -221,7 +247,7 @@ class TestWindowDetectionRate:
 
 def per_tick_accuracy(predicted, reference):
     """``evaluate``'s frame accuracy as it was: a zip of per-tick labels."""
-    pred, ref = decode_segments(predicted), decode_segments(reference)
+    pred, ref = tick_states(predicted), tick_states(reference)
     return sum(p == r for p, r in zip(pred, ref)) / len(ref)
 
 
