@@ -198,6 +198,16 @@ def _cmd_train(args) -> int:
     return 0
 
 
+def _check_channels(stream, path, modelled, source) -> None:
+    """``FormatError`` naming ``path`` and ``source`` unless a channel the
+    stream makes available at some tick is in ``modelled``."""
+    if not set(stream.channels) & set(modelled):
+        raise FormatError(
+            f"{path}: no channel of {' '.join(map(str, stream.channels))} is modelled "
+            f"by {source} ({' '.join(map(str, sorted(modelled)))})"
+        )
+
+
 def _load_pair(args):
     model = fileio.read_model(args.model)
     stream = fileio.read_stream(args.stream)
@@ -207,6 +217,7 @@ def _load_pair(args):
             f"{args.stream}: stream has F={stream.F}, model {args.model} has "
             f"F={widths.pop()}"
         )
+    _check_channels(stream, args.stream, model.emissions, f"model {args.model}")
     if args.binarize:
         stream = binarize_stream(stream)
     return model, stream
@@ -357,6 +368,8 @@ def _cmd_classify_transition(args) -> int:
             f"{args.clip}: clip has F={clip.F}, manifest {args.manifest} clips "
             f"have F={F}"
         )
+    modelled = {c for chain in library.entries.values() for c in chain.means}
+    _check_channels(clip, args.clip, modelled, f"the chains of manifest {args.manifest}")
     record = classify_transition(
         clip,
         library,

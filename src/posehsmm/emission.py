@@ -202,10 +202,17 @@ def fit_channel_emissions(
     back to the uninformative 0.5 row.  Takes a list of streams of one
     feature width and one segmentation of the same T per stream; the sums
     are pooled in stream order, tick by tick.  An item that is not a
-    ``FeatureStream`` or a ``Segmentation``, or a run state outside
-    [0, n_states), raises ``BadArgument``.
+    ``FeatureStream`` or a ``Segmentation``, a list that is not iterable,
+    or a run state outside [0, n_states), raises ``BadArgument``.
     """
     runs = segment_runs(segmentations, n_states, "segmentations")
+    try:
+        streams = list(streams)
+    except TypeError:
+        raise BadArgument(
+            f"streams must be a list of FeatureStreams, got {type(streams).__name__}",
+            "streams",
+        ) from None
     if len(streams) != len(runs):
         raise LabelMismatch(f"{len(runs)} segmentations for {len(streams)} streams")
     for s, (_, durations) in zip(streams, runs):

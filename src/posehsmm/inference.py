@@ -33,12 +33,13 @@ addition above, so it changes no bit.
 
 Every trellis, a 5-tick chain or a day-long recording, runs this one fill
 from tick 1.  The window starts with the d_cap - 1 boundaries before tick 0,
-which enter at -inf; their spans read C as zero (a block that starts before
-tick d_cap reads a zero-padded copy of its rows, later blocks read C in
-place).  Their cells are -inf, so they never win a finite maximum, and a
-state whose row is all -inf has delta -inf either way.  The backtrack visits
-only cells on a finite path, so each ``best`` column it reads is a real
-boundary.  That needs C free of +inf, as emission log-likelihoods are.
+which enter at -inf and whose spans read C as zero.  Their cells are -inf,
+so they never win a finite maximum, and a state whose row is all -inf has
+delta -inf either way.  Each block copies the C rows its spans subtract
+into one reusable lag buffer; its rows before boundary 0 are never written,
+so they stay zero.  The backtrack visits only cells on a finite path, so
+each ``best`` column it reads is a real boundary.  That needs C free of
++inf, as emission log-likelihoods are.
 
 Ties are broken at every decision, back to front.  The final state is the
 lowest index among the best totals.  A segment ending at t in state j takes
@@ -62,7 +63,6 @@ from functools import partial
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 from .emission import ChannelEmissionModel, ChannelId, FeatureStream, log_emission_matrix
 from .errors import (
@@ -437,24 +437,21 @@ def segment_viterbi_on_tables(
     best = np.empty((T + 1, n), dtype=int)
     earg = np.empty((T, n), dtype=int)
     earg[0] = -1
-    spans = np.empty((min(DP_BLOCK, T), n, d_cap))
+    width = min(DP_BLOCK, T)
+    # a block's lag rows C[lo - d_cap .. hi - 2]; rows before boundary 0 are
+    # never written, so they stay zero.  lags[t - lo, :, k] views row
+    # t - lo + k, which is C[t - d_cap + k], for one subtraction per block
+    rows = np.zeros((width + d_cap - 1, n))
+    step, col = rows.strides
+    lags = np.ndarray((width, n, d_cap), rows.dtype, rows, 0, (step, col, step))
+    spans = np.empty((width, n, d_cap))
     block = np.empty((n, d_cap))
     scores = np.empty((n, n))
     for lo in range(1, T + 1, DP_BLOCK):
         hi = min(lo + DP_BLOCK, T + 1)
-        # lags[t - lo, :, k] is C[t - d_cap + k], for one subtraction per block
-        shape = (hi - lo, n, d_cap)
-        if lo < d_cap:
-            # zeros before boundary 0; the copy is contiguous, so its lag
-            # view skips as_strided's checks
-            rows = np.concatenate((np.zeros((d_cap - lo, n)), C[: hi - 1]))
-            step, col = rows.strides
-            lags = np.ndarray(shape, rows.dtype, rows, 0, (step, col, step))
-        else:
-            rows = C[lo - d_cap :]
-            step, col = rows.strides
-            lags = as_strided(rows, shape, (step, col, step), writeable=False)
-        np.subtract(C[lo:hi, :, None], lags, out=spans[: hi - lo])
+        skip = max(d_cap - lo, 0)
+        rows[skip : hi - lo + d_cap - 1] = C[lo - d_cap + skip : hi - 1]
+        np.subtract(C[lo:hi, :, None], lags[: hi - lo], out=spans[: hi - lo])
         for t, span in zip(range(lo, hi), spans):
             if t > 1:
                 # boundary t - 1's transition max, from tick t - 1's delta

@@ -1,12 +1,15 @@
 """Synthetic bedside scenes: pose-sequence streams and transition clips.
 
 Every pose gets a per-channel mean template drawn once from a model seed.
-For pose-sequence streams the emitted features are the binarized template
-bits with symmetric flip noise; the dark-or-occluded regime additionally
-shrinks values toward 0.5 (contrast loss) and drops channels at random.
-Transition clips instead interpolate real-valued means through a short chain
-of planted pseudo-pose anchors, so the motion path is smooth and the planted
-anchor ticks are recoverable by keyframe selection at zero noise.
+A pose-sequence stream's per-tick means are the binarized template bits of
+its poses.  A transition clip's means interpolate the real-valued templates
+through a short chain of planted pseudo-pose anchors, so the motion path is
+smooth and the planted anchor ticks are recoverable by keyframe selection at
+zero noise.
+Both then pass one observation step, tick by tick under the tick's scene:
+each value flips x -> 1 - x at the scene's noise rate, the dark-or-occluded
+regime shrinks it toward 0.5 (contrast loss), and whole channels drop out at
+the scene's dropout rate.
 
 Two named presets fix the regime constants: ``bc-sim`` (flip noise 0.05, no
 dropout) and ``do-sim`` (flip noise 0.18, channel dropout 0.45, halved
@@ -28,6 +31,7 @@ from .errors import BadArgument, PoseHsmmError
 from .inference import HsmmModel
 from .states import (
     CANONICAL_POSES,
+    D_MAX_LIMIT,
     INITIAL_POSE_PRIORS,
     MOCK_ICU_POSES,
     DurationModel,
@@ -73,7 +77,9 @@ class ScenarioConfig:
     (applied to both regimes) or per-scene maps.  A field outside its domain
     raises ``BadArgument``: F, t_target, transition_hold and transition_ramp
     are integers >= 1, the seeds integers >= 0, noise in [0, 1], dropout in
-    [0, 1), duration means finite and stds > 0, d_max None or an integer >= 1.
+    [0, 1), duration means finite and stds > 0, d_max None or an integer in
+    [1, ``D_MAX_LIMIT``].  A d_max of None resolves to ceil(3 x the largest
+    duration mean), which must not pass that limit either.
     """
 
     poses: tuple[PoseLabel, ...] = MOCK_ICU_POSES
@@ -123,8 +129,8 @@ class ScenarioConfig:
             if exc.param != "d_max" or self.d_max is not None:
                 raise
             raise BadArgument(
-                f"duration_mean {mean.max()} needs a d_max longer than any table "
-                "can hold; set d_max", "duration_mean"
+                f"duration_mean {mean.max()} resolves to a d_max above the limit "
+                f"{D_MAX_LIMIT}; set d_max", "duration_mean"
             ) from None
 
     @property
@@ -322,14 +328,32 @@ def _scene_track(
     return ((1, T, config.base_scene),)
 
 
+def _observe(
+    config: ScenarioConfig, means: np.ndarray, scene_track, rng: np.random.Generator
+) -> tuple[dict, dict]:
+    """Per-channel features and masks, as ``FeatureStream.from_arrays``
+    takes them, of (T, C, F) ``means`` seen under each tick's scene run:
+    every value flips x -> 1 - x with the scene's noise probability and
+    shrinks toward 0.5 under DO contrast, then every channel drops with the
+    scene's dropout probability.  The features overwrite ``means``."""
+    _, lengths, scenes = zip(*scene_track)
+    noise = np.repeat([config.noise[s] for s in scenes], lengths)
+    np.subtract(1.0, means, out=means, where=rng.random(means.shape) < noise[:, None, None])
+    for b, n, scene in scene_track:
+        if scene is SceneCondition.DO:
+            x = means[b - 1 : b - 1 + n]
+            x[...] = 0.5 + (x - 0.5) * DO_CONTRAST
+    dropout = np.repeat([config.dropout[s] for s in scenes], lengths)
+    avail = rng.random(means.shape[:2]) >= dropout[:, None]
+    return dict(zip(config.channels, means.swapaxes(0, 1))), dict(zip(config.channels, avail.T))
+
+
 def sample_sequence(config: ScenarioConfig) -> tuple[FeatureStream, GroundTruth]:
     """Emit one pose-sequence stream plus its planted truth.
 
-    Per tick and channel: take the pose template bits, flip each with the
-    scene's noise probability, shrink toward 0.5 under DO contrast, and drop
-    the whole channel with the scene's dropout probability.  At zero noise
-    the features equal the rounded templates and, as std shrinks, durations
-    concentrate on the rounded mean.
+    Each tick observes its pose's template bits (see ``_observe``).  At zero
+    noise the features equal the rounded templates and, as std shrinks,
+    durations concentrate on the rounded mean.
     """
     model, space = build_generating_model(config)
     rng = np.random.default_rng(np.random.SeedSequence((config.seed, 2)))
@@ -344,24 +368,9 @@ def sample_sequence(config: ScenarioConfig) -> tuple[FeatureStream, GroundTruth]
         for pose, scene in zip(pose_per_tick, scene_per_tick)
     ]
     pose_index = {pose: k for k, pose in enumerate(config.poses)}
-
-    templates = _pose_templates(config)
-    bits = (templates >= 0.5).astype(float)
-    n_channels = len(config.channels)
-    noise_t = np.array([config.noise[s] for s in scene_per_tick])
-    dropout_t = np.array([config.dropout[s] for s in scene_per_tick])
-    do_mask = np.array([s is SceneCondition.DO for s in scene_per_tick])
-
+    bits = (_pose_templates(config) >= 0.5).astype(float)
     pose_rows = np.array([pose_index[p] for p in pose_per_tick])
-    base = bits[pose_rows]  # (T, C, F)
-    flips = rng.random((T, n_channels, config.F)) < noise_t[:, None, None]
-    x = np.abs(base - flips.astype(float))
-    x[do_mask] = 0.5 + (x[do_mask] - 0.5) * DO_CONTRAST
-    avail = rng.random((T, n_channels)) >= dropout_t[:, None]
-
-    vectors = {c: x[:, k, :] for k, c in enumerate(config.channels)}
-    masks = {c: avail[:, k] for k, c in enumerate(config.channels)}
-    stream = FeatureStream.from_arrays(vectors, masks)
+    stream = FeatureStream.from_arrays(*_observe(config, bits[pose_rows], scene_track, rng))
 
     truth = GroundTruth(
         segmentation=encode_segments(labels),
@@ -432,10 +441,10 @@ def sample_transition_clip(
 ) -> tuple[FeatureStream, GroundTruth]:
     """Emit one transition clip: hold, three-anchor ramp, hold.
 
-    The mean path interpolates linearly between hold template and anchors;
-    features are the path values with symmetric flips (x -> 1-x) at the
-    scene's noise rate, then DO contrast and dropout as usual.  Self-pairs
-    are allowed and represent a roll away and back.
+    The mean path interpolates linearly between hold template and anchors,
+    and every tick observes it under the base scene (see ``_observe``); the
+    two endpoints keep every channel.  Self-pairs are allowed and represent
+    a roll away and back.
     """
     if from_pose not in config.poses or to_pose not in config.poses:
         raise PoseHsmmError("transition endpoints must be poses of the scenario")
@@ -464,25 +473,17 @@ def sample_transition_clip(
     anchor_ticks = (h + g, h + 2 * g, h + 3 * g)
 
     scene = config.base_scene
-    nu = config.noise[scene]
-    drop = config.dropout[scene]
+    scene_track = ((1, T, scene),)
     rng = np.random.default_rng(
         np.random.SeedSequence(
             (config.seed, 4, pose_index[from_pose], pose_index[to_pose],
              0 if direction is RotationDirection.LEFT else 1)
         )
     )
-    flips = rng.random(means.shape) < nu
-    x = np.where(flips, 1.0 - means, means)
-    if scene is SceneCondition.DO:
-        x = 0.5 + (x - 0.5) * DO_CONTRAST
-    avail = rng.random((T, len(config.channels))) >= drop
+    vectors, masks = _observe(config, means, scene_track, rng)
     # endpoints always observable so keyframe selection has a shared channel
-    avail[0, :] = True
-    avail[-1, :] = True
-
-    vectors = {c: x[:, k, :] for k, c in enumerate(config.channels)}
-    masks = {c: avail[:, k] for k, c in enumerate(config.channels)}
+    for mask in masks.values():
+        mask[[0, -1]] = True
     stream = FeatureStream.from_arrays(vectors, masks)
 
     mid = anchor_ticks[1]
@@ -492,7 +493,7 @@ def sample_transition_clip(
     labels = [from_state] * mid + [to_state] * (T - mid)
     truth = GroundTruth(
         segmentation=encode_segments(labels),
-        scene_track=((1, T, scene),),
+        scene_track=scene_track,
         generating_model=model,
         transition=TransitionInfo(
             from_pose, to_pose, direction, anchor_ticks, len(anchors)

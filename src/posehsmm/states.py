@@ -261,6 +261,12 @@ class Segmentation:
         for u, seg in enumerate(segs):
             if seg.d < 1:
                 raise MalformedSegmentation(f"segment {u} has duration {seg.d}")
+            try:
+                operator.index(seg.y)
+            except TypeError:
+                raise MalformedSegmentation(
+                    f"segment {u} has state {seg.y!r}, not an integer index"
+                ) from None
             if u > 0:
                 prev = segs[u - 1]
                 if seg.b != prev.b + prev.d:
@@ -299,11 +305,19 @@ def encode_segments(labels: Sequence) -> Segmentation:
 def segment_runs(
     segmentations: Iterable, n_states: int, param: str
 ) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Each segmentation's run states and run lengths, as two arrays; an
-    item that is not a ``Segmentation``, or a run state that is not an
-    integer in [0, n_states), raises ``BadArgument`` naming ``param``."""
+    """Each segmentation's run states and run lengths, as two arrays; a
+    ``segmentations`` that is not iterable, an item that is not a
+    ``Segmentation``, or a run state that is not an integer in [0, n_states),
+    raises ``BadArgument`` naming ``param``."""
+    try:
+        items = iter(segmentations)
+    except TypeError:
+        raise BadArgument(
+            f"{param} must be a list of Segmentations, got {type(segmentations).__name__}",
+            param,
+        ) from None
     runs = []
-    for s in segmentations:
+    for s in items:
         try:
             states = np.fromiter((operator.index(seg.y) for seg in s.segments), np.intp)
         except (AttributeError, TypeError, OverflowError):
@@ -335,13 +349,19 @@ def geometric_duration_pmf(self_loop: float, d: int) -> float:
     return self_loop ** (d - 1) * (1.0 - self_loop)
 
 
+#: Longest d_max a duration model accepts.  Its (Q, d_max + 1) tables are
+#: built whole, because the pmf is normalised over all of 1..d_max: at
+#: Q = 22 one such table takes 176 MB at this bound.
+D_MAX_LIMIT = 1_000_000
+
+
 def _check_d_max(d_max) -> None:
     if not isinstance(d_max, Integral):
         raise BadArgument(f"d_max must be an integer, got {d_max}")
     if d_max < 1:
         raise DurationOutOfRange(f"d_max {d_max} < 1")
-    if d_max > np.iinfo(np.intp).max:
-        raise BadArgument(f"d_max {d_max} is longer than any table can hold", "d_max")
+    if d_max > D_MAX_LIMIT:
+        raise BadArgument(f"d_max {d_max} exceeds the limit {D_MAX_LIMIT}", "d_max")
 
 
 @dataclass

@@ -1,8 +1,16 @@
-"""Shared builders for small random models and streams."""
+"""Shared builders for small random models and streams, and a CLI runner
+with a capped address space."""
+
+import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import posehsmm
 from posehsmm import DurationModel, HsmmModel
 from posehsmm.emission import ChannelEmissionModel, ChannelId, FeatureStream
 
@@ -33,6 +41,19 @@ def tick_states(segmentation):
 def random_stream(rng, T, F, channel=CH):
     x = (rng.random((T, F)) < 0.5).astype(float)
     return FeatureStream.from_arrays({channel: x})
+
+
+def run_cli_limited(*argv, limit=2 * 1024**3):
+    """Run ``posehsmm <argv>`` in a child interpreter whose address space
+    (``RLIMIT_AS``) is capped at ``limit`` bytes, so an input that asks for
+    a huge allocation fails there instead of exhausting the machine."""
+    src = str(Path(posehsmm.__file__).parent.parent)
+    return subprocess.run(
+        [sys.executable, "-m", "posehsmm.cli", *map(str, argv)],
+        capture_output=True, text=True, timeout=300,
+        env={**os.environ, "PYTHONPATH": src},
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+    )
 
 
 @pytest.fixture

@@ -46,6 +46,7 @@ from posehsmm.simulate import (
 )
 from posehsmm.states import (
     CANONICAL_POSES,
+    D_MAX_LIMIT,
     INITIAL_POSE_PRIORS,
     DurationModel,
     GeometricDurationModel,
@@ -73,6 +74,10 @@ SPACE3 = StateSpace.from_poses([PL.SOLDIER_UP, PL.LOG_RIGHT, PL.OTHER], scene_do
 
 def integer(low):
     return lambda v: isinstance(v, Integral) and v >= low
+
+
+def d_max_ok(v):
+    return integer(1)(v) and v <= D_MAX_LIMIT
 
 
 def finite_at_least_zero(v):
@@ -284,11 +289,11 @@ ENTRY_POINTS = {
         lambda x, mean, std, d_max: DurationModel([mean, 3.0], [std, 1.0], d_max),
         {"mean": Param(4.0, math.isfinite),
          "std": Param(1.0, lambda v: v > 0.0),
-         "d_max": Param(6, integer(1))},
+         "d_max": Param(6, d_max_ok)},
     ),
     "GeometricDurationModel": EntryPoint(
         lambda x, a, d_max: GeometricDurationModel([a, 0.5], d_max),
-        {"a": Param(0.25, lambda v: 0.0 <= v < 1.0), "d_max": Param(6, integer(1))},
+        {"a": Param(0.25, lambda v: 0.0 <= v < 1.0), "d_max": Param(6, d_max_ok)},
     ),
     "StateSpace": EntryPoint(
         lambda x, index: StateSpace((StateId(PL.SOLDIER_UP, None, index),)),
@@ -308,11 +313,13 @@ ENTRY_POINTS = {
          "transition_ramp": Param(6, integer(1)),
          "seed": Param(0, integer(0)),
          "model_seed": Param(7151, integer(0)),
-         "d_max": Param(None, lambda v: v is None or integer(1)(v), SCALARS + [None]),
+         "d_max": Param(None, lambda v: v is None or d_max_ok(v), SCALARS + [None]),
          "duration_mean": Param(12.0, math.isfinite),
          "duration_std": Param(3.0, lambda v: v > 0.0),
          "noise": Param(0.05, unit),
          "dropout": Param(0.0, lambda v: 0.0 <= v < 1.0)},
+        # with no d_max, ceil(3 x mean) becomes one
+        lambda q: q["d_max"] is not None or 3 * q["duration_mean"] <= D_MAX_LIMIT,
     ),
 }
 
@@ -345,11 +352,18 @@ def test_in_domain_returns_else_clean_error(inputs, name, data):
      (lambda: fit_channel_emissions([5], [_runs(0)], RGB, 2), "streams"),
      (lambda: fit_durations([[1, 2]], 2, 4), "segmentations"),
      (lambda: fit_transitions([[0, 1]], 2), "segmentations"),
-     (lambda: fit_transitions(_runs(0), 2), "segmentations")],
+     (lambda: fit_transitions(_runs(0), 2), "segmentations"),
+     (lambda: fit_transitions(5, 2), "segmentations"),
+     (lambda: fit_durations(5, 2, 4), "segmentations"),
+     (lambda: fit_channel_emissions([_stream(2)], 5, RGB, 2), "segmentations"),
+     (lambda: fit_channel_emissions(5, [_runs(0)], RGB, 2), "streams")],
     ids=["emissions-int-item", "emissions-int-stream", "durations-list-item",
-         "transitions-list-item", "transitions-single-segmentation"],
+         "transitions-list-item", "transitions-single-segmentation",
+         "transitions-int-list", "durations-int-list", "emissions-int-segmentations",
+         "emissions-int-streams"],
 )
 def test_fit_list_item_of_another_kind_is_named(fit, param):
+    """An item of another kind, or a list that is no list at all."""
     with pytest.raises(BadArgument) as exc:
         fit()
     assert exc.value.param == param

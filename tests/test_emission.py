@@ -24,7 +24,7 @@ from posehsmm.errors import (
     EmptySequence,
     LabelMismatch,
 )
-from posehsmm.states import Segment, Segmentation, encode_segments
+from posehsmm.states import encode_segments
 from reference_emission import NoObservation, emission_log_likelihood
 
 RGB = ChannelId.parse("left:RGB")
@@ -164,9 +164,8 @@ class TestFitting:
 
     @pytest.mark.parametrize(
         "segmentation",
-        [encode_segments([0, -1]), encode_segments([0, 2]),
-         Segmentation((Segment(1, 2, 0.5),), 2)],
-        ids=["negative", "beyond-Q", "float"],
+        [encode_segments([0, -1]), encode_segments([0, 2])],
+        ids=["negative", "beyond-Q"],
     )
     def test_label_outside_states_names_label_lists(self, segmentation):
         # the check covers ticks where the channel is unavailable too

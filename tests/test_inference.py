@@ -101,9 +101,8 @@ class TestFitTransitions:
 
     @pytest.mark.parametrize(
         "sequences",
-        [[encode_segments([0, -1, 0])], [encode_segments([0, 5])],
-         [Segmentation((Segment(1, 2, 1.0),), 2)], [0, 1]],
-        ids=["negative", "beyond-Q", "float", "not-a-list-of-sequences"],
+        [[encode_segments([0, -1, 0])], [encode_segments([0, 5])], [0, 1]],
+        ids=["negative", "beyond-Q", "not-a-list-of-sequences"],
     )
     def test_label_outside_states_names_sequences(self, sequences):
         with pytest.raises(BadArgument) as exc:

@@ -1,17 +1,11 @@
 """Text formats round-trip bit-exactly; the CLI wires them together."""
 
 import filecmp
-import os
 import re
-import resource
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-import posehsmm
 from posehsmm import fileio
 from posehsmm.cli import main
 from posehsmm.emission import ChannelId, FeatureStream
@@ -20,6 +14,7 @@ from posehsmm.inference import hsmm_viterbi
 from posehsmm.keyframes import select_keyframes
 from posehsmm.simulate import ScenarioConfig, sample_sequence, sample_transition_clip
 from posehsmm.states import (
+    D_MAX_LIMIT,
     PoseLabel,
     RotationDirection,
     SceneCondition,
@@ -27,6 +22,8 @@ from posehsmm.states import (
     Segmentation,
 )
 from posehsmm.summarize import HistoryRecord, TransitionRecord
+
+from conftest import run_cli_limited
 
 PL = PoseLabel
 
@@ -569,6 +566,54 @@ class TestDecodedAgainstTruth:
                            f"{workdir / 's1.truth'} covers T=120\n")
 
 
+DISJOINT = tuple(map(ChannelId.parse, ("center:RGB", "left:Depth", "right:RGB")))
+
+
+class TestDisjointChannels:
+    """A stream none of whose channels the model (or, for a clip, any chain
+    of the manifest) scores is a one-line error naming both files, with
+    exit code 1; a partial overlap is still decoded."""
+
+    def write(self, path, stream):
+        fileio.write_stream(stream, path)
+        return path
+
+    @pytest.mark.parametrize("command", ["decode", "summarize"])
+    def test_stream_against_model(self, workdir, tmp_path, capsys, command):
+        stream, _ = sample_sequence(ScenarioConfig(t_target=40, seed=3, channels=DISJOINT))
+        path = self.write(tmp_path / "disjoint.stream", stream)
+        model = workdir / "fit.model"
+        rc = main([command, "--model", str(model), "--stream", str(path)])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"error: {path}: no channel of center:RGB left:Depth right:RGB is "
+            f"modelled by model {model} (center:Depth left:RGB right:Mask)\n"
+        )
+
+    def test_partial_overlap_is_decoded(self, workdir, tmp_path, capsys):
+        channels = (ChannelId.parse("left:RGB"), ChannelId.parse("center:RGB"))
+        stream, _ = sample_sequence(ScenarioConfig(t_target=40, seed=3, channels=channels))
+        path = self.write(tmp_path / "partial.stream", stream)
+        rc = main(["decode", "--model", str(workdir / "fit.model"), "--stream", str(path)])
+        assert rc == 0
+        assert capsys.readouterr().err == ""
+
+    def test_clip_against_manifest(self, clips, tmp_path, capsys):
+        config = ScenarioConfig(noise=0.0, dropout=0.0, channels=DISJOINT)
+        clip, _ = sample_transition_clip(PL.SOLDIER_UP, PL.FETAL_RIGHT,
+                                         RotationDirection.LEFT, config)
+        path = self.write(tmp_path / "disjoint.stream", clip)
+        manifest = clips / "train.manifest"
+        rc = main(["classify-transition", "--manifest", str(manifest),
+                   "--clip", str(path), "--th", "0.25"])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"error: {path}: no channel of center:RGB left:Depth right:RGB is "
+            f"modelled by the chains of manifest {manifest} "
+            "(center:Depth left:RGB right:Mask)\n"
+        )
+
+
 class TestFeatureWidthMismatch:
     """A stream whose F differs from the model's or the manifest's is a
     one-line error naming the stream file, with exit code 1."""
@@ -802,6 +847,18 @@ class TestSizeHeaders:
         assert rc == 1
         assert capsys.readouterr().err.startswith(f"error: {bad}: ")
 
+    def test_model_d_max_beyond_the_limit(self, workdir, tmp_path):
+        """A (Q, d_max + 1) duration table for this d_max would take 176 TB,
+        so decode runs in a child under a 2 GiB address-space cap."""
+        text = (workdir / "fit.model").read_text()
+        bad = tmp_path / "huge.model"
+        bad.write_text(re.sub(r"(?m)^d_max: \d+$", "d_max: 1000000000000", text))
+        message = f"{bad}: d_max 1000000000000 exceeds the limit {D_MAX_LIMIT}"
+        with pytest.raises(FormatError, match="^" + re.escape(message) + "$"):
+            fileio.read_model(bad)
+        proc = run_cli_limited("decode", "--model", bad, "--stream", workdir / "s1.stream")
+        assert (proc.returncode, proc.stderr) == (1, f"error: {message}\n")
+
 
 class TestSceneRunBeyondT:
     """A scene run past tick T is rejected on its own line, before a
@@ -843,15 +900,7 @@ class TestHugeConsistentTruth:
             f"format: v1\nkind: truth\nT: {self.T}\nQ: 1\n"
             f"state 0 solU BC\nsegment 1 {self.T} 0\nscene 1 {self.T} BC\n"
         )
-        limit = 2 * 1024**3
-        src = str(Path(posehsmm.__file__).parent.parent)
-        proc = subprocess.run(
-            [sys.executable, "-m", "posehsmm.cli", "evaluate",
-             "--truth", str(truth), flag, str(path)],
-            capture_output=True, text=True, timeout=300,
-            env={**os.environ, "PYTHONPATH": src},
-            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
-        )
+        proc = run_cli_limited("evaluate", "--truth", truth, flag, path)
         assert proc.returncode == 0, proc.stderr
         return proc.stdout.splitlines()[0]
 

@@ -1,11 +1,13 @@
 """Simulator reproducibility, degenerate limits, and planted-truth geometry."""
 
 import dataclasses
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
+from posehsmm.cli import main
 from posehsmm.errors import BadArgument, PoseHsmmError
 from posehsmm.keyframes import select_keyframes
 from posehsmm.simulate import (
@@ -320,3 +322,41 @@ class TestProtocol:
     def test_restricted_protocol(self):
         combos = transition_protocol(CANONICAL_POSES[:3])
         assert len(combos) == 18
+
+
+#: sha256 of the stream and truth files ``posehsmm simulate`` writes,
+#: recorded while sequences and clips still drew their flips, contrast and
+#: dropout in separate copies; the one shared observation step keeps every
+#: byte.
+PINNED_OUTPUTS = {
+    "do-sim-scene-switch": (
+        ["--preset", "do-sim", "--seed", "5", "--t-target", "300", "--scene-switch"],
+        "4286fe559631763a9fe42bd6f4420c3e32e54789440dec96707678b6289852e8",
+        "15c098e913b22cc3324d0ebe2fefee942826a48f1dec1ad3d60c8144369128e4",
+    ),
+    "bc-sim-dropout": (
+        ["--preset", "bc-sim", "--seed", "6", "--t-target", "200", "--dropout", "0.3"],
+        "a11702ace7c6a4fffa0543bae14792de4659872025b266ead4369315974d7f51",
+        "00123108f6553ba04c1ffa5557e5aed8739f423ac9fd3f2fd7a0c2fe1d5daa09",
+    ),
+    "bc-sim-clip": (
+        ["--preset", "bc-sim", "--seed", "7", "--dropout", "0.25",
+         "--transition", "solU", "fetR", "left"],
+        "c964227f5e550c1828cc25e2f04c299eae690ea02939e868457f8a76d31dc3db",
+        "6928e5b76002f288c541dd9f2c49e07e0f66384ef442a89ea34ee58c9e2fd735",
+    ),
+    "do-sim-clip": (
+        ["--preset", "do-sim", "--seed", "8", "--transition", "logR", "falD", "right"],
+        "65005653f2855046be0e6a799d46829a63bd8f304606372dfa86c04dd36cc0d4",
+        "29bf235a07d8d66eefccfd183ed027b0ea2766d1661927aa19d119a755bb0759",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_OUTPUTS))
+def test_simulate_outputs_are_pinned(name, tmp_path, capsys):
+    flags, stream_sha, truth_sha = PINNED_OUTPUTS[name]
+    stream, truth = tmp_path / "out.stream", tmp_path / "out.truth"
+    assert main(["simulate", *flags, "--out", str(stream), "--truth-out", str(truth)]) == 0
+    digests = [hashlib.sha256(p.read_bytes()).hexdigest() for p in (stream, truth)]
+    assert digests == [stream_sha, truth_sha]

@@ -28,7 +28,7 @@ from posehsmm.errors import (
     DurationOutOfRange,
     MalformedSegmentation,
 )
-from posehsmm.states import StateSpace
+from posehsmm.states import D_MAX_LIMIT, StateSpace
 
 from conftest import tick_states
 
@@ -125,6 +125,21 @@ class TestSegments:
         with pytest.raises(MalformedSegmentation):
             Segmentation((Segment(1, 2, 0),), 3)
 
+    @pytest.mark.parametrize(
+        "build, u",
+        [(lambda: Segmentation((Segment(1, 2, 0.5),), 2), 0),
+         (lambda: Segmentation((Segment(1, 2, 1.0),), 2), 0),
+         (lambda: encode_segments([1.5] * 10), 0),
+         (lambda: Segmentation((Segment(1, 1, 0), Segment(2, 1, 0.5)), 2), 1),
+         (lambda: Segmentation((Segment(1, 1, "0"), Segment(2, 1, 1)), 2), 0)],
+        ids=["float", "integral-float", "encoded-float", "float-after-first", "text"],
+    )
+    def test_rejects_state_that_is_no_index(self, build, u):
+        """Any segment's state must pass ``operator.index``; the error names
+        the segment, not a bare ``TypeError``."""
+        with pytest.raises(MalformedSegmentation, match=f"^segment {u} has state "):
+            build()
+
     @given(
         st.lists(st.integers(min_value=0, max_value=3), min_size=1, max_size=40)
     )
@@ -165,10 +180,14 @@ def test_duration_model_rejects_parameters_without_a_finite_pmf(mean, std, param
     ids=["gaussian", "geometric"],
 )
 def test_d_max_no_table_can_hold_names_d_max(build):
-    """A table of more than the largest intp columns cannot be built."""
-    with pytest.raises(BadArgument) as exc:
-        build(int(np.iinfo(np.intp).max) + 1)
-    assert exc.value.param == "d_max"
+    """A d_max above ``D_MAX_LIMIT`` (a fortiori one above the largest intp)
+    is refused; the limit itself is accepted.  Tables are built on first
+    use, so no call here allocates one."""
+    assert build(D_MAX_LIMIT).d_max == D_MAX_LIMIT
+    for d_max in (D_MAX_LIMIT + 1, int(np.iinfo(np.intp).max) + 1):
+        with pytest.raises(BadArgument, match=f"limit {D_MAX_LIMIT}$") as exc:
+            build(d_max)
+        assert exc.value.param == "d_max"
 
 
 def test_duration_model_keeps_a_tiny_std_with_a_finite_pmf():
