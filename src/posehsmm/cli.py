@@ -3,16 +3,12 @@
 Exit codes: 0 on success, 2 on usage errors (argparse's default), 3 when
 decoding finds no feasible path or a clip shows no transition, 1 on other
 domain errors (bad files, malformed inputs).
-
-Presets can be adjusted without touching code: point POSEHSMM_CONFIG_DIR at a
-directory containing ``<preset>.cfg`` files with ``key value`` lines.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
 from pathlib import Path
 
@@ -29,19 +25,12 @@ from .inference import HsmmModel, fit_durations, fit_transitions, hsmm_viterbi
 from .keyframes import select_keyframes
 from .simulate import (
     PRESETS,
-    REGIME_DROPOUT,
-    REGIME_NOISE,
     ScenarioConfig,
     preset_config,
     sample_sequence,
     sample_transition_clip,
 )
-from .states import (
-    PoseLabel,
-    RotationDirection,
-    SceneCondition,
-    build_initial_distribution,
-)
+from .states import PoseLabel, RotationDirection, build_initial_distribution
 from .summarize import (
     build_transition_library,
     classify_transition,
@@ -54,85 +43,18 @@ from .summarize import (
 _POSE_CHOICES = [p.value for p in PoseLabel]
 _DIR_CHOICES = [d.value for d in RotationDirection]
 
-_CFG_INT = {"t_target", "F", "d_max", "transition_hold", "transition_ramp", "seed", "model_seed"}
-_CFG_FLOAT = {"duration_mean", "duration_std"}
-_CFG_BOOL = {"scene_switch", "scene_doubling"}
+#: The simulate flags' dests, each the ``ScenarioConfig`` field it sets.
+_SCENARIO_FLAGS = (
+    "seed", "t_target", "d_max", "duration_mean", "duration_std", "noise",
+    "dropout", "scene_switch", "transition_hold", "transition_ramp",
+)
 
 _KEYFRAME_FLAGS = ("--k-max", "--th", "--stage2-th")
 
 
-def _preset_file_overrides(name: str) -> dict:
-    """Read ``$POSEHSMM_CONFIG_DIR/<name>.cfg`` override lines, if present."""
-    root = os.environ.get("POSEHSMM_CONFIG_DIR")
-    if not root:
-        return {}
-    path = Path(root) / f"{name}.cfg"
-    if not path.exists():
-        return {}
-    overrides: dict = {}
-    noise = dict(REGIME_NOISE)
-    dropout = dict(REGIME_DROPOUT)
-    touched = {"noise": False, "dropout": False}
-    for lineno, raw in enumerate(path.read_text().splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        # both "key value" and "key = value" are accepted
-        if "=" in line:
-            key, _, value = line.partition("=")
-            key, value = key.strip(), value.strip()
-        else:
-            key, _, value = line.partition(" ")
-            value = value.strip()
-        if not key or not value:
-            raise FormatError(f"{path}:{lineno}: expected 'key value'")
-        try:
-            if key in _CFG_INT:
-                overrides[key] = int(value)
-            elif key in _CFG_FLOAT:
-                overrides[key] = float(value)
-            elif key in _CFG_BOOL:
-                overrides[key] = value.lower() in {"1", "true", "yes"}
-            elif key in {"noise", "dropout"}:
-                target = noise if key == "noise" else dropout
-                for s in SceneCondition:
-                    target[s] = float(value)
-                touched[key] = True
-            elif key in {"noise.bc", "noise.do", "dropout.bc", "dropout.do"}:
-                base, scene = key.split(".")
-                target = noise if base == "noise" else dropout
-                target[SceneCondition(scene.upper())] = float(value)
-                touched[base] = True
-            else:
-                raise FormatError(f"{path}:{lineno}: unknown override {key!r}")
-        except ValueError:
-            raise FormatError(
-                f"{path}:{lineno}: bad value {value!r} for {key!r}"
-            ) from None
-    if touched["noise"]:
-        overrides["noise"] = noise
-    if touched["dropout"]:
-        overrides["dropout"] = dropout
-    return overrides
-
-
 def _scenario_from_args(args) -> ScenarioConfig:
-    overrides = _preset_file_overrides(args.preset)
-    for key in ("seed", "t_target", "d_max", "duration_mean", "duration_std"):
-        value = getattr(args, key)
-        if value is not None:
-            overrides[key] = value
-    if args.noise is not None:
-        overrides["noise"] = args.noise
-    if args.dropout is not None:
-        overrides["dropout"] = args.dropout
-    if args.scene_switch:
-        overrides["scene_switch"] = True
-    if getattr(args, "hold", None) is not None:
-        overrides["transition_hold"] = args.hold
-    if getattr(args, "ramp", None) is not None:
-        overrides["transition_ramp"] = args.ramp
-    return preset_config(args.preset, **overrides)
+    fields = {key: getattr(args, key) for key in _SCENARIO_FLAGS}
+    return preset_config(args.preset, **{k: v for k, v in fields.items() if v is not None})
 
 
 def _cmd_simulate(args) -> int:
@@ -354,13 +276,14 @@ def _read_manifest(path):
 def _cmd_classify_transition(args) -> int:
     keyframes.check_keyframe_params(args.k_max, args.th, args.stage2_th, _KEYFRAME_FLAGS)
     clips = _read_manifest(args.manifest)
+    # a clip to reject costs no library fit; its F and channels need the chains
+    clip = fileio.read_stream(args.clip)
     library = build_transition_library(clips, args.k_max, args.th, args.stage2_th)
     if not library.entries:
         raise FormatError(
             f"{args.manifest}: every clip is static at --th {args.th}; "
             "no transition chain to score against"
         )
-    clip = fileio.read_stream(args.clip)
     # every chain has a channel, and the manifest's F check leaves one width
     (F,) = library.tables.widths
     if clip.F != F:
@@ -399,8 +322,7 @@ def _cmd_evaluate(args) -> int:
         )
 
     if args.history:
-        params = fileio.read_history_params(args.history)
-        predicted = fileio.read_history(args.history)
+        params, predicted = fileio.read_history(args.history)
         reference = history_from_segments(truth.segmentation, truth.space, *params)
         if len(predicted) != len(reference):
             raise FormatError(
@@ -462,8 +384,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--noise", type=float, default=None)
     p.add_argument("--dropout", type=float, default=None)
     p.add_argument("--scene-switch", action="store_true")
-    p.add_argument("--hold", type=int, default=None, help="transition clip hold length")
-    p.add_argument("--ramp", type=int, default=None, help="transition clip edge length")
+    p.add_argument("--hold", dest="transition_hold", type=int, default=None,
+                   help="transition clip hold length")
+    p.add_argument("--ramp", dest="transition_ramp", type=int, default=None,
+                   help="transition clip edge length")
     p.add_argument(
         "--transition",
         nargs=3,

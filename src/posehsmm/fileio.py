@@ -525,8 +525,9 @@ def write_history(records, path, params: dict | None = None) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def read_history_params(path) -> tuple[int, int, float]:
-    """The (sample_every, window, consistency) a history was made with.
+def read_history(path) -> tuple[tuple[int, int, float], list[HistoryRecord]]:
+    """The (sample_every, window, consistency) a history was made with, and
+    its records.
 
     ``check_history_params`` checks the header's fields and gives a field
     it lacks the default; a field it rejects is a ``FormatError`` naming
@@ -535,7 +536,7 @@ def read_history_params(path) -> tuple[int, int, float]:
     r = _Reader(path, "history")
     fields = {"sample_every": int, "window": int, "consistency": float}
     try:
-        return check_history_params(
+        params = check_history_params(
             **{key: r.header(key, parse) for key, parse in fields.items() if key in r.head}
         )
     except BadArgument as exc:
@@ -543,10 +544,6 @@ def read_history_params(path) -> tuple[int, int, float]:
         # default window shorter than the header's sampling step
         line = r.head_lines.get(exc.param, r.head_lines.get("sample_every"))
         raise FormatError(f"{path}:{line}: {exc}") from None
-
-
-def read_history(path) -> list[HistoryRecord]:
-    r = _Reader(path, "history")
     records = []
     for lineno, rec in r.numbered_records():
         if rec[0] != "record":
@@ -561,7 +558,7 @@ def read_history(path) -> list[HistoryRecord]:
                     float(rec[6]),
                 )
             )
-    return records
+    return params, records
 
 
 def write_keyframes(kfs: KeyframeSet, path) -> None:

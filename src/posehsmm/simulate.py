@@ -75,11 +75,12 @@ class ScenarioConfig:
     the pose templates and generating parameters, so several trajectories can
     share one underlying scene.  ``noise``/``dropout`` may be single floats
     (applied to both regimes) or per-scene maps.  A field outside its domain
-    raises ``BadArgument``: F, t_target, transition_hold and transition_ramp
-    are integers >= 1, the seeds integers >= 0, noise in [0, 1], dropout in
-    [0, 1), duration means finite and stds > 0, d_max None or an integer in
-    [1, ``D_MAX_LIMIT``].  A d_max of None resolves to ceil(3 x the largest
-    duration mean), which must not pass that limit either.
+    raises ``BadArgument``: poses and channels are non-empty with no repeats,
+    F, t_target, transition_hold and transition_ramp are integers >= 1, the
+    seeds integers >= 0, noise in [0, 1], dropout in [0, 1), duration means
+    finite and stds > 0, d_max None or an integer in [1, ``D_MAX_LIMIT``].  A
+    d_max of None resolves to ceil(3 x the largest duration mean), which must
+    not pass that limit either.
     """
 
     poses: tuple[PoseLabel, ...] = MOCK_ICU_POSES
@@ -118,8 +119,13 @@ class ScenarioConfig:
             raise BadArgument(f"noise must be in [0, 1], got {list(self.noise.values())}")
         if not all(0.0 <= p < 1.0 for p in self.dropout.values()):
             raise BadArgument(f"dropout must be in [0, 1), got {list(self.dropout.values())}")
-        if not (self.poses and self.channels):
-            raise BadArgument("a scenario needs at least one pose and one channel")
+        for name in ("poses", "channels"):
+            value = getattr(self, name)
+            if not value or len(set(value)) < len(value):
+                raise BadArgument(
+                    f"{name} must list at least one item and none twice, got "
+                    f"{len(value)} with {len(set(value))} distinct", name
+                )
         # the generating model's dwell-time checks, without building its tables;
         # a mean that is not finite fails them before d_max is read
         mean, std = self.duration_arrays()

@@ -39,6 +39,7 @@ from posehsmm.inference import (
 )
 from posehsmm.keyframes import select_keyframes
 from posehsmm.simulate import (
+    DEFAULT_CHANNELS,
     ScenarioConfig,
     build_generating_model,
     sample_sequence,
@@ -48,6 +49,7 @@ from posehsmm.states import (
     CANONICAL_POSES,
     D_MAX_LIMIT,
     INITIAL_POSE_PRIORS,
+    MOCK_ICU_POSES,
     DurationModel,
     GeometricDurationModel,
     PoseLabel,
@@ -86,6 +88,10 @@ def finite_at_least_zero(v):
 
 def unit(v):
     return 0.0 <= v <= 1.0
+
+
+def no_repeats(v):
+    return len(v) > 0 and len(set(v)) == len(v)
 
 
 @dataclass
@@ -317,7 +323,12 @@ ENTRY_POINTS = {
          "duration_mean": Param(12.0, math.isfinite),
          "duration_std": Param(3.0, lambda v: v > 0.0),
          "noise": Param(0.05, unit),
-         "dropout": Param(0.0, lambda v: 0.0 <= v < 1.0)},
+         "dropout": Param(0.0, lambda v: 0.0 <= v < 1.0),
+         "poses": Param(MOCK_ICU_POSES, no_repeats,
+                        [(), (PL.OTHER,), (PL.SOLDIER_UP, PL.SOLDIER_UP, PL.FETAL_LEFT),
+                         (PL.SOLDIER_UP, PL.FETAL_LEFT)]),
+         "channels": Param(DEFAULT_CHANNELS, no_repeats,
+                           [(), (RGB,), (RGB, RGB), DEFAULT_CHANNELS[1:]])},
         # with no d_max, ceil(3 x mean) becomes one
         lambda q: q["d_max"] is not None or 3 * q["duration_mean"] <= D_MAX_LIMIT,
     ),

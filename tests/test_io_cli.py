@@ -6,13 +6,18 @@ import re
 import numpy as np
 import pytest
 
-from posehsmm import fileio
+from posehsmm import cli, fileio
 from posehsmm.cli import main
 from posehsmm.emission import ChannelId, FeatureStream
 from posehsmm.errors import FormatError
 from posehsmm.inference import hsmm_viterbi
 from posehsmm.keyframes import select_keyframes
-from posehsmm.simulate import ScenarioConfig, sample_sequence, sample_transition_clip
+from posehsmm.simulate import (
+    ScenarioConfig,
+    preset_config,
+    sample_sequence,
+    sample_transition_clip,
+)
 from posehsmm.states import (
     D_MAX_LIMIT,
     PoseLabel,
@@ -153,8 +158,7 @@ class TestHistoryFile:
         ]
         p = tmp_path / "h.history"
         fileio.write_history(records, p, {"window": 10, "sample_every": 2})
-        assert fileio.read_history_params(p) == (2, 10, 0.8)
-        assert fileio.read_history(p) == records
+        assert fileio.read_history(p) == ((2, 10, 0.8), records)
 
 
 class TestTransitionRecordFile:
@@ -343,29 +347,56 @@ class TestSimulateArguments:
     name, with one error line, exit code 1 and no output file."""
 
     @pytest.mark.parametrize(
-        "flags",
-        [["--t-target", "0"], ["--duration-std", "0"],
-         ["--transition", "solU", "fetR", "left", "--hold", "0", "--ramp", "0"],
-         ["--transition", "solU", "fetR", "sideways"], ["--dropout", "1.0"]],
+        "flags, message",
+        [(["--t-target", "0"], "t_target must be an integer >= 1, got 0"),
+         (["--duration-std", "0"], None),
+         (["--transition", "solU", "fetR", "left", "--hold", "0", "--ramp", "0"], None),
+         (["--transition", "solU", "fetR", "sideways"], None),
+         (["--dropout", "1.0"], None)],
         ids=["t-target-0", "duration-std-0", "hold-and-ramp-0",
              "transition-sideways", "dropout-1"],
     )
-    def test_bad_flag(self, tmp_path, capsys, flags):
+    def test_bad_flag(self, tmp_path, capsys, flags, message):
         out = tmp_path / "s.stream"
         assert main(["simulate", *flags, "--out", str(out)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ")
         assert err.count("\n") == 1
+        assert message is None or err == f"error: {message}\n"
         assert not out.exists()
 
-    def test_bad_config_file_value(self, tmp_path, monkeypatch, capsys):
-        cfgdir = tmp_path / "conf"
-        cfgdir.mkdir()
-        (cfgdir / "bc-sim.cfg").write_text("t_target 0\n")
-        monkeypatch.setenv("POSEHSMM_CONFIG_DIR", str(cfgdir))
-        assert main(["simulate", "--out", str(tmp_path / "s.stream")]) == 1
-        err = capsys.readouterr().err
-        assert err == "error: t_target must be an integer >= 1, got 0\n"
+    @pytest.mark.parametrize("preset", ["bc-sim", "do-sim"])
+    @pytest.mark.parametrize("transition", [False, True], ids=["sequence", "transition"])
+    def test_flags_set_the_preset_fields(self, tmp_path, preset, transition):
+        """Every scenario flag reaches the field it names: the CLI writes
+        the bytes that ``preset_config(preset, **fields)`` samples to."""
+        flags = ["--seed", "5", "--t-target", "60", "--d-max", "20",
+                 "--duration-mean", "5.5", "--duration-std", "1.5",
+                 "--noise", "0.1", "--dropout", "0.2", "--scene-switch"]
+        fields = dict(seed=5, t_target=60, d_max=20, duration_mean=5.5,
+                      duration_std=1.5, noise=0.1, dropout=0.2, scene_switch=True)
+        if transition:
+            flags += ["--transition", "solU", "fetR", "left", "--hold", "4", "--ramp", "3"]
+            fields.update(transition_hold=4, transition_ramp=3)
+        rc = main(["simulate", "--preset", preset, *flags,
+                   "--out", str(tmp_path / "cli.stream"),
+                   "--truth-out", str(tmp_path / "cli.truth")])
+        assert rc == 0
+        config = preset_config(preset, **fields)
+        if transition:
+            stream, truth = sample_transition_clip(
+                PL.SOLDIER_UP, PL.FETAL_RIGHT, RotationDirection.LEFT, config
+            )
+        else:
+            stream, truth = sample_sequence(config)
+        fileio.write_stream(stream, tmp_path / "api.stream")
+        fileio.write_truth(truth.generating_model.states, truth.segmentation,
+                           truth.scene_track, tmp_path / "api.truth",
+                           transition=truth.transition)
+        for kind in ("stream", "truth"):
+            assert (tmp_path / f"cli.{kind}").read_bytes() == (
+                tmp_path / f"api.{kind}"
+            ).read_bytes()
 
 
 @pytest.fixture(scope="module")
@@ -687,6 +718,27 @@ class TestManifestLines:
             "No such file or directory\n"
         )
 
+    def test_bad_clip_before_library_fit(self, clips, tmp_path, monkeypatch, capsys):
+        # tick 5 is line 10 of the clip; the missing manifest clip is never read
+        lines = (clips / "solU-fetR-left.stream").read_text().splitlines()
+        assert lines[9].startswith("tick 5 ")
+        lines[9] = lines[9].rsplit(" ", 1)[0] + " abc"
+        bad = tmp_path / "bad.stream"
+        bad.write_text("\n".join(lines) + "\n")
+        manifest = clips / "unread.manifest"
+        manifest.write_text("missing.stream solU logR right\n")
+
+        def no_fit(*args, **kwargs):
+            raise AssertionError("the library was fitted before the clip was read")
+
+        monkeypatch.setattr(cli, "build_transition_library", no_fit)
+        rc = main(["classify-transition", "--manifest", str(manifest),
+                   "--clip", str(bad), "--th", "0.25"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}:10: ")
+        assert err.count("\n") == 1
+
 
 @pytest.fixture(scope="module")
 def clean_stream(tmp_path_factory):
@@ -962,60 +1014,3 @@ class TestMissingFile:
         assert rc == 1
         err = capsys.readouterr().err
         assert err == f"error: {missing}: No such file or directory\n"
-
-
-class TestConfigDir:
-    def test_preset_file_overrides(self, tmp_path, monkeypatch, capsys):
-        cfgdir = tmp_path / "conf"
-        cfgdir.mkdir()
-        (cfgdir / "bc-sim.cfg").write_text(
-            "# smaller scenes for a quick demo\n"
-            "t_target 37\n"
-            "noise.bc 0.0\n"
-            "dropout 0.0\n"
-        )
-        monkeypatch.setenv("POSEHSMM_CONFIG_DIR", str(cfgdir))
-        rc = main(["simulate", "--seed", "3",
-                   "--out", str(tmp_path / "c.stream")])
-        assert rc == 0
-        assert fileio.read_stream(tmp_path / "c.stream").T == 37
-
-    def test_cli_flag_beats_config_file(self, tmp_path, monkeypatch):
-        cfgdir = tmp_path / "conf"
-        cfgdir.mkdir()
-        (cfgdir / "bc-sim.cfg").write_text("t_target 37\n")
-        monkeypatch.setenv("POSEHSMM_CONFIG_DIR", str(cfgdir))
-        rc = main(["simulate", "--seed", "3", "--t-target", "21",
-                   "--out", str(tmp_path / "c.stream")])
-        assert rc == 0
-        assert fileio.read_stream(tmp_path / "c.stream").T == 21
-
-    def test_equals_separator_accepted(self, tmp_path, monkeypatch):
-        cfgdir = tmp_path / "conf"
-        cfgdir.mkdir()
-        (cfgdir / "bc-sim.cfg").write_text("t_target = 37\nnoise.do=0.2\n")
-        monkeypatch.setenv("POSEHSMM_CONFIG_DIR", str(cfgdir))
-        rc = main(["simulate", "--seed", "3",
-                   "--out", str(tmp_path / "c.stream")])
-        assert rc == 0
-        assert fileio.read_stream(tmp_path / "c.stream").T == 37
-
-    def test_bad_override_key_exits_1(self, tmp_path, monkeypatch, capsys):
-        cfgdir = tmp_path / "conf"
-        cfgdir.mkdir()
-        (cfgdir / "bc-sim.cfg").write_text("wibble 3\n")
-        monkeypatch.setenv("POSEHSMM_CONFIG_DIR", str(cfgdir))
-        rc = main(["simulate", "--seed", "3",
-                   "--out", str(tmp_path / "c.stream")])
-        assert rc == 1
-        assert "error:" in capsys.readouterr().err
-
-    def test_bad_override_value_exits_1(self, tmp_path, monkeypatch, capsys):
-        cfgdir = tmp_path / "conf"
-        cfgdir.mkdir()
-        (cfgdir / "bc-sim.cfg").write_text("t_target lots\n")
-        monkeypatch.setenv("POSEHSMM_CONFIG_DIR", str(cfgdir))
-        rc = main(["simulate", "--seed", "3",
-                   "--out", str(tmp_path / "c.stream")])
-        assert rc == 1
-        assert "error:" in capsys.readouterr().err

@@ -97,6 +97,17 @@ class TestConfig:
             ScenarioConfig(duration_mean=1e200, d_max=2**63)
         assert exc.value.param == "d_max"
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("channels", (DEFAULT_CHANNELS[0], DEFAULT_CHANNELS[0])),
+         ("poses", (PL.SOLDIER_UP, PL.SOLDIER_UP, PL.FETAL_LEFT))],
+        ids=["channel-twice", "pose-twice"],
+    )
+    def test_repeat_is_named(self, field, value):
+        with pytest.raises(BadArgument) as exc:
+            small_config(**{field: value})
+        assert exc.value.param == field
+
     def test_presets(self):
         assert preset_config("bc-sim").base_scene is SceneCondition.BC
         assert preset_config("do-sim").base_scene is SceneCondition.DO
