@@ -195,8 +195,8 @@ def _cmd_summarize(args) -> int:
             {
                 "sample_every": args.sample_every,
                 "window": args.window,
-                "consistency": format(args.consistency, ".17g"),
-                "tick_seconds": format(args.tick_seconds, ".17g"),
+                "consistency": args.consistency,
+                "tick_seconds": args.tick_seconds,
             },
         )
     return 0

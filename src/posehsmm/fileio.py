@@ -43,11 +43,15 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _header(kind: str, fields: dict) -> list[str]:
-    lines = [f"format: {FORMAT_VERSION}", f"kind: {kind}"]
-    for key, value in fields.items():
-        lines.append(f"{key}: {value}")
-    return lines
+def _write(path, kind: str, header: dict, records) -> None:
+    """Write the ``format:`` and ``kind:`` lines, one ``key: value`` line
+    per header field, then one line per record; the only file writer."""
+    lines = chain(
+        (f"format: {FORMAT_VERSION}", f"kind: {kind}"),
+        (f"{key}: {value}" for key, value in header.items()),
+        records,
+    )
+    Path(path).write_text("\n".join(lines) + "\n")
 
 
 class _Reader:
@@ -77,9 +81,14 @@ class _Reader:
             self.head_lines[key] = self.numbers[self.pos]
             self.pos += 1
 
-    def numbered_records(self):
+    def numbered_records(self, *kinds: str):
+        """``(line number, tokens)`` of each record; a record whose keyword
+        is not one of ``kinds`` (when given) is a ``FormatError``."""
         for lineno, line in zip(self.numbers[self.pos :], self.lines[self.pos :]):
-            yield lineno, line.split()
+            rec = line.split()
+            if kinds and rec[0] not in kinds:
+                raise FormatError(f"{self.path}:{lineno}: unexpected record {rec[0]!r}")
+            yield lineno, rec
 
     def header(self, key: str, parse=int):
         """Header field ``key`` through ``parse``; a missing field names the
@@ -131,8 +140,9 @@ def _state(rec: list[str]) -> StateId:
     return StateId(PoseLabel(pose), _scene_parse(scene), int(index))
 
 
-def _scene_str(scene: SceneCondition | None) -> str:
-    return scene.value if scene is not None else "-"
+def _pose_scene(pose: PoseLabel, scene: SceneCondition | None) -> str:
+    """``pose scene``, with ``-`` for a scene-agnostic state."""
+    return f"{pose.value} {scene.value if scene is not None else '-'}"
 
 
 def _scene_parse(text: str) -> SceneCondition | None:
@@ -151,15 +161,13 @@ def write_stream(stream: FeatureStream, path) -> None:
         raise FormatError(f"{path}: no channel of the stream is ever available")
     ever = stream.mask.any(axis=1)
     X, mask = stream.X[ever], stream.mask[ever]
-    lines = _header(
-        "stream",
-        {"T": stream.T, "F": stream.F, "channels": " ".join(str(c) for c in channels)},
-    )
+    ticks = []
     for t in range(stream.T):
         bits = "".join("1" if b else "0" for b in mask[:, t])
         values = " ".join(_fmt(v) for v in X[mask[:, t], t].ravel().tolist())
-        lines.append(f"tick {t + 1} {bits} {values}")
-    Path(path).write_text("\n".join(lines) + "\n")
+        ticks.append(f"tick {t + 1} {bits} {values}")
+    header = {"T": stream.T, "F": stream.F, "channels": " ".join(str(c) for c in channels)}
+    _write(path, "stream", header, ticks)
 
 
 def read_stream(path) -> FeatureStream:
@@ -234,10 +242,8 @@ def _first_bad_tick(r: _Reader, T: int, F: int, n_ch: int) -> NoReturn:
     else of the tick count.  Accepts nothing."""
     path = r.path
     seen: set[int] = set()
-    for lineno, rec in r.numbered_records():
+    for lineno, rec in r.numbered_records("tick"):
         where = f"{path}:{lineno}"
-        if rec[0] != "tick":
-            raise FormatError(f"{where}: unexpected record {rec[0]!r}")
         try:
             t = int(rec[1])
             bits = rec[2]
@@ -280,9 +286,7 @@ def write_truth(
     transition=None,
 ) -> None:
     """Write one ``scene`` line per (first tick, length, scene) run, as given."""
-    lines = _header("truth", {"T": segmentation.T, "Q": len(space)})
-    for s in space:
-        lines.append(f"state {s.index} {s.pose.value} {_scene_str(s.scene)}")
+    lines = [f"state {s.index} {_pose_scene(s.pose, s.scene)}" for s in space]
     for seg in segmentation:
         lines.append(f"segment {seg.b} {seg.d} {seg.y_index}")
     for b, n, scene in scene_track:
@@ -293,7 +297,7 @@ def write_truth(
             f"{transition.from_pose.value} {transition.to_pose.value} "
             f"{transition.direction.value}"
         )
-    Path(path).write_text("\n".join(lines) + "\n")
+    _write(path, "truth", {"T": segmentation.T, "Q": len(space)}, lines)
 
 
 def read_truth(path) -> TruthFile:
@@ -307,7 +311,7 @@ def read_truth(path) -> TruthFile:
     scenes: list[tuple[int, int, SceneCondition]] = []
     covered = 0
     transition = None
-    for lineno, rec in r.numbered_records():
+    for lineno, rec in r.numbered_records("state", "segment", "scene", "transition"):
         with r.line(lineno):
             if rec[0] == "state":
                 states.append(_state(rec))
@@ -320,11 +324,9 @@ def read_truth(path) -> TruthFile:
                     raise ValueError(f"scene runs must tile 1..T, got {b} {n}")
                 scenes.append((int(b), int(n), SceneCondition(scene)))
                 covered += int(n)
-            elif rec[0] == "transition":
+            else:
                 a, b, direction = _fields(rec, 3)
                 transition = (PoseLabel(a), PoseLabel(b), RotationDirection(direction))
-            else:
-                raise FormatError(f"{path}:{lineno}: unexpected record {rec[0]!r}")
     try:
         space = StateSpace(tuple(sorted(states, key=lambda s: s.index)))
         segmentation = Segmentation(tuple(segments), T)
@@ -347,18 +349,7 @@ def write_model(model: HsmmModel, path) -> None:
         raise FormatError("only Gaussian-duration models are persisted")
     channels = sorted(model.emissions)
     F = model.emissions[channels[0]].F if channels else 0
-    lines = _header(
-        "model",
-        {
-            "Q": model.n_states,
-            "F": F,
-            "d_max": model.d_max,
-            "channels": " ".join(str(c) for c in channels),
-        },
-    )
-    if model.states is not None:
-        for s in model.states:
-            lines.append(f"state {s.index} {s.pose.value} {_scene_str(s.scene)}")
+    lines = [f"state {s.index} {_pose_scene(s.pose, s.scene)}" for s in model.states or ()]
     lines.append("pi " + " ".join(_fmt(v) for v in model.pi))
     for i in range(model.n_states):
         lines.append(f"trans {i} " + " ".join(_fmt(v) for v in model.A[i]))
@@ -370,7 +361,13 @@ def write_model(model: HsmmModel, path) -> None:
         means = model.emissions[c].means
         for i in range(model.n_states):
             lines.append(f"emit {c} {i} " + " ".join(_fmt(v) for v in means[i]))
-    Path(path).write_text("\n".join(lines) + "\n")
+    header = {
+        "Q": model.n_states,
+        "F": F,
+        "d_max": model.d_max,
+        "channels": " ".join(str(c) for c in channels),
+    }
+    _write(path, "model", header, lines)
 
 
 def read_model(path) -> HsmmModel:
@@ -402,7 +399,7 @@ def read_model(path) -> HsmmModel:
             raise ValueError(f"duplicate {' '.join(map(str, record))} record")
         seen.add(record)
 
-    for lineno, rec in r.numbered_records():
+    for lineno, rec in r.numbered_records("state", "pi", "trans", "dur", "emit"):
         with r.line(lineno):
             if rec[0] == "state":
                 states.append(_state(rec))
@@ -420,15 +417,13 @@ def read_model(path) -> HsmmModel:
                 dur[i] = _floats([m, sd], 2)
                 if not (dur[i][0] > 0.0 and dur[i][1] > 0.0):
                     raise ValueError("duration mean and std must be positive")
-            elif rec[0] == "emit":
+            else:
                 c, i = ChannelId.parse(rec[1]), _index(rec[2], Q)
                 once("emit", c, i)
                 row = _floats(rec[3:], F)
                 if not all(0.0 <= v <= 1.0 for v in row):
                     raise ValueError("emission means must lie in [0, 1]")
                 means[c][i] = row
-            else:
-                raise FormatError(f"{path}:{lineno}: unexpected record {rec[0]!r}")
     expected = {("pi",)}
     expected |= {(kind, i) for kind in ("trans", "dur") for i in range(Q)}
     expected |= {("emit", c, i) for c in channels for i in range(Q)}
@@ -459,16 +454,12 @@ def read_model(path) -> HsmmModel:
 
 
 def write_decoded(segmentation: Segmentation, log_prob: float, path, space=None) -> None:
-    lines = _header("decoded", {"T": segmentation.T, "log_prob": _fmt(log_prob)})
+    lines = []
     for seg in segmentation:
-        if space is not None:
-            s = space[seg.y_index]
-            lines.append(
-                f"segment {seg.b} {seg.d} {seg.y_index} {s.pose.value} {_scene_str(s.scene)}"
-            )
-        else:
-            lines.append(f"segment {seg.b} {seg.d} {seg.y_index} - -")
-    Path(path).write_text("\n".join(lines) + "\n")
+        s = space[seg.y_index] if space is not None else None
+        names = _pose_scene(s.pose, s.scene) if s is not None else "- -"
+        lines.append(f"segment {seg.b} {seg.d} {seg.y_index} {names}")
+    _write(path, "decoded", {"T": segmentation.T, "log_prob": _fmt(log_prob)}, lines)
 
 
 def read_decoded(path, truth=None) -> tuple[Segmentation, float]:
@@ -490,9 +481,7 @@ def read_decoded(path, truth=None) -> tuple[Segmentation, float]:
             raise FormatError(f"{path}: decoded file covers T={T}, but truth {source} "
                               f"covers T={reference.segmentation.T}")
     segments = []
-    for lineno, rec in r.numbered_records():
-        if rec[0] != "segment":
-            raise FormatError(f"{path}:{lineno}: unexpected record {rec[0]!r}")
+    for lineno, rec in r.numbered_records("segment"):
         with r.line(lineno):
             b, d, y, pose, scene = _fields(rec, 5)
             if int(y) < 0:
@@ -503,7 +492,7 @@ def read_decoded(path, truth=None) -> tuple[Segmentation, float]:
             where = f"{path}:{lineno}: state {y}"
             if y >= len(space):
                 raise FormatError(f"{where} is outside the {len(space)} states of {source}")
-            named = f"{space[y].pose.value} {_scene_str(space[y].scene)}"
+            named = _pose_scene(space[y].pose, space[y].scene)
             if f"{pose} {scene}" not in ("- -", named):
                 raise FormatError(
                     f"{where} is '{named}' in {source}, but the line names '{pose} {scene}'"
@@ -515,14 +504,15 @@ def read_decoded(path, truth=None) -> tuple[Segmentation, float]:
 
 
 def write_history(records, path, params: dict | None = None) -> None:
-    lines = _header("history", params or {})
-    for rec in records:
-        lines.append(
-            f"record {rec.window_start} {rec.window_len} "
-            f"{rec.label.display_symbol} {rec.label.value} "
-            f"{_scene_str(rec.scene)} {_fmt(rec.confidence)}"
-        )
-    Path(path).write_text("\n".join(lines) + "\n")
+    """Write ``params`` as the header, floats with 17 significant digits,
+    then one ``record`` line per window."""
+    header = {k: _fmt(v) if isinstance(v, float) else v for k, v in (params or {}).items()}
+    lines = [
+        f"record {rec.window_start} {rec.window_len} {rec.label.display_symbol} "
+        f"{_pose_scene(rec.label, rec.scene)} {_fmt(rec.confidence)}"
+        for rec in records
+    ]
+    _write(path, "history", header, lines)
 
 
 def read_history(path) -> tuple[tuple[int, int, float], list[HistoryRecord]]:
@@ -545,9 +535,7 @@ def read_history(path) -> tuple[tuple[int, int, float], list[HistoryRecord]]:
         line = r.head_lines.get(exc.param, r.head_lines.get("sample_every"))
         raise FormatError(f"{path}:{line}: {exc}") from None
     records = []
-    for lineno, rec in r.numbered_records():
-        if rec[0] != "record":
-            raise FormatError(f"{path}:{lineno}: unexpected record {rec[0]!r}")
+    for lineno, rec in r.numbered_records("record"):
         with r.line(lineno):
             records.append(
                 HistoryRecord(
@@ -562,35 +550,30 @@ def read_history(path) -> tuple[tuple[int, int, float], list[HistoryRecord]]:
 
 
 def write_keyframes(kfs: KeyframeSet, path) -> None:
-    lines = _header(
-        "keyframes",
-        {
-            "k_max": kfs.k_max,
-            "threshold": _fmt(kfs.threshold),
-            "static": str(kfs.static).lower(),
-        },
-    )
+    lines = []
     for kf in kfs:
         channel = str(kf.channel) if kf.channel is not None else "-"
         lines.append(f"keyframe {kf.frame_index} {channel} {_fmt(kf.score)} {kf.stage}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    header = {
+        "k_max": kfs.k_max,
+        "threshold": _fmt(kfs.threshold),
+        "static": str(kfs.static).lower(),
+    }
+    _write(path, "keyframes", header, lines)
 
 
 def write_transition(record: TransitionRecord, path) -> None:
-    lines = _header("transition", {})
-    lines.append(
+    line = (
         f"transition {record.from_pose.value} {record.to_pose.value} "
         f"{record.direction.value} {_fmt(record.log_prob)} {record.n_pseudo_poses}"
     )
-    Path(path).write_text("\n".join(lines) + "\n")
+    _write(path, "transition", {}, [line])
 
 
 def read_transitions(path) -> list[TransitionRecord]:
     r = _Reader(path, "transition")
     records = []
-    for lineno, rec in r.numbered_records():
-        if rec[0] != "transition":
-            raise FormatError(f"{path}:{lineno}: unexpected record {rec[0]!r}")
+    for lineno, rec in r.numbered_records("transition"):
         with r.line(lineno):
             records.append(
                 TransitionRecord(
