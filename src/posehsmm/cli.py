@@ -8,6 +8,7 @@ domain errors (bad files, malformed inputs).
 from __future__ import annotations
 
 import argparse
+import itertools
 import math
 import sys
 from pathlib import Path
@@ -276,20 +277,22 @@ def _read_manifest(path):
 def _cmd_classify_transition(args) -> int:
     keyframes.check_keyframe_params(args.k_max, args.th, args.stage2_th, _KEYFRAME_FLAGS)
     clips = _read_manifest(args.manifest)
-    # a clip to reject costs no library fit; its F and channels need the chains
+    # a clip to reject costs no library fit, except that its channels need
+    # the chains; every manifest clip has the first one's F
     clip = fileio.read_stream(args.clip)
-    library = build_transition_library(clips, args.k_max, args.th, args.stage2_th)
+    first = next(clips)
+    if clip.F != first[0].F:
+        raise FormatError(
+            f"{args.clip}: clip has F={clip.F}, manifest {args.manifest} clips "
+            f"have F={first[0].F}"
+        )
+    library = build_transition_library(
+        itertools.chain([first], clips), args.k_max, args.th, args.stage2_th
+    )
     if not library.entries:
         raise FormatError(
             f"{args.manifest}: every clip is static at --th {args.th}; "
             "no transition chain to score against"
-        )
-    # every chain has a channel, and the manifest's F check leaves one width
-    (F,) = library.tables.widths
-    if clip.F != F:
-        raise FormatError(
-            f"{args.clip}: clip has F={clip.F}, manifest {args.manifest} clips "
-            f"have F={F}"
         )
     modelled = {c for chain in library.entries.values() for c in chain.means}
     _check_channels(clip, args.clip, modelled, f"the chains of manifest {args.manifest}")

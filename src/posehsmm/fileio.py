@@ -43,6 +43,13 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
+def _finite(text: str) -> float:
+    x = float(text)
+    if not math.isfinite(x):
+        raise ValueError(f"{text} is not a finite number")
+    return x
+
+
 def _write(path, kind: str, header: dict, records) -> None:
     """Write the ``format:`` and ``kind:`` lines, one ``key: value`` line
     per header field, then one line per record; the only file writer."""
@@ -174,7 +181,9 @@ def read_stream(path) -> FeatureStream:
     """Parse a stream file: each tick 1..T exactly once, every feature a
     finite number in [0, 1], else ``FormatError`` naming file and line.
 
-    Tick lines are parsed and checked in bulk, ``STREAM_CHUNK`` at a time.
+    An F too large for the longest tick line to hold F values is rejected
+    at its header line before anything of size F is allocated.  Tick lines
+    are parsed and checked in bulk, ``STREAM_CHUNK`` at a time.
     When a check fails, ``_first_bad_tick`` rescans them in file order and
     raises the message of the first bad line, or of the tick count.
     """
@@ -187,6 +196,14 @@ def read_stream(path) -> FeatureStream:
     lines = r.lines[r.pos :]
     if len(lines) != T:
         _first_bad_tick(r, T, F, len(channels))
+    # F values take 2F characters at least, so a larger F fits on no tick
+    # line; it is rejected before X, (channels, T, F), is allocated
+    longest = max(map(len, lines))
+    if 2 * F > longest:
+        raise FormatError(
+            f"{path}:{r.head_lines['F']}: F={F} values fit on no tick line, "
+            f"the longest has {longest} characters"
+        )
     X = np.zeros((len(channels), T, F))
     mask = np.zeros((len(channels), T), dtype=bool)
     seen = np.zeros(T, dtype=bool)
@@ -463,9 +480,9 @@ def write_decoded(segmentation: Segmentation, log_prob: float, path, space=None)
 
 
 def read_decoded(path, truth=None) -> tuple[Segmentation, float]:
-    """Parse a decoded file: ``segment`` records of the five fields
-    ``write_decoded`` writes, each state index >= 0, covering 1..T, else
-    ``FormatError`` naming file (and line).
+    """Parse a decoded file: a finite ``log_prob`` and ``segment`` records of
+    the five fields ``write_decoded`` writes, each state index >= 0, covering
+    1..T, else ``FormatError`` naming file (and line).
 
     ``truth`` is a ``(path, TruthFile)`` pair to score the decode against.
     With it the file must cover the truth's T, each state index must lie in
@@ -474,7 +491,7 @@ def read_decoded(path, truth=None) -> tuple[Segmentation, float]:
     """
     r = _Reader(path, "decoded")
     T = r.header("T")
-    log_prob = r.header("log_prob", float)
+    log_prob = r.header("log_prob", _finite)
     if truth is not None:
         source, reference = truth
         if T != reference.segmentation.T:
@@ -521,7 +538,10 @@ def read_history(path) -> tuple[tuple[int, int, float], list[HistoryRecord]]:
 
     ``check_history_params`` checks the header's fields and gives a field
     it lacks the default; a field it rejects is a ``FormatError`` naming
-    that field's line.
+    that field's line.  Record k (from 0) has six fields: it starts at tick
+    1 + k * window, its length is in 1..window, its symbol is its pose's
+    ``display_symbol`` and its confidence lies in [0, 1]; else the
+    ``FormatError`` names the record's line.
     """
     r = _Reader(path, "history")
     fields = {"sample_every": int, "window": int, "consistency": float}
@@ -534,18 +554,24 @@ def read_history(path) -> tuple[tuple[int, int, float], list[HistoryRecord]]:
         # default window shorter than the header's sampling step
         line = r.head_lines.get(exc.param, r.head_lines.get("sample_every"))
         raise FormatError(f"{path}:{line}: {exc}") from None
+    window = params[1]
     records = []
-    for lineno, rec in r.numbered_records("record"):
+    for k, (lineno, rec) in enumerate(r.numbered_records("record")):
         with r.line(lineno):
-            records.append(
-                HistoryRecord(
-                    int(rec[1]),
-                    int(rec[2]),
-                    PoseLabel(rec[4]),
-                    _scene_parse(rec[5]),
-                    float(rec[6]),
-                )
+            start, length, symbol, pose, scene, confidence = _fields(rec, 6)
+            label, first = PoseLabel(pose), 1 + k * window
+            record = HistoryRecord(
+                int(start), int(length), label, _scene_parse(scene), float(confidence)
             )
+            if record.window_start != first:
+                raise ValueError(f"record {k + 1} must start at tick {first}, got {start}")
+            if not 1 <= record.window_len <= window:
+                raise ValueError(f"window length {length} outside 1..{window}")
+            if symbol != str(label.display_symbol):
+                raise ValueError(f"symbol {symbol} is not {pose}'s {label.display_symbol}")
+            if not 0.0 <= record.confidence <= 1.0:
+                raise ValueError(f"confidence {confidence} outside [0, 1]")
+            records.append(record)
     return params, records
 
 
@@ -571,17 +597,17 @@ def write_transition(record: TransitionRecord, path) -> None:
 
 
 def read_transitions(path) -> list[TransitionRecord]:
+    """Parse a transitions file: ``transition`` records of five fields, each
+    with known labels, a finite log_prob and a pseudo-pose count >= 1, else
+    ``FormatError`` naming file and line."""
     r = _Reader(path, "transition")
     records = []
     for lineno, rec in r.numbered_records("transition"):
         with r.line(lineno):
-            records.append(
-                TransitionRecord(
-                    PoseLabel(rec[1]),
-                    PoseLabel(rec[2]),
-                    RotationDirection(rec[3]),
-                    float(rec[4]),
-                    int(rec[5]),
-                )
-            )
+            a, b, direction, log_prob, n = _fields(rec, 5)
+            labels = PoseLabel(a), PoseLabel(b), RotationDirection(direction)
+            record = TransitionRecord(*labels, _finite(log_prob), int(n))
+            if record.n_pseudo_poses < 1:
+                raise ValueError(f"pseudo-pose count {n} is below 1")
+            records.append(record)
     return records

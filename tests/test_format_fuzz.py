@@ -1,4 +1,5 @@
-"""Mutated stream, model and truth files parse to the original or fail cleanly.
+"""Mutated stream, model, truth and decoded files parse to the original or
+fail cleanly.
 
 Each example takes a valid file and applies one mutation: truncate a line
 (drop its trailing tokens), swap a line's keyword with one of its fields,
@@ -52,6 +53,9 @@ def valid(tmp_path_factory):
     space = truth.generating_model.states
     fileio.write_truth(space, truth.segmentation, truth.scene_track, root / "s.truth")
     fileio.write_model(truth.generating_model, root / "s.model")
+    # a log_prob of -1, the one injected token a log-probability may take, so
+    # an injection into it gives the original back or must fail
+    fileio.write_decoded(truth.segmentation, -1.0, root / "s.decoded", space)
     _, clip_truth = sample_transition_clip(
         PoseLabel.SOLDIER_UP, PoseLabel.FETAL_RIGHT, RotationDirection.LEFT,
         ScenarioConfig(scene_doubling=False),
@@ -65,6 +69,7 @@ def valid(tmp_path_factory):
         "model": (root / "s.model", fileio.read_model, _model_text),
         "truth": (root / "s.truth", fileio.read_truth, lambda t: t),
         "clip-truth": (root / "c.truth", fileio.read_truth, lambda t: t),
+        "decoded": (root / "s.decoded", fileio.read_decoded, lambda d: d),
     }
     return {
         kind: (
@@ -100,7 +105,7 @@ def mutate(lines, op, line, pos, token):
 
 
 @given(
-    kind=st.sampled_from(["stream", "model", "truth", "clip-truth"]),
+    kind=st.sampled_from(["stream", "model", "truth", "clip-truth", "decoded"]),
     op=st.sampled_from(OPS),
     line=st.integers(0, 10**6),
     pos=st.integers(0, 10**6),

@@ -666,6 +666,20 @@ class TestFeatureWidthMismatch:
         assert rc == 1
         assert capsys.readouterr().err.startswith(f"error: {narrow}: clip has F=4")
 
+    def test_clip_against_manifest_before_library_fit(self, clips, monkeypatch, capsys):
+        def no_fit(*args, **kwargs):
+            raise AssertionError("the library was fitted before the clip's F was checked")
+
+        monkeypatch.setattr(cli, "build_transition_library", no_fit)
+        narrow = clips / "narrow.stream"
+        manifest = clips / "train.manifest"
+        rc = main(["classify-transition", "--manifest", str(manifest),
+                   "--clip", str(narrow), "--th", "0.25"])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"error: {narrow}: clip has F=4, manifest {manifest} clips have F=6\n"
+        )
+
     def test_manifest_mixing_widths(self, clips, capsys):
         manifest = clips / "mixed.manifest"
         manifest.write_text(
@@ -887,6 +901,23 @@ class TestSizeHeaders:
         assert rc == 1
         assert capsys.readouterr().err == f"error: {message}\n"
 
+    @pytest.mark.parametrize(
+        "T, F, ticks, longest",
+        [(1, 10**12, ["tick 1 1 0.5"], 12),
+         (2, 10**9, ["tick 1 00", "tick 2 00"], 9)],
+        ids=["one-tick-with-values", "no-channel-available"],
+    )
+    def test_stream_F_beyond_tick_lines(self, tmp_path, T, F, ticks, longest):
+        """X for this F would take 7.3 TiB or 29.8 GiB, so keyframes runs in
+        a child under a 2 GiB address-space cap."""
+        bad = tmp_path / "wide.stream"
+        bad.write_text("\n".join(["format: v1", "kind: stream", f"T: {T}", f"F: {F}",
+                                  "channels: left:RGB center:RGB", *ticks]) + "\n")
+        message = (f"{bad}:4: F={F} values fit on no tick line, "
+                   f"the longest has {longest} characters")
+        proc = run_cli_limited("keyframes", "--stream", bad)
+        assert (proc.returncode, proc.stderr) == (1, f"error: {message}\n")
+
     def test_model_Q_beyond_records(self, workdir, tmp_path, capsys):
         text = (workdir / "fit.model").read_text()
         bad = tmp_path / "huge.model"
@@ -1004,6 +1035,91 @@ class TestStrictDecodedParsing:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {bad}:{line}: ")
         assert err.count("\n") == 1
+
+
+class TestStrictResultRecords:
+    """A history, transitions or decoded file whose records write_history,
+    write_transition or write_decoded could not have written is a one-line
+    error naming the file and line, with exit code 1."""
+
+    TRUTH = (
+        "format: v1\nkind: truth\nT: 15\nQ: 1\nstate 0 solU BC\n"
+        "segment 1 15 0\nscene 1 15 BC\ntransition solU fetR left\n"
+    )
+    #: format, kind and three parameters: records on lines 6 and 7
+    HISTORY = ["format: v1", "kind: history", "sample_every: 1", "window: 10",
+               "consistency: 0.8", "record 1 10 1 solU BC 1", "record 11 5 1 solU BC 1"]
+
+    def check(self, tmp_path, capsys, kind, lines, line):
+        bad = tmp_path / f"bad.{kind}"
+        bad.write_text("\n".join(lines) + "\n")
+        read = {"history": fileio.read_history, "transitions": fileio.read_transitions,
+                "decoded": fileio.read_decoded}[kind]
+        with pytest.raises(FormatError, match="^" + re.escape(f"{bad}:{line}: ")):
+            read(bad)
+        truth = tmp_path / "a.truth"
+        truth.write_text(self.TRUTH)
+        capsys.readouterr()
+        assert main(["evaluate", "--truth", str(truth), f"--{kind}", str(bad)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}:{line}: ")
+        assert err.count("\n") == 1
+
+    def test_valid_files_are_scored(self, tmp_path, capsys):
+        history, transitions = tmp_path / "a.history", tmp_path / "a.transition"
+        history.write_text("\n".join(self.HISTORY) + "\n")
+        transitions.write_text("format: v1\nkind: transition\n"
+                               "transition solU fetR left -12.5 5\n")
+        truth = tmp_path / "a.truth"
+        truth.write_text(self.TRUTH)
+        assert main(["evaluate", "--truth", str(truth), "--history", str(history),
+                     "--transitions", str(transitions)]) == 0
+        assert capsys.readouterr().out.splitlines()[:2] == [
+            "window_detection_rate  1.000000", "transition_accuracy    1.000000"
+        ]
+
+    @pytest.mark.parametrize(
+        "record, line",
+        [("record 1 10 1 solU BC nan extra", 6),
+         ("record -5 0 99 fetR - inf", 6),
+         ("record 11 5 1 solU BC 1 extra", 7),
+         ("record 12 5 1 solU BC 1", 7),
+         ("record 11 0 1 solU BC 1", 7),
+         ("record 11 11 1 solU BC 1", 7),
+         ("record 11 5 -1 solU BC 1", 7),
+         ("record 11 5 1 solU BC nan", 7),
+         ("record 11 5 1 solU BC inf", 7),
+         ("record 11 5 1 solU BC 1.5", 7)],
+        ids=["extra-field-and-nan", "negative-start", "extra-field", "wrong-start",
+             "zero-length", "longer-than-window", "wrong-symbol", "nan-confidence",
+             "inf-confidence", "confidence-above-1"],
+    )
+    def test_bad_history_record(self, tmp_path, capsys, record, line):
+        lines = list(self.HISTORY)
+        lines[line - 1] = record
+        self.check(tmp_path, capsys, "history", lines, line)
+
+    @pytest.mark.parametrize(
+        "record",
+        ["transition solU fetR left nan -1 junk",
+         "transition solU fetR left -12.5 5 junk",
+         "transition solU fetR left nan 5",
+         "transition solU fetR left inf 5",
+         "transition solU fetR left -inf 5",
+         "transition solU fetR left -12.5 0",
+         "transition solU fetR left -12.5 -1"],
+        ids=["nan-and-count-and-extra", "extra-field", "nan-log-prob", "inf-log-prob",
+             "minus-inf-log-prob", "zero-pseudo-poses", "negative-pseudo-poses"],
+    )
+    def test_bad_transition_record(self, tmp_path, capsys, record):
+        self.check(tmp_path, capsys, "transitions",
+                   ["format: v1", "kind: transition", record], 3)
+
+    @pytest.mark.parametrize("log_prob", ["nan", "inf", "-inf"])
+    def test_decoded_log_prob_must_be_finite(self, tmp_path, capsys, log_prob):
+        self.check(tmp_path, capsys, "decoded",
+                   ["format: v1", "kind: decoded", "T: 15", f"log_prob: {log_prob}",
+                    "segment 1 15 0 solU BC"], 4)
 
 
 class TestMissingFile:
