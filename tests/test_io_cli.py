@@ -903,13 +903,13 @@ class TestSizeHeaders:
 
     @pytest.mark.parametrize(
         "T, F, ticks, longest",
-        [(1, 10**12, ["tick 1 1 0.5"], 12),
+        [(1, 10**12, ["tick 1 10 0.5"], 13),
          (2, 10**9, ["tick 1 00", "tick 2 00"], 9)],
         ids=["one-tick-with-values", "no-channel-available"],
     )
     def test_stream_F_beyond_tick_lines(self, tmp_path, T, F, ticks, longest):
-        """X for this F would take 7.3 TiB or 29.8 GiB, so keyframes runs in
-        a child under a 2 GiB address-space cap."""
+        """X for these headers would take 14.6 TiB or 29.8 GiB, so keyframes
+        runs in a child under a 2 GiB address-space cap."""
         bad = tmp_path / "wide.stream"
         bad.write_text("\n".join(["format: v1", "kind: stream", f"T: {T}", f"F: {F}",
                                   "channels: left:RGB center:RGB", *ticks]) + "\n")
