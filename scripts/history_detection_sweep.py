@@ -13,31 +13,13 @@ import argparse
 
 import numpy as np
 
-from posehsmm.emission import fit_channel_emissions
-from posehsmm.inference import HsmmModel, fit_durations, fit_transitions
+from posehsmm.cli import fit_hsmm
 from posehsmm.simulate import preset_config, sample_sequence
-from posehsmm.states import build_initial_distribution
 from posehsmm.summarize import (
     history_from_segments,
     summarize_history,
     window_detection_rate,
 )
-
-
-def fit_supervised(pairs):
-    space = pairs[0][1].generating_model.states
-    n = len(space)
-    segmentations = [t.segmentation for _, t in pairs]
-    A = fit_transitions(segmentations, n)
-    longest = max(max(seg.d for seg in s) for s in segmentations)
-    d_max = min(3 * longest, max(s.T for s in segmentations))
-    durations = fit_durations(segmentations, n, d_max)
-    streams = [stream for stream, _ in pairs]
-    channels = sorted({c for s in streams for c in s.channels})
-    emissions = {
-        c: fit_channel_emissions(streams, segmentations, c, n) for c in channels
-    }
-    return HsmmModel(build_initial_distribution(space), A, durations, emissions, space)
 
 
 def main(argv=None) -> int:
@@ -51,12 +33,12 @@ def main(argv=None) -> int:
 
     rates = {}
     for name in args.presets:
-        pairs = [
+        streams, truths = zip(*(
             sample_sequence(preset_config(name, seed=s))
             for s in range(*args.train_seeds)
-        ]
-        model = fit_supervised(pairs)
-        space = model.states
+        ))
+        space = truths[0].generating_model.states
+        model = fit_hsmm(streams, [t.segmentation for t in truths], space)
         per_seed = []
         for seed in range(*args.eval_seeds):
             stream, truth = sample_sequence(preset_config(name, seed=seed))

@@ -82,6 +82,24 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
+def fit_hsmm(streams, segmentations, space, d_max=None) -> HsmmModel:
+    """The supervised fit ``train`` runs: pooled counts over the labeled
+    sequences and one emission model per channel any stream carries.
+
+    ``d_max`` defaults to three times the longest labeled run, capped at
+    the longest sequence.
+    """
+    n = len(space)
+    A = fit_transitions(segmentations, n)
+    if d_max is None:
+        longest = max(max(seg.d for seg in s) for s in segmentations)
+        d_max = min(3 * longest, max(s.T for s in segmentations))
+    durations = fit_durations(segmentations, n, d_max)
+    channels = sorted({c for s in streams for c in s.channels})
+    emissions = {c: fit_channel_emissions(streams, segmentations, c, n) for c in channels}
+    return HsmmModel(build_initial_distribution(space), A, durations, emissions, space)
+
+
 def _cmd_train(args) -> int:
     streams, truths = [], []
     for stream_path, truth_path in args.data:
@@ -102,22 +120,10 @@ def _cmd_train(args) -> int:
     space = truths[0].space
     if any(truth.space != space for truth in truths):
         raise FormatError("all truth sidecars must share one state table")
-    n = len(space)
-
     segmentations = [truth.segmentation for truth in truths]
-    A = fit_transitions(segmentations, n)
-    if args.d_max is not None:
-        d_max = args.d_max
-    else:
-        longest = max(max(seg.d for seg in s) for s in segmentations)
-        d_max = min(3 * longest, max(s.T for s in segmentations))
-    durations = fit_durations(segmentations, n, d_max)
-
-    channels = sorted({c for s in streams for c in s.channels})
-    emissions = {c: fit_channel_emissions(streams, segmentations, c, n) for c in channels}
-    model = HsmmModel(build_initial_distribution(space), A, durations, emissions, space)
+    model = fit_hsmm(streams, segmentations, space, args.d_max)
     fileio.write_model(model, args.out)
-    print(f"trained {n}-state model on {len(streams)} sequence(s); wrote {args.out}")
+    print(f"trained {len(space)}-state model on {len(streams)} sequence(s); wrote {args.out}")
     return 0
 
 
@@ -173,6 +179,10 @@ def _cmd_summarize(args) -> int:
             f"--tick-seconds must be a finite number > 0, got {args.tick_seconds}"
         )
     model, stream = _load_pair(args)
+    if not math.isfinite(stream.T * args.tick_seconds):
+        raise BadArgument(
+            f"--tick-seconds {args.tick_seconds} times T={stream.T} ticks is not finite"
+        )
     if model.states is None:
         raise FormatError(
             f"{args.model}: model has no state lines, so its states have no pose names"
@@ -206,6 +216,7 @@ def _cmd_summarize(args) -> int:
 def _cmd_keyframes(args) -> int:
     keyframes.check_keyframe_params(args.k_max, args.th, args.stage2_th, _KEYFRAME_FLAGS)
     stream = fileio.read_stream(args.stream)
+    keyframes.check_clip(stream, args.stream)
     if args.binarize:
         stream = binarize_stream(stream)
     kfs = select_keyframes(stream, args.k_max, args.th, args.stage2_th)
@@ -267,6 +278,7 @@ def _read_manifest(path):
                     f"{path}:{lineno}: {clip_path}: stream has F={stream.F}, "
                     f"earlier clips have F={F}"
                 )
+            keyframes.check_clip(stream, f"{path}:{lineno}: {clip_path}")
             yield (stream, *labels)
             # hold no stream while the next one is read
             del stream
@@ -280,6 +292,7 @@ def _cmd_classify_transition(args) -> int:
     # a clip to reject costs no library fit, except that its channels need
     # the chains; every manifest clip has the first one's F
     clip = fileio.read_stream(args.clip)
+    keyframes.check_clip(clip, args.clip)
     first = next(clips)
     if clip.F != first[0].F:
         raise FormatError(

@@ -182,8 +182,10 @@ def read_stream(path) -> FeatureStream:
     finite number in [0, 1], else ``FormatError`` naming file and line.
 
     An F too large for the longest tick line to hold F values is rejected
-    at its header line before anything of size F is allocated.  Tick lines
-    are parsed and checked in bulk, ``STREAM_CHUNK`` at a time.
+    at its header line before anything of size F is allocated, and
+    (channels, T, F) values that memory cannot hold are a ``FormatError``
+    naming the file.  Tick lines are parsed and checked in bulk,
+    ``STREAM_CHUNK`` at a time.
     When a check fails, ``_first_bad_tick`` rescans them in file order and
     raises the message of the first bad line, or of the tick count.
     """
@@ -204,17 +206,24 @@ def read_stream(path) -> FeatureStream:
             f"{path}:{r.head_lines['F']}: F={F} values fit on no tick line, "
             f"the longest has {longest} characters"
         )
-    X = np.zeros((len(channels), T, F))
-    mask = np.zeros((len(channels), T), dtype=bool)
-    seen = np.zeros(T, dtype=bool)
-    chunks = (lines[lo : lo + STREAM_CHUNK] for lo in range(0, T, STREAM_CHUNK))
-    parsed = all(_parse_ticks(chunk, X, mask, seen) for chunk in chunks)
-    if not parsed or not seen.all():
-        _first_bad_tick(r, T, F, len(channels))
-    return FeatureStream.from_arrays(
-        {c: X[k] for k, c in enumerate(channels)},
-        {c: mask[k] for k, c in enumerate(channels)},
-    )
+    # X, each chunk's tick rows and the stream's copy are sized by the
+    # header, so a sparse file can ask for far more memory than it holds
+    try:
+        X = np.zeros((len(channels), T, F))
+        mask = np.zeros((len(channels), T), dtype=bool)
+        seen = np.zeros(T, dtype=bool)
+        chunks = (lines[lo : lo + STREAM_CHUNK] for lo in range(0, T, STREAM_CHUNK))
+        parsed = all(_parse_ticks(chunk, X, mask, seen) for chunk in chunks)
+        if not parsed or not seen.all():
+            _first_bad_tick(r, T, F, len(channels))
+        return FeatureStream.from_arrays(
+            {c: X[k] for k, c in enumerate(channels)},
+            {c: mask[k] for k, c in enumerate(channels)},
+        )
+    except MemoryError:
+        raise FormatError(
+            f"{path}: {len(channels)} channel(s) x T={T} x F={F} values do not fit in memory"
+        ) from None
 
 
 def _parse_ticks(

@@ -100,6 +100,14 @@ def check_keyframe_params(
             raise BadArgument(f"{name} must be a finite number >= 0, got {value}", param)
 
 
+def check_clip(clip: FeatureStream, where: str | None = None) -> None:
+    """Raise ``EmptySequence`` unless the clip has the two ticks its
+    endpoints need; the message starts with ``where`` (a file, say) if given."""
+    if clip.T < 2:
+        prefix = f"{where}: " if where is not None else ""
+        raise EmptySequence(f"{prefix}clip has {clip.T} frame(s); need at least 2")
+
+
 def select_keyframes(
     clip: FeatureStream,
     k_max: int = DEFAULT_K_MAX,
@@ -117,8 +125,7 @@ def select_keyframes(
     rejects raise ``BadArgument``.
     """
     check_keyframe_params(k_max, threshold, stage2_threshold)
-    if clip.T < 2:
-        raise EmptySequence(f"clip has {clip.T} frame(s); need at least 2")
+    check_clip(clip)
     ratio = threshold if stage2_threshold is None else stage2_threshold
     channels = clip.channel_ids
 

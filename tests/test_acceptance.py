@@ -15,11 +15,11 @@ import pytest
 
 from conftest import CH, random_hsmm, random_stream, tick_states
 from posehsmm import fileio
+from posehsmm.cli import fit_hsmm
 from posehsmm.emission import ChannelEmissionModel, fit_channel_emissions
 from posehsmm.errors import NoFeasiblePath, NoTransitionDetected
 from posehsmm.inference import (
     HmmModel,
-    HsmmModel,
     brute_force_decode,
     fit_durations,
     fit_transitions,
@@ -77,23 +77,6 @@ def verdict(capsys, n, slug):
             f"\nacceptance {n} {slug}: PASS{detail}"
             f"  [{time.perf_counter() - t0:.1f}s]"
         )
-
-
-def fit_supervised(pairs):
-    """The CLI training pipeline, in-process: pooled counts over sequences."""
-    space = pairs[0][1].generating_model.states
-    n = len(space)
-    segmentations = [t.segmentation for _, t in pairs]
-    A = fit_transitions(segmentations, n)
-    longest = max(max(seg.d for seg in s) for s in segmentations)
-    d_max = min(3 * longest, max(s.T for s in segmentations))
-    durations = fit_durations(segmentations, n, d_max)
-    streams = [stream for stream, _ in pairs]
-    channels = sorted({c for s in streams for c in s.channels})
-    emissions = {
-        c: fit_channel_emissions(streams, segmentations, c, n) for c in channels
-    }
-    return HsmmModel(build_initial_distribution(space), A, durations, emissions, space)
 
 
 def test_c1_decoder_matches_exhaustive_oracle(capsys):
@@ -303,12 +286,11 @@ def test_c5_window_detection_by_regime(capsys):
     with verdict(capsys, 5, "window-detection-by-regime") as info:
         rates = {}
         for name in ("bc-sim", "do-sim"):
-            pairs = [
-                sample_sequence(preset_config(name, seed=s))
-                for s in range(100, 106)
-            ]
-            model = fit_supervised(pairs)
-            space = model.states
+            streams, truths = zip(*(
+                sample_sequence(preset_config(name, seed=s)) for s in range(100, 106)
+            ))
+            space = truths[0].generating_model.states
+            model = fit_hsmm(streams, [t.segmentation for t in truths], space)
             per_seed = []
             for seed in range(1, 21):
                 stream, truth = sample_sequence(preset_config(name, seed=seed))

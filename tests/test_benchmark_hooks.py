@@ -8,7 +8,7 @@ breaks the traced benchmark run; this test catches it in the tier-1 suite.
 It imports the tracer as the benchmark's own tests do.
 """
 
-import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -17,7 +17,10 @@ import posehsmm.cli
 import posehsmm.fileio
 import posehsmm.inference
 import posehsmm.summarize
-from posehsmm.emission import FeatureStream
+from posehsmm.emission import FeatureStream, fit_channel_emissions
+from posehsmm.inference import fit_durations, fit_transitions
+from posehsmm.simulate import preset_config, sample_sequence
+from posehsmm.states import build_initial_distribution
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 OWNERS = (posehsmm.cli, posehsmm.fileio, posehsmm.inference, posehsmm.summarize,
@@ -56,3 +59,50 @@ def test_install_wraps_and_uninstall_restores_every_name(tracer):
         after = vars(owner)
         assert after.keys() == names.keys()
         assert all(after[attr] is value for attr, value in names.items()), owner
+
+
+def _simulated_pairs():
+    streams, truths = zip(*(
+        sample_sequence(preset_config("bc-sim", seed=seed, t_target=80))
+        for seed in (1, 2)
+    ))
+    space = truths[0].generating_model.states
+    return streams, [t.segmentation for t in truths], space
+
+
+def test_fit_hsmm_calls_the_fits_cli_binds(monkeypatch):
+    """The tracer's ``fit`` spans wrap the part-fits where ``cli`` binds
+    them; ``fit_hsmm`` must look them up there."""
+    calls = Counter()
+
+    def counted(attr, fit):
+        def wrapper(*args, **kwargs):
+            calls[attr] += 1
+            return fit(*args, **kwargs)
+        return wrapper
+
+    for attr in ("fit_transitions", "fit_durations", "fit_channel_emissions"):
+        monkeypatch.setattr(posehsmm.cli, attr, counted(attr, getattr(posehsmm.cli, attr)))
+    streams, segmentations, space = _simulated_pairs()
+    posehsmm.cli.fit_hsmm(streams, segmentations, space)
+    n_channels = len({c for s in streams for c in s.channels})
+    assert n_channels > 1
+    assert calls == {"fit_transitions": 1, "fit_durations": 1,
+                     "fit_channel_emissions": n_channels}
+
+
+def test_fit_hsmm_is_the_three_fits_composed():
+    streams, segmentations, space = _simulated_pairs()
+    model = posehsmm.cli.fit_hsmm(streams, segmentations, space)
+    n = len(space)
+    durations = fit_durations(segmentations, n, model.d_max)
+    channels = sorted({c for s in streams for c in s.channels})
+    assert list(model.emissions) == channels
+    assert model.states == space
+    assert model.pi.tobytes() == build_initial_distribution(space).tobytes()
+    assert model.A.tobytes() == fit_transitions(segmentations, n).tobytes()
+    assert model.durations.mean.tobytes() == durations.mean.tobytes()
+    assert model.durations.std.tobytes() == durations.std.tobytes()
+    for c in channels:
+        means = fit_channel_emissions(streams, segmentations, c, n).means
+        assert model.emissions[c].means.tobytes() == means.tobytes()

@@ -472,6 +472,15 @@ class TestSummarizeArguments:
         assert err.startswith(f"error: {flags[-2]} must be ")
         assert err.count("\n") == 1
 
+    def test_tick_seconds_overflowing_the_stream(self, workdir, capsys):
+        # 1e308 is finite, but 120 ticks of it are not
+        rc = main(["summarize", "--model", str(workdir / "fit.model"),
+                   "--stream", str(workdir / "s1.stream"), "--tick-seconds", "1e308"])
+        assert rc == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: --tick-seconds 1e+308 times T=120 ticks is not finite\n"
+
     def test_model_without_states(self, workdir, tmp_path, capsys):
         text = (workdir / "fit.model").read_text().splitlines()
         nameless = tmp_path / "nameless.model"
@@ -754,6 +763,51 @@ class TestManifestLines:
         assert err.count("\n") == 1
 
 
+class TestOneTickClips:
+    """A clip too short to keyframe is a one-line error naming its file, and
+    at its manifest line for a manifest clip, with exit code 1."""
+
+    @pytest.fixture
+    def one(self, clips, tmp_path):
+        """The first tick of a simulated clip, with ``T: 1``."""
+        text = (clips / "solU-fetR-left.stream").read_text()
+        text = re.sub(r"(?m)^T: \d+$", "T: 1", text.split("\ntick 2 ")[0])
+        path = tmp_path / "one.stream"
+        path.write_text(text + "\n")
+        return path
+
+    def test_keyframes_stream(self, one, capsys):
+        assert main(["keyframes", "--stream", str(one)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {one}: clip has 1 frame(s); need at least 2\n"
+        )
+
+    def test_classify_clip_before_library_fit(self, clips, one, monkeypatch, capsys):
+        def no_fit(*args, **kwargs):
+            raise AssertionError("the library was fitted before the clip's T was checked")
+
+        monkeypatch.setattr(cli, "build_transition_library", no_fit)
+        rc = main(["classify-transition", "--manifest", str(clips / "train.manifest"),
+                   "--clip", str(one), "--th", "0.25"])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"error: {one}: clip has 1 frame(s); need at least 2\n"
+        )
+
+    def test_manifest_clip_names_its_line(self, clips, one, capsys):
+        manifest = one.parent / "one.manifest"
+        manifest.write_text(
+            f"{clips / 'solU-fetR-left.stream'} solU fetR left\n"
+            "one.stream solU logR right\n"
+        )
+        rc = main(["classify-transition", "--manifest", str(manifest),
+                   "--clip", str(clips / "solU-fetR-left.stream"), "--th", "0.25"])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"error: {manifest}:2: {one}: clip has 1 frame(s); need at least 2\n"
+        )
+
+
 @pytest.fixture(scope="module")
 def clean_stream(tmp_path_factory):
     """A 40-tick bc-sim stream: no dropout, so every tick carries values."""
@@ -917,6 +971,24 @@ class TestSizeHeaders:
                    f"the longest has {longest} characters")
         proc = run_cli_limited("keyframes", "--stream", bad)
         assert (proc.returncode, proc.stderr) == (1, f"error: {message}\n")
+
+    @pytest.mark.parametrize(
+        "T, F", [(100_000, 100_000), (1_000, 150_000)], ids=["values", "tick-chunk"]
+    )
+    def test_sparse_stream_beyond_memory(self, tmp_path, T, F):
+        """One tick holds all F values and the rest none, so the file is
+        small, while its (1, T, F) values would take 74.5 or 1.1 GiB: the
+        first fails at the values array, the second at a chunk of tick
+        rows.  keyframes runs in a child under a 2 GiB address-space cap."""
+        bad = tmp_path / "sparse.stream"
+        bad.write_text("\n".join([
+            "format: v1", "kind: stream", f"T: {T}", f"F: {F}", "channels: left:RGB",
+            "tick 1 1 " + " ".join(["0"] * F), *(f"tick {t} 0" for t in range(2, T + 1)),
+        ]) + "\n")
+        proc = run_cli_limited("keyframes", "--stream", bad)
+        assert (proc.returncode, proc.stderr) == (
+            1, f"error: {bad}: 1 channel(s) x T={T} x F={F} values do not fit in memory\n"
+        )
 
     def test_model_Q_beyond_records(self, workdir, tmp_path, capsys):
         text = (workdir / "fit.model").read_text()
