@@ -19,9 +19,10 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
 
 from conftest import random_hsmm, random_stream  # noqa: E402
+from reference_brute_force import brute_force_decode  # noqa: E402
 
 from posehsmm.errors import NoFeasiblePath  # noqa: E402
-from posehsmm.inference import brute_force_decode, hsmm_viterbi  # noqa: E402
+from posehsmm.inference import hsmm_viterbi  # noqa: E402
 
 
 def draw_trials(seed=0, max_t=8, max_q=3, max_d=4, max_f=4):

@@ -14,11 +14,9 @@ from .emission import (
 from .errors import (
     BadArgument,
     ChannelAbsent,
-    DegenerateSelfLoop,
     DurationOutOfRange,
     EmptySequence,
     FormatError,
-    InstanceTooLarge,
     LabelMismatch,
     MalformedSegmentation,
     NoFeasiblePath,
@@ -27,15 +25,10 @@ from .errors import (
 )
 from .inference import (
     DecodeResult,
-    HmmModel,
     HsmmModel,
-    brute_force_decode,
     check_transition_matrix,
     fit_durations,
     fit_transitions,
-    hmm_joint_log_prob,
-    hmm_viterbi,
-    hsmm_from_hmm,
     hsmm_joint_log_prob,
     hsmm_viterbi,
     segment_viterbi_on_tables,
@@ -61,7 +54,6 @@ from .states import (
     INITIAL_POSE_PRIORS,
     MOCK_ICU_POSES,
     DurationModel,
-    GeometricDurationModel,
     PoseLabel,
     RotationDirection,
     SceneCondition,
@@ -71,7 +63,6 @@ from .states import (
     StateSpace,
     build_initial_distribution,
     encode_segments,
-    geometric_duration_pmf,
 )
 from .summarize import (
     HistoryRecord,

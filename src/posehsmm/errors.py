@@ -13,10 +13,6 @@ class MalformedSegmentation(PoseHsmmError):
     """Segment list violates the cover/ordering/maximal-run invariants."""
 
 
-class DegenerateSelfLoop(PoseHsmmError):
-    """Self-transition probability of 1 has no finite dwell distribution."""
-
-
 class DurationOutOfRange(PoseHsmmError):
     """Duration outside [1, d_max]."""
 
@@ -27,10 +23,6 @@ class ChannelAbsent(PoseHsmmError):
 
 class NoFeasiblePath(PoseHsmmError):
     """Every candidate segmentation has probability zero."""
-
-
-class InstanceTooLarge(PoseHsmmError):
-    """Exhaustive enumeration would exceed the safety guard."""
 
 
 class NoTransitionDetected(PoseHsmmError):

@@ -1,8 +1,6 @@
-"""Decoding and learning for pose-state sequence models.
+"""Decoding and learning for the segment-level pose-state model.
 
-Two model families share the emission layer: a plain Markov chain over ticks
-(self-loops induce geometric dwell times) and the segment-level variant where
-dwell times get an explicit per-state distribution and the transition matrix
+Dwell times get an explicit per-state distribution and the transition matrix
 has a structurally zero diagonal.  All scoring is done in log space.
 
 The segment decoder keeps O(T x Q) state.  ``delta[j]`` is the best
@@ -49,15 +47,12 @@ best, whose prefix total is the largest ``delta`` for that state at t - d.
 So among paths with equal totals the decoder keeps the first under one key:
 segments compared back to front by (state, prefix total, duration, entry
 score), with lower states, larger totals, longer durations and larger
-scores first.  The brute-force oracle ranks exact ties of the total by the
-same key.
+scores first.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
-import operator
 from dataclasses import dataclass
 from functools import partial
 from typing import Iterable, Mapping, Sequence
@@ -67,27 +62,15 @@ import numpy as np
 from .emission import ChannelEmissionModel, ChannelId, FeatureStream, log_emission_matrix
 from .errors import (
     BadArgument,
-    DegenerateSelfLoop,
     DurationOutOfRange,
     EmptySequence,
-    InstanceTooLarge,
     LabelMismatch,
     NoFeasiblePath,
 )
-from .states import (
-    DurationModel,
-    GeometricDurationModel,
-    Segment,
-    Segmentation,
-    StateSpace,
-    segment_runs,
-)
+from .states import DurationModel, Segment, Segmentation, StateSpace, segment_runs
 
 #: Row-stochasticity tolerance for transition matrices.
 ROW_SUM_TOL = 1e-12
-
-#: Safety guard for exhaustive decoding: refuse above this many label sequences.
-BRUTE_FORCE_GUARD = 10**7
 
 #: Floor on fitted duration standard deviations, so single observations stay usable.
 MIN_DURATION_STD = 0.5
@@ -96,8 +79,9 @@ MIN_DURATION_STD = 0.5
 DP_BLOCK = 128
 
 
-def check_transition_matrix(A: np.ndarray, zero_diagonal: bool = False) -> np.ndarray:
-    """Validate a (Q, Q) row-stochastic matrix; returns it as float array."""
+def check_transition_matrix(A: np.ndarray) -> np.ndarray:
+    """Validate a (Q, Q) row-stochastic matrix with a zero diagonal; returns
+    it as float array."""
     A = np.asarray(A, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise BadArgument(f"transition matrix has shape {A.shape}")
@@ -105,12 +89,12 @@ def check_transition_matrix(A: np.ndarray, zero_diagonal: bool = False) -> np.nd
     if not np.all(A >= 0.0):
         raise BadArgument("transition probabilities must be nonnegative")
     q = A.shape[0]
-    if zero_diagonal and q == 1:
+    if q == 1:
         # Degenerate single-state case: no successor exists, row stays zero.
         return A
     if not np.all(np.abs(A.sum(axis=1) - 1.0) <= ROW_SUM_TOL):
         raise BadArgument("transition rows must sum to 1")
-    if zero_diagonal and np.any(np.diag(A) != 0.0):
+    if np.any(np.diag(A) != 0.0):
         raise BadArgument("diagonal must be structurally zero")
     return A
 
@@ -127,45 +111,6 @@ def check_initial_distribution(pi: np.ndarray) -> np.ndarray:
     return pi
 
 
-def _check_state_count(model, **parts: int) -> None:
-    """Raise ``BadArgument`` naming the first of A, ``parts``, the states and
-    each channel's emission means whose state count is not pi's."""
-    q = model.pi.shape[0]
-    parts = {"A": model.A.shape[0], **parts}
-    if model.states is not None:
-        parts["states"] = len(model.states)
-    for name, n in parts.items():
-        if n != q:
-            raise BadArgument(f"pi gives Q={q}, {name} has {n} states", name)
-    for c, m in model.emissions.items():
-        if m.n_states != q:
-            raise BadArgument(
-                f"pi gives Q={q}, {c} emission means have {m.n_states} rows", "emissions"
-            )
-
-
-@dataclass
-class HmmModel:
-    """Tick-level Markov model: self-loops carry the dwell behaviour.
-
-    ``pi``, ``A``, every channel's emission means and ``states`` must agree
-    on the state count Q."""
-
-    pi: np.ndarray
-    A: np.ndarray
-    emissions: Mapping[ChannelId, ChannelEmissionModel]
-    states: StateSpace | None = None
-
-    def __post_init__(self):
-        self.pi = check_initial_distribution(self.pi)
-        self.A = check_transition_matrix(self.A)
-        _check_state_count(self)
-
-    @property
-    def n_states(self) -> int:
-        return self.pi.shape[0]
-
-
 @dataclass
 class HsmmModel:
     """Segment-level model: explicit dwell distributions, zero-diagonal A.
@@ -175,14 +120,25 @@ class HsmmModel:
 
     pi: np.ndarray
     A: np.ndarray
-    durations: DurationModel | GeometricDurationModel
+    durations: DurationModel
     emissions: Mapping[ChannelId, ChannelEmissionModel]
     states: StateSpace | None = None
 
     def __post_init__(self):
         self.pi = check_initial_distribution(self.pi)
-        self.A = check_transition_matrix(self.A, zero_diagonal=True)
-        _check_state_count(self, durations=self.durations.n_states)
+        self.A = check_transition_matrix(self.A)
+        q = self.pi.shape[0]
+        parts = {"A": self.A.shape[0], "durations": self.durations.n_states}
+        if self.states is not None:
+            parts["states"] = len(self.states)
+        for name, n in parts.items():
+            if n != q:
+                raise BadArgument(f"pi gives Q={q}, {name} has {n} states", name)
+        for c, m in self.emissions.items():
+            if m.n_states != q:
+                raise BadArgument(
+                    f"pi gives Q={q}, {c} emission means have {m.n_states} rows", "emissions"
+                )
 
     @property
     def n_states(self) -> int:
@@ -227,7 +183,7 @@ def fit_transitions(segmentations: Sequence[Segmentation], n_states: int) -> np.
     totals = counts.sum(axis=1, keepdims=True)
     uniform = (1.0 - np.eye(n_states)) / max(n_states - 1, 1)
     A = np.where(totals > 0.0, counts / np.maximum(totals, 1.0), uniform)
-    return check_transition_matrix(A, zero_diagonal=True)
+    return check_transition_matrix(A)
 
 
 def fit_durations(
@@ -261,7 +217,7 @@ def fit_durations(
 # =====================================================================
 
 
-def _log_tables(model, stream: FeatureStream):
+def _log_tables(model: HsmmModel, stream: FeatureStream):
     """Log pi / A / duration table plus cumulative emission sums.
 
     C has T+1 rows with C[t] holding the emission log-likelihood of ticks
@@ -273,72 +229,7 @@ def _log_tables(model, stream: FeatureStream):
         log_A = np.log(model.A)
     E = log_emission_matrix(stream, model.emissions, n)
     C = np.vstack([np.zeros(n), np.cumsum(E, axis=0)])
-    log_dur = model.durations.log_pmf_table() if hasattr(model, "durations") else None
-    return log_pi, log_A, log_dur, E, C
-
-
-# =====================================================================
-# Tick-level (self-loop) model
-# =====================================================================
-
-
-def hmm_joint_log_prob(labels: Sequence, stream: FeatureStream, model: HmmModel) -> float:
-    """log P(labels, stream) under the tick-level Markov model."""
-    if len(labels) != stream.T:
-        raise LabelMismatch(f"{len(labels)} labels for {stream.T} frames")
-    idx = [operator.index(y) for y in labels]
-    log_pi, log_A, _, E, _ = _log_tables(model, stream)
-    total = log_pi[idx[0]] + E[0, idx[0]]
-    for t in range(1, len(idx)):
-        total = total + log_A[idx[t - 1], idx[t]]
-        total = total + E[t, idx[t]]
-    return float(total)
-
-
-def hmm_viterbi(stream: FeatureStream, model: HmmModel) -> tuple[list[int], float]:
-    """Most likely tick-level label sequence.
-
-    Ties take the lowest state index at every argmax, which yields the
-    lexicographically smallest optimal labeling read back to front.
-    """
-    log_pi, log_A, _, E, _ = _log_tables(model, stream)
-    T, n = E.shape
-    V = np.full((T, n), -np.inf)
-    ptr = np.zeros((T, n), dtype=int)
-    V[0] = log_pi + E[0]
-    for t in range(1, T):
-        scores = V[t - 1][:, None] + log_A
-        ptr[t] = scores.argmax(axis=0)
-        V[t] = scores.max(axis=0) + E[t]
-    if not np.isfinite(V[-1].max()):
-        raise NoFeasiblePath("all tick-level paths have probability zero")
-    y = int(V[-1].argmax())
-    log_prob = float(V[-1, y])
-    labels = [y]
-    for t in range(T - 1, 0, -1):
-        y = int(ptr[t, y])
-        labels.append(y)
-    labels.reverse()
-    return labels, log_prob
-
-
-def hsmm_from_hmm(
-    hmm: HmmModel, d_max: int, truncated: bool = False
-) -> HsmmModel:
-    """Re-express a self-loop chain as an explicit-duration model.
-
-    Dwell times become geometric(a_ii); off-diagonal transitions are
-    renormalized by the exit mass 1 - a_ii.  With ``truncated=False`` the
-    dwell pmf keeps its closed form, matching the chain term for term (up to
-    the final segment's exit mass, which the chain leaves unresolved).
-    """
-    diag = np.diag(hmm.A).copy()
-    if np.any(diag >= 1.0):
-        raise DegenerateSelfLoop("a self-loop of 1 cannot be re-expressed")
-    A = hmm.A / (1.0 - diag)[:, None]
-    np.fill_diagonal(A, 0.0)
-    durations = GeometricDurationModel(diag, d_max, truncated=truncated)
-    return HsmmModel(hmm.pi.copy(), A, durations, hmm.emissions, hmm.states)
+    return log_pi, log_A, model.durations.log_pmf_table(), C
 
 
 # =====================================================================
@@ -380,7 +271,7 @@ def hsmm_joint_log_prob(
         raise DurationOutOfRange(
             f"segment duration {durations.max()} exceeds d_max {model.d_max}"
         )
-    log_pi, log_A, log_dur, _, C = _log_tables(model, stream)
+    log_pi, log_A, log_dur, C = _log_tables(model, stream)
     total = 0.0
     for s in _segment_scores(segmentation, log_pi, log_A, log_dur, C):
         total += s
@@ -394,8 +285,7 @@ def hsmm_viterbi(stream: FeatureStream, model: HsmmModel) -> DecodeResult:
     NoFeasiblePath when every segmentation scores -inf, e.g. when T exceeds
     d_max and no transition can bridge the gap.
     """
-    log_pi, log_A, log_dur, E, C = _log_tables(model, stream)
-    del E  # dead during the DP: frees a (T, Q) array
+    log_pi, log_A, log_dur, C = _log_tables(model, stream)
     _, path = segment_viterbi_on_tables(stream.T, log_pi, log_A, log_dur, C)
     return path()
 
@@ -499,69 +389,3 @@ def _backtrack(
     scores = _segment_scores(segmentation, log_pi, log_A, log_dur, C)
     return DecodeResult(segmentation, log_prob, scores)
 
-
-def brute_force_decode(
-    stream: FeatureStream, model: HsmmModel, guard: int = BRUTE_FORCE_GUARD
-) -> DecodeResult:
-    """Exhaustive reference decoder for small instances.
-
-    Enumerates every label sequence, scores its run-length encoding with the
-    same additions the DP performs, and keeps the best total.  Exact ties of
-    the total go to the smallest key of (state, -prefix total, -duration,
-    -entry score) per segment, read back to front: the decoder's rule (see
-    the module docstring).  Guarded by ``guard`` on Q**T.
-    """
-    T = stream.T
-    n = model.n_states
-    if n**T > guard:
-        raise InstanceTooLarge(f"{n}**{T} label sequences exceed guard {guard}")
-    log_pi, log_A, log_dur, _, C = _log_tables(model, stream)
-    lpi = log_pi.tolist()
-    lA = log_A.tolist()
-    ldur = log_dur.tolist()
-    lC = C.tolist()
-    d_max = model.d_max
-    neg_inf = -np.inf
-
-    best_score = neg_inf
-    best_key = None
-    best_segs = None
-    for labels in itertools.product(range(n), repeat=T):
-        segs = []
-        start = 0
-        cur = labels[0]
-        for t in range(1, T):
-            if labels[t] != cur:
-                segs.append((start + 1, t - start, cur))
-                start = t
-                cur = labels[t]
-        segs.append((start + 1, T - start, cur))
-
-        acc = 0.0
-        ranked = []
-        prev = None
-        for b, d, y in segs:
-            if d > d_max:
-                break
-            head = lpi[y] if prev is None else acc + lA[prev][y]
-            acc = head + ldur[y][d]
-            acc = acc + (lC[b + d - 1][y] - lC[b - 1][y])
-            if acc == neg_inf:
-                break
-            ranked.append((y, -acc, -d, -head))
-            prev = y
-        if len(ranked) < len(segs) or acc < best_score:
-            continue
-        key = ranked[::-1]
-        if acc > best_score or key < best_key:
-            best_score = acc
-            best_key = key
-            best_segs = segs
-    if best_segs is None:
-        raise NoFeasiblePath("all segmentations have probability zero")
-
-    segmentation = Segmentation(
-        tuple(Segment(b, d, y) for b, d, y in best_segs), T
-    )
-    per_segment = _segment_scores(segmentation, log_pi, log_A, log_dur, C)
-    return DecodeResult(segmentation, float(best_score), per_segment)

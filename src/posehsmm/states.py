@@ -20,7 +20,6 @@ import numpy as np
 
 from .errors import (
     BadArgument,
-    DegenerateSelfLoop,
     DurationOutOfRange,
     EmptySequence,
     MalformedSegmentation,
@@ -337,18 +336,6 @@ def segment_runs(
 # =====================================================================
 
 
-def geometric_duration_pmf(self_loop: float, d: int) -> float:
-    """Dwell-time pmf implied by a self-transition probability.
-
-    P(d) = a^(d-1) * (1-a): the chance of d-1 self-loops followed by an exit.
-    """
-    if not 0.0 <= self_loop < 1.0:
-        raise DegenerateSelfLoop(f"self-loop probability {self_loop} not in [0, 1)")
-    if d < 1:
-        raise DurationOutOfRange(f"duration {d} < 1")
-    return self_loop ** (d - 1) * (1.0 - self_loop)
-
-
 #: Longest d_max a duration model accepts.  Its (Q, d_max + 1) tables are
 #: built whole, because the pmf is normalised over all of 1..d_max: at
 #: Q = 22 one such table takes 176 MB at this bound.
@@ -430,40 +417,3 @@ class DurationModel:
             table[:, 1:] = np.log(self.pmf_table())
         return table
 
-
-@dataclass
-class GeometricDurationModel:
-    """Per-state geometric dwell times, for comparing against self-loop chains.
-
-    ``truncated=False`` keeps the raw closed-form values on 1..d_max (mass
-    beyond d_max is simply dropped), which is the variant that matches a
-    self-loop Markov chain term for term.
-    """
-
-    self_loop: np.ndarray
-    d_max: int
-    truncated: bool = True
-
-    def __post_init__(self):
-        self.self_loop = np.asarray(self.self_loop, dtype=float)
-        # NaN fails the comparison too
-        if not np.all((self.self_loop >= 0.0) & (self.self_loop < 1.0)):
-            raise DegenerateSelfLoop("self-loop probabilities must lie in [0, 1)")
-        _check_d_max(self.d_max)
-
-    @property
-    def n_states(self) -> int:
-        return self.self_loop.shape[0]
-
-    @cached_property
-    def _pmf(self) -> np.ndarray:
-        d = np.arange(1, self.d_max + 1, dtype=float)
-        a = self.self_loop[:, None]
-        w = a ** (d[None, :] - 1.0) * (1.0 - a)
-        if self.truncated:
-            w = w / w.sum(axis=1, keepdims=True)
-        return w
-
-    # both tables read only ``_pmf``, ``n_states`` and ``d_max``
-    pmf_table = DurationModel.pmf_table
-    log_pmf_table = DurationModel.log_pmf_table

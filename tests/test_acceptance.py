@@ -14,18 +14,22 @@ import numpy as np
 import pytest
 
 from conftest import CH, random_hsmm, random_stream, tick_states
+from reference_brute_force import brute_force_decode
+from reference_tick_chain import (
+    GeometricDurationModel,
+    HmmModel,
+    geometric_duration_pmf,
+    hmm_joint_log_prob,
+    hmm_viterbi,
+    hsmm_from_hmm,
+)
 from posehsmm import fileio
 from posehsmm.cli import fit_hsmm
 from posehsmm.emission import ChannelEmissionModel, fit_channel_emissions
 from posehsmm.errors import NoFeasiblePath, NoTransitionDetected
 from posehsmm.inference import (
-    HmmModel,
-    brute_force_decode,
     fit_durations,
     fit_transitions,
-    hmm_joint_log_prob,
-    hmm_viterbi,
-    hsmm_from_hmm,
     hsmm_joint_log_prob,
     hsmm_viterbi,
 )
@@ -41,11 +45,9 @@ from posehsmm.states import (
     CANONICAL_POSES,
     MOCK_ICU_POSES,
     DurationModel,
-    GeometricDurationModel,
     StateSpace,
     build_initial_distribution,
     encode_segments,
-    geometric_duration_pmf,
 )
 from posehsmm.summarize import (
     build_transition_library,

@@ -30,7 +30,6 @@ from posehsmm.emission import (
 )
 from posehsmm.errors import BadArgument, NoTransitionDetected, PoseHsmmError
 from posehsmm.inference import (
-    HmmModel,
     HsmmModel,
     check_transition_matrix,
     fit_durations,
@@ -51,7 +50,6 @@ from posehsmm.states import (
     INITIAL_POSE_PRIORS,
     MOCK_ICU_POSES,
     DurationModel,
-    GeometricDurationModel,
     PoseLabel,
     RotationDirection,
     Segment,
@@ -244,21 +242,11 @@ ENTRY_POINTS = {
         history_joint,
     ),
     "check_transition_matrix": EntryPoint(
-        lambda x, p, zero_diagonal: check_transition_matrix(
-            [[0.0, 1.0], [1 - p, p]], zero_diagonal
-        ),
-        {"p": Param(0.25, unit), "zero_diagonal": Param(False, None, [True])},
-        lambda q: not q["zero_diagonal"] or q["p"] == 0,
+        lambda x, p: check_transition_matrix([[0.0, 1.0], [1 - p, p]]),
+        {"p": Param(0, lambda v: v == 0)},
     ),
     "HsmmModel": EntryPoint(
         lambda x, **p: _hsmm(**p), {**MODEL_PARAMS, "durations": COUNT}, one_q
-    ),
-    "HmmModel": EntryPoint(
-        lambda x, pi, A, means, states: HmmModel(
-            pi, np.full((A, A), 1.0 / A), _emissions(means), _space(states)
-        ),
-        MODEL_PARAMS,
-        one_q,
     ),
     "hsmm_viterbi": EntryPoint(
         lambda x, F: hsmm_viterbi(_stream(F), _hsmm()), {"F": size()}
@@ -296,10 +284,6 @@ ENTRY_POINTS = {
         {"mean": Param(4.0, math.isfinite),
          "std": Param(1.0, lambda v: v > 0.0),
          "d_max": Param(6, d_max_ok)},
-    ),
-    "GeometricDurationModel": EntryPoint(
-        lambda x, a, d_max: GeometricDurationModel([a, 0.5], d_max),
-        {"a": Param(0.25, lambda v: 0.0 <= v < 1.0), "d_max": Param(6, d_max_ok)},
     ),
     "StateSpace": EntryPoint(
         lambda x, index: StateSpace((StateId(PL.SOLDIER_UP, None, index),)),

@@ -11,34 +11,31 @@ from hypothesis import given, settings, strategies as st
 
 from posehsmm import (
     DurationModel,
-    GeometricDurationModel,
-    HmmModel,
     HsmmModel,
     Segment,
     Segmentation,
-    brute_force_decode,
     check_transition_matrix,
     encode_segments,
     fit_durations,
     fit_transitions,
     frame_accuracy,
-    hmm_joint_log_prob,
-    hmm_viterbi,
-    hsmm_from_hmm,
     hsmm_joint_log_prob,
     hsmm_viterbi,
     segment_viterbi_on_tables,
 )
 from posehsmm.emission import ChannelEmissionModel, FeatureStream
-from posehsmm.errors import (
-    BadArgument,
-    DegenerateSelfLoop,
-    DurationOutOfRange,
-    InstanceTooLarge,
-    NoFeasiblePath,
-)
+from posehsmm.errors import BadArgument, DurationOutOfRange, NoFeasiblePath
 
 from conftest import CH, random_hsmm, random_stream
+from reference_brute_force import InstanceTooLarge, brute_force_decode
+from reference_tick_chain import (
+    DegenerateSelfLoop,
+    GeometricDurationModel,
+    HmmModel,
+    hmm_joint_log_prob,
+    hmm_viterbi,
+    hsmm_from_hmm,
+)
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
@@ -53,19 +50,19 @@ def uniform_emissions(Q, F=1):
 
 class TestTransitionMatrixCheck:
     def test_accepts_stochastic(self):
-        A = np.array([[0.25, 0.75], [0.5, 0.5]])
+        A = np.array([[0.0, 0.25, 0.75], [0.5, 0.0, 0.5], [1.0, 0.0, 0.0]])
         assert check_transition_matrix(A) is not None
 
     def test_rejects_bad_row_sum(self):
-        with pytest.raises(ValueError):
-            check_transition_matrix(np.array([[0.5, 0.4], [0.5, 0.5]]))
+        with pytest.raises(ValueError, match="sum to 1"):
+            check_transition_matrix(np.array([[0.0, 0.9], [1.0, 0.0]]))
 
     def test_rejects_negative(self):
-        with pytest.raises(ValueError):
-            check_transition_matrix(np.array([[1.2, -0.2], [0.5, 0.5]]))
+        with pytest.raises(ValueError, match="nonnegative"):
+            check_transition_matrix(np.array([[0.0, 1.0], [1.2, -0.2]]))
 
     @pytest.mark.parametrize(
-        "A", [[[math.nan, 1.0], [0.5, 0.5]], [[math.inf, 0.0], [0.5, 0.5]]],
+        "A", [[[0.0, math.nan], [1.0, 0.0]], [[0.0, math.inf], [1.0, 0.0]]],
         ids=["nan", "inf"],
     )
     def test_rejects_non_finite(self, A):
@@ -73,13 +70,11 @@ class TestTransitionMatrixCheck:
             check_transition_matrix(np.array(A))
 
     def test_zero_diagonal_enforced(self):
-        with pytest.raises(ValueError):
-            check_transition_matrix(
-                np.array([[0.1, 0.9], [1.0, 0.0]]), zero_diagonal=True
-            )
+        with pytest.raises(ValueError, match="diagonal"):
+            check_transition_matrix(np.array([[0.1, 0.9], [1.0, 0.0]]))
 
     def test_single_state_semi_markov_row_may_be_zero(self):
-        assert check_transition_matrix(np.zeros((1, 1)), zero_diagonal=True) is not None
+        assert check_transition_matrix(np.zeros((1, 1))) is not None
 
 
 class TestFitTransitions:

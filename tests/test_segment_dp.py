@@ -112,7 +112,7 @@ class TestMatchesReference:
         rng = np.random.default_rng(seed)
         model = tie_heavy_hsmm(rng) if tie else random_hsmm(rng)
         stream = random_stream(rng, draw_T(rng, model.d_max, 30), model.emissions[CH].F)
-        log_pi, log_A, log_dur, _, C = _log_tables(model, stream)
+        log_pi, log_A, log_dur, C = _log_tables(model, stream)
         want = outcome(lambda: reference_segment_viterbi(
             stream.T, model.n_states, model.d_max, log_pi, log_A, log_dur, C
         ))
@@ -122,7 +122,7 @@ class TestMatchesReference:
         rng = np.random.default_rng(3)
         model = random_hsmm(rng, n_states=22, d_max=36, F=6)
         stream = random_stream(rng, 400, 6)
-        log_pi, log_A, log_dur, _, C = _log_tables(model, stream)
+        log_pi, log_A, log_dur, C = _log_tables(model, stream)
         want = outcome(lambda: reference_segment_viterbi(
             400, 22, 36, log_pi, log_A, log_dur, C
         ))
@@ -194,7 +194,7 @@ def test_dp_peak_is_best_and_earg():
     rng = np.random.default_rng(0)
     model = random_hsmm(rng, n_states=22, d_max=36, F=6)
     stream = random_stream(rng, 8000, 6)
-    log_pi, log_A, log_dur, _, C = _log_tables(model, stream)
+    log_pi, log_A, log_dur, C = _log_tables(model, stream)
     tracemalloc.start()
     try:
         _, path = segment_viterbi_on_tables(8000, log_pi, log_A, log_dur, C)

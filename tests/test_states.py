@@ -13,24 +13,22 @@ from posehsmm import (
     INITIAL_POSE_PRIORS,
     MOCK_ICU_POSES,
     DurationModel,
-    GeometricDurationModel,
     PoseLabel,
     SceneCondition,
     Segment,
     Segmentation,
     build_initial_distribution,
     encode_segments,
-    geometric_duration_pmf,
 )
-from posehsmm.errors import (
-    BadArgument,
-    DegenerateSelfLoop,
-    DurationOutOfRange,
-    MalformedSegmentation,
-)
+from posehsmm.errors import BadArgument, DurationOutOfRange, MalformedSegmentation
 from posehsmm.states import D_MAX_LIMIT, StateSpace
 
 from conftest import tick_states
+from reference_tick_chain import (
+    DegenerateSelfLoop,
+    GeometricDurationModel,
+    geometric_duration_pmf,
+)
 
 DOUBLED = StateSpace.from_poses(MOCK_ICU_POSES)
 COLLAPSED = StateSpace.from_poses(MOCK_ICU_POSES, scene_doubling=False)
