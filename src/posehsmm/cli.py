@@ -159,8 +159,7 @@ def _cmd_decode(args) -> int:
     for seg in result.segmentation:
         if model.states is not None:
             s = model.states[seg.y_index]
-            scene = s.scene.value if s.scene is not None else "-"
-            print(f"segment {seg.b} {seg.d} {s.pose.value} {scene}")
+            print(f"segment {seg.b} {seg.d} {fileio._pose_scene(s.pose, s.scene)}")
         else:
             print(f"segment {seg.b} {seg.d} state{seg.y_index}")
     if args.out:
@@ -241,7 +240,7 @@ def _read_manifest(path):
     """
     base = Path(path).parent
     entries = []
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
+    for lineno, raw in enumerate(fileio._read_text(path).splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

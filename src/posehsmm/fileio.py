@@ -61,13 +61,23 @@ def _write(path, kind: str, header: dict, records) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
+def _read_text(path) -> str:
+    """The file's text; bytes that are not UTF-8 are a ``FormatError``
+    naming the line that holds the first of them."""
+    data = Path(path).read_bytes()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise FormatError(f"{path}:{line}: not UTF-8 text") from None
+
+
 class _Reader:
     """Header-checked line reader shared by all parsers."""
 
     def __init__(self, path, kind: str):
         self.path = path
-        text = Path(path).read_text()
-        raw = text.splitlines()
+        raw = _read_text(path).splitlines()
         # 1-based file line number of each kept line
         self.numbers = [n for n, ln in enumerate(raw, start=1) if ln.strip()]
         self.lines = [raw[n - 1].strip() for n in self.numbers]

@@ -334,14 +334,31 @@ def _scene_track(
     return ((1, T, config.base_scene),)
 
 
+def _stream_arrays(config: ScenarioConfig, T: int, param: str) -> tuple[np.ndarray, np.ndarray]:
+    """Empty (T, C, F) means and (T, C) availability of a T-tick stream,
+    allocated before anything is sampled; arrays that memory cannot hold
+    are a ``BadArgument`` naming ``param``."""
+    C = len(config.channels)
+    try:
+        return np.empty((T, C, config.F)), np.empty((T, C), dtype=bool)
+    # numpy raises ValueError for a size beyond the largest intp
+    except (MemoryError, ValueError):
+        raise BadArgument(
+            f"{param} {getattr(config, param)} asks for {C} channel(s) x T={T} x "
+            f"F={config.F} values, more than memory holds", param
+        ) from None
+
+
 def _observe(
-    config: ScenarioConfig, means: np.ndarray, scene_track, rng: np.random.Generator
+    config: ScenarioConfig, means: np.ndarray, avail: np.ndarray, scene_track,
+    rng: np.random.Generator,
 ) -> tuple[dict, dict]:
     """Per-channel features and masks, as ``FeatureStream.from_arrays``
     takes them, of (T, C, F) ``means`` seen under each tick's scene run:
     every value flips x -> 1 - x with the scene's noise probability and
     shrinks toward 0.5 under DO contrast, then every channel drops with the
-    scene's dropout probability.  The features overwrite ``means``."""
+    scene's dropout probability.  The features overwrite ``means`` and the
+    masks fill the (T, C) ``avail``."""
     _, lengths, scenes = zip(*scene_track)
     noise = np.repeat([config.noise[s] for s in scenes], lengths)
     np.subtract(1.0, means, out=means, where=rng.random(means.shape) < noise[:, None, None])
@@ -350,7 +367,7 @@ def _observe(
             x = means[b - 1 : b - 1 + n]
             x[...] = 0.5 + (x - 0.5) * DO_CONTRAST
     dropout = np.repeat([config.dropout[s] for s in scenes], lengths)
-    avail = rng.random(means.shape[:2]) >= dropout[:, None]
+    np.greater_equal(rng.random(avail.shape), dropout[:, None], out=avail)
     return dict(zip(config.channels, means.swapaxes(0, 1))), dict(zip(config.channels, avail.T))
 
 
@@ -361,10 +378,11 @@ def sample_sequence(config: ScenarioConfig) -> tuple[FeatureStream, GroundTruth]
     noise the features equal the rounded templates and, as std shrinks,
     durations concentrate on the rounded mean.
     """
+    T = config.t_target  # the runs cover it exactly
+    means, avail = _stream_arrays(config, T, "t_target")
     model, space = build_generating_model(config)
     rng = np.random.default_rng(np.random.SeedSequence((config.seed, 2)))
     runs = _sample_pose_segments(config, rng)
-    T = sum(d for _, d in runs)
     scene_track = _scene_track(config, rng, T)
     # per-tick sampling arrays; the truth keeps the runs
     scene_per_tick = [scene for _, n, scene in scene_track for _ in range(n)]
@@ -376,7 +394,8 @@ def sample_sequence(config: ScenarioConfig) -> tuple[FeatureStream, GroundTruth]
     pose_index = {pose: k for k, pose in enumerate(config.poses)}
     bits = (_pose_templates(config) >= 0.5).astype(float)
     pose_rows = np.array([pose_index[p] for p in pose_per_tick])
-    stream = FeatureStream.from_arrays(*_observe(config, bits[pose_rows], scene_track, rng))
+    np.take(bits, pose_rows, axis=0, out=means)
+    stream = FeatureStream.from_arrays(*_observe(config, means, avail, scene_track, rng))
 
     truth = GroundTruth(
         segmentation=encode_segments(labels),
@@ -454,13 +473,16 @@ def sample_transition_clip(
     """
     if from_pose not in config.poses or to_pose not in config.poses:
         raise PoseHsmmError("transition endpoints must be poses of the scenario")
+    h = config.transition_hold
+    g = config.transition_ramp
+    T = 2 * h - 1 + 4 * g
+    longer = "transition_hold" if 2 * h - 1 >= 4 * g else "transition_ramp"
+    means, avail = _stream_arrays(config, T, longer)
     model, space = build_generating_model(config)
     templates = _pose_templates(config)
     anchors = _transition_anchors(config, templates, from_pose, to_pose, direction)
     pose_index = {pose: k for k, pose in enumerate(config.poses)}
 
-    h = config.transition_hold
-    g = config.transition_ramp
     waypoints = [
         templates[pose_index[from_pose]],
         anchors[0],
@@ -468,14 +490,12 @@ def sample_transition_clip(
         anchors[2],
         templates[pose_index[to_pose]],
     ]
-    path = [waypoints[0]] * h
+    means[:h] = waypoints[0]
     for k in range(4):
         for step in range(1, g + 1):
             a = step / g
-            path.append((1.0 - a) * waypoints[k] + a * waypoints[k + 1])
-    path.extend([waypoints[4]] * (h - 1))
-    means = np.stack(path)  # (T, C, F)
-    T = means.shape[0]
+            means[h + k * g + step - 1] = (1.0 - a) * waypoints[k] + a * waypoints[k + 1]
+    means[h + 4 * g :] = waypoints[4]
     anchor_ticks = (h + g, h + 2 * g, h + 3 * g)
 
     scene = config.base_scene
@@ -486,7 +506,7 @@ def sample_transition_clip(
              0 if direction is RotationDirection.LEFT else 1)
         )
     )
-    vectors, masks = _observe(config, means, scene_track, rng)
+    vectors, masks = _observe(config, means, avail, scene_track, rng)
     # endpoints always observable so keyframe selection has a shared channel
     for mask in masks.values():
         mask[[0, -1]] = True

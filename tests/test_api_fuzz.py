@@ -14,12 +14,17 @@ used to size an array, so 10**18 allocates nothing.
 """
 
 import math
+import re
+import types
 from dataclasses import dataclass, field
 from numbers import Integral, Real
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+
+import posehsmm
 
 from posehsmm.emission import (
     ChannelEmissionModel,
@@ -362,3 +367,17 @@ def test_fit_list_item_of_another_kind_is_named(fit, param):
     with pytest.raises(BadArgument) as exc:
         fit()
     assert exc.value.param == param
+
+
+def test_exports_match_readme_public_api():
+    """``import posehsmm`` exports exactly the names README's "Public API"
+    list gives, submodules aside."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = readme.split("### Public API\n", 1)[1].split("\n#", 1)[0]
+    listed = re.findall(r"`(\w+)`", " ".join(
+        item.split(":", 1)[1] for item in section.split("\n- ")[1:]
+    ))
+    exported = [name for name, value in vars(posehsmm).items()
+                if not name.startswith("_") and not isinstance(value, types.ModuleType)]
+    assert len(listed) == len(set(listed))
+    assert sorted(listed) == sorted(exported)

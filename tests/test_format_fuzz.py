@@ -3,9 +3,11 @@ fail cleanly.
 
 Each example takes a valid file and applies one mutation: truncate a line
 (drop its trailing tokens), swap a line's keyword with one of its fields,
-put ``nan``, ``inf``, ``-inf`` or ``-1`` in place of a token, or drop or
-duplicate a line.  The reader must then return exactly what the valid file
-holds or raise a ``PoseHsmmError``; any other exception or result fails.
+put ``nan``, ``inf``, ``-inf`` or ``-1`` in place of a token, drop or
+duplicate a line, or put the byte 0xff, which no UTF-8 text holds, into a
+line.  The reader must then return exactly what the valid file holds or
+raise a ``PoseHsmmError``; any other exception or result fails.  The byte
+must be reported as ``<path>:<line>: not UTF-8 text``.
 
 Two fields of one kind swapped in place (two feature values, say) make
 another valid file, so swaps always move the line's keyword.  The one
@@ -25,8 +27,10 @@ from posehsmm.errors import PoseHsmmError
 from posehsmm.simulate import ScenarioConfig, sample_sequence, sample_transition_clip
 from posehsmm.states import PoseLabel, RotationDirection, SceneCondition
 
-OPS = ["truncate", "swap", "inject", "drop", "duplicate"]
+OPS = ["truncate", "swap", "inject", "drop", "duplicate", "byte"]
 INJECTED = ["nan", "inf", "-inf", "-1"]
+#: Written as the lone byte 0xff under ``errors="surrogateescape"``.
+BAD_BYTE = "\udcff"
 
 
 def _stream_key(stream):
@@ -99,6 +103,9 @@ def mutate(lines, op, line, pos, token):
         lines[k] = " ".join(tokens)
     elif op == "drop":
         del lines[k]
+    elif op == "byte":
+        j = pos % (len(lines[k]) + 1)
+        lines[k] = lines[k][:j] + BAD_BYTE + lines[k][j:]
     else:
         lines.insert(k, lines[k])
     return lines
@@ -119,11 +126,14 @@ def test_mutation_is_original_or_clean_error(valid, kind, op, line, pos, token):
         return
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / f"mutated.{kind}"
-        path.write_text("\n".join(mutated) + "\n")
+        path.write_text("\n".join(mutated) + "\n", errors="surrogateescape")
         try:
             got = read(path)
-        except PoseHsmmError:
+        except PoseHsmmError as exc:
+            if op == "byte":
+                assert str(exc) == f"{path}:{line % len(lines) + 1}: not UTF-8 text"
             return
+    assert op != "byte", mutated
     allowed = [key(original)]
     if op == "drop" and lines[line % len(lines)].startswith("transition "):
         allowed.append(key(dataclasses.replace(original, transition=None)))

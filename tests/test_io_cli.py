@@ -398,6 +398,30 @@ class TestSimulateArguments:
                 tmp_path / f"api.{kind}"
             ).read_bytes()
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [(["--t-target", "1000000000000"],
+          "t_target 1000000000000 asks for 3 channel(s) x T=1000000000000 x F=6"),
+         (["--t-target", "10000000000000000000"],
+          "t_target 10000000000000000000 asks for 3 channel(s) x "
+          "T=10000000000000000000 x F=6"),
+         (["--transition", "solU", "fetR", "left", "--hold", "100000000"],
+          "transition_hold 100000000 asks for 3 channel(s) x T=200000023 x F=6"),
+         (["--transition", "solU", "fetR", "left", "--ramp", "100000000"],
+          "transition_ramp 100000000 asks for 3 channel(s) x T=400000011 x F=6")],
+        ids=["t-target", "t-target-beyond-intp", "hold", "ramp"],
+    )
+    def test_stream_beyond_memory(self, tmp_path, flags, message):
+        """The stream's arrays (29 GB to 144 TB here, or more bytes than an
+        intp counts) are allocated before anything is sampled, so simulate
+        runs in a child under a 2 GiB address-space cap and fails at once."""
+        out = tmp_path / "s.stream"
+        proc = run_cli_limited("simulate", *flags, "--out", out)
+        assert (proc.returncode, proc.stderr) == (
+            1, f"error: {message} values, more than memory holds\n"
+        )
+        assert not out.exists()
+
 
 @pytest.fixture(scope="module")
 def clips(tmp_path_factory):
@@ -726,6 +750,18 @@ class TestManifestLines:
         assert err.startswith(f"error: {manifest}:3: ")
         assert why in err
         assert err.count("\n") == 1
+
+    def test_non_utf8_line_is_named(self, clips, capsys):
+        manifest = clips / "latin1.manifest"
+        manifest.write_bytes(
+            b"solU-fetR-left.stream solU fetR left\n"
+            b"# caf\xe9\n"
+            b"solU-logR-right.stream solU logR right\n"
+        )
+        rc = main(["classify-transition", "--manifest", str(manifest),
+                   "--clip", str(clips / "solU-fetR-left.stream"), "--th", "0.25"])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {manifest}:2: not UTF-8 text\n"
 
     def test_missing_clip_names_its_line(self, clips, capsys):
         manifest = clips / "missing.manifest"

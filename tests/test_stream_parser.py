@@ -33,7 +33,7 @@ def outcome(read, path):
 def check(path, lines):
     """Write ``lines`` to ``path``, parse it both ways and return the common
     outcome."""
-    path.write_text("\n".join(lines) + "\n")
+    path.write_text("\n".join(lines) + "\n", errors="surrogateescape")
     want = outcome(reference_read_stream, path)
     assert outcome(fileio.read_stream, path) == want, lines
     return want
