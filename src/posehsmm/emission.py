@@ -81,9 +81,10 @@ class FeatureStream:
     """A fixed-rate observation array: C channels x T ticks x F features.
 
     ``X[k, t]`` is channel ``channel_ids[k]``'s vector at tick t + 1 and
-    ``mask[k, t]`` says whether that channel was available then.  Values
-    under a False mask are zero, and both arrays are read-only.  Channels
-    are sorted by (view, modality).
+    ``mask[k, t]`` says whether that channel was available then.  Each is
+    one read-only copy of its input (per-channel rows are stacked), with
+    zeros under a False mask; an input that does not convert raises
+    ``BadArgument``.  Channels are sorted by (view, modality).
     """
 
     X: np.ndarray
@@ -91,8 +92,10 @@ class FeatureStream:
     channel_ids: tuple[ChannelId, ...]
 
     def __post_init__(self):
-        X = np.asarray(self.X, dtype=float)
-        mask = np.array(self.mask, dtype=bool)
+        try:
+            X, mask = np.array(self.X, dtype=float), np.array(self.mask, dtype=bool)
+        except (TypeError, ValueError) as exc:
+            raise BadArgument(f"stream values and mask must be numeric arrays: {exc}") from None
         ids = self.channel_ids
         if X.ndim != 3 or mask.shape != X.shape[:2] or len(ids) != X.shape[0]:
             raise BadArgument(f"X {X.shape}, mask {mask.shape}, {len(ids)} channels")
@@ -100,7 +103,7 @@ class FeatureStream:
             raise BadArgument("stream channels must be unique and sorted")
         if X.shape[1] == 0:
             raise EmptySequence("feature stream has no frames")
-        X = np.where(mask[..., None], X, 0.0)
+        X[~mask] = 0.0
         # NaN fails the comparison too
         if not np.all((X >= 0.0) & (X <= 1.0)):
             raise BadArgument("available features must lie in [0, 1]")
@@ -145,22 +148,20 @@ class FeatureStream:
     ) -> "FeatureStream":
         """Build a stream from (T, F) arrays, one per channel.
 
-        ``available`` holds boolean masks of length T; when it is None every
-        channel is available at every tick.
+        ``available`` holds a length-T boolean mask per channel, else
+        ``BadArgument``; when None, every channel is always available.
         """
         channels = tuple(sorted(vectors))
-        X = np.stack([np.asarray(vectors[c], dtype=float) for c in channels])
         if available is None:
-            mask = np.ones(X.shape[:2], dtype=bool)
-        else:
-            mask = np.stack([np.asarray(available[c], dtype=bool) for c in channels])
-        return cls(X, mask, channels)
+            available = {c: np.ones(len(vectors[c]), dtype=bool) for c in channels}
+        elif missing := [str(c) for c in channels if c not in available]:
+            raise BadArgument(f"available has no mask for {', '.join(missing)}", "available")
+        return cls([vectors[c] for c in channels], [available[c] for c in channels], channels)
 
 
-def binarize_stream(stream: FeatureStream, threshold: float = 0.5) -> FeatureStream:
-    """Threshold every feature at ``threshold``; availability is untouched."""
-    X = (stream.X >= threshold).astype(float)
-    return FeatureStream(X, stream.mask, stream.channel_ids)
+def binarize_stream(stream: FeatureStream) -> FeatureStream:
+    """Threshold every feature at 0.5; availability is untouched."""
+    return FeatureStream(stream.X >= 0.5, stream.mask, stream.channel_ids)
 
 
 @dataclass

@@ -88,11 +88,8 @@ def check_transition_matrix(A: np.ndarray) -> np.ndarray:
     # NaN fails this comparison and the row-sum one
     if not np.all(A >= 0.0):
         raise BadArgument("transition probabilities must be nonnegative")
-    q = A.shape[0]
-    if q == 1:
-        # Degenerate single-state case: no successor exists, row stays zero.
-        return A
-    if not np.all(np.abs(A.sum(axis=1) - 1.0) <= ROW_SUM_TOL):
+    # a single state has no successor, so its row stays all zero
+    if A.shape[0] > 1 and not np.all(np.abs(A.sum(axis=1) - 1.0) <= ROW_SUM_TOL):
         raise BadArgument("transition rows must sum to 1")
     if np.any(np.diag(A) != 0.0):
         raise BadArgument("diagonal must be structurally zero")

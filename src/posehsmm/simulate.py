@@ -252,12 +252,19 @@ def build_generating_model(config: ScenarioConfig) -> tuple[HsmmModel, StateSpac
     Emission means are the effective (post-noise, post-contrast) feature
     expectations.  With scene doubling the pose transition rows are copied
     into per-scene blocks; cross-scene mass is nonzero only when the config
-    enables a scene switch, and then allows same-pose regime flips.
+    enables a scene switch, and then allows same-pose regime flips.  A
+    one-pose scene-doubled scenario without a switch has no transition at
+    all, so it raises ``BadArgument`` naming ``poses``.
     """
+    p = config.n_poses
+    if config.scene_doubling and p == 1 and not config.scene_switch:
+        raise BadArgument(
+            "a one-pose scene-doubled scenario needs scene_switch: its two states "
+            "have no transition between them", "poses"
+        )
     space = StateSpace.from_poses(config.poses, config.scene_doubling)
     templates = _pose_templates(config)
     A_pose = _pose_transition_matrix(config)
-    p = config.n_poses
 
     if config.scene_doubling:
         w = SCENE_SWITCH_MASS if config.scene_switch else 0.0
@@ -267,7 +274,7 @@ def build_generating_model(config: ScenarioConfig) -> tuple[HsmmModel, StateSpac
         A[p:, p:] = (1.0 - w) * A_pose
         A[:p, p:] = w * cross
         A[p:, :p] = w * cross
-        if p == 1 and w > 0.0:
+        if p == 1:
             # single pose: all mass must cross scenes
             A[:] = 0.0
             A[0, 1] = 1.0
@@ -334,6 +341,14 @@ def _scene_track(
     return ((1, T, config.base_scene),)
 
 
+def _too_large(config: ScenarioConfig, T: int, param: str) -> BadArgument:
+    """The error for a T-tick stream that memory cannot hold, naming ``param``."""
+    return BadArgument(
+        f"{param} {getattr(config, param)} asks for {len(config.channels)} channel(s) x "
+        f"T={T} x F={config.F} values, more than memory holds", param
+    )
+
+
 def _stream_arrays(config: ScenarioConfig, T: int, param: str) -> tuple[np.ndarray, np.ndarray]:
     """Empty (T, C, F) means and (T, C) availability of a T-tick stream,
     allocated before anything is sampled; arrays that memory cannot hold
@@ -343,10 +358,7 @@ def _stream_arrays(config: ScenarioConfig, T: int, param: str) -> tuple[np.ndarr
         return np.empty((T, C, config.F)), np.empty((T, C), dtype=bool)
     # numpy raises ValueError for a size beyond the largest intp
     except (MemoryError, ValueError):
-        raise BadArgument(
-            f"{param} {getattr(config, param)} asks for {C} channel(s) x T={T} x "
-            f"F={config.F} values, more than memory holds", param
-        ) from None
+        raise _too_large(config, T, param) from None
 
 
 def _observe(
@@ -394,8 +406,13 @@ def sample_sequence(config: ScenarioConfig) -> tuple[FeatureStream, GroundTruth]
     pose_index = {pose: k for k, pose in enumerate(config.poses)}
     bits = (_pose_templates(config) >= 0.5).astype(float)
     pose_rows = np.array([pose_index[p] for p in pose_per_tick])
-    np.take(bits, pose_rows, axis=0, out=means)
-    stream = FeatureStream.from_arrays(*_observe(config, means, avail, scene_track, rng))
+    # take's output buffer, the noise draw and the stream's copy each come
+    # on top of the arrays above
+    try:
+        np.take(bits, pose_rows, axis=0, out=means)
+        stream = FeatureStream.from_arrays(*_observe(config, means, avail, scene_track, rng))
+    except MemoryError:
+        raise _too_large(config, T, "t_target") from None
 
     truth = GroundTruth(
         segmentation=encode_segments(labels),
@@ -506,11 +523,13 @@ def sample_transition_clip(
              0 if direction is RotationDirection.LEFT else 1)
         )
     )
-    vectors, masks = _observe(config, means, avail, scene_track, rng)
-    # endpoints always observable so keyframe selection has a shared channel
-    for mask in masks.values():
-        mask[[0, -1]] = True
-    stream = FeatureStream.from_arrays(vectors, masks)
+    try:
+        observed = _observe(config, means, avail, scene_track, rng)
+        # endpoints always observable so keyframe selection has a shared channel
+        avail[[0, -1]] = True
+        stream = FeatureStream.from_arrays(*observed)
+    except MemoryError:
+        raise _too_large(config, T, longer) from None
 
     mid = anchor_ticks[1]
     scene_value = scene if config.scene_doubling else None

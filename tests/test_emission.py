@@ -112,6 +112,53 @@ class TestStreamConstruction:
         assert b.frames[0].vectors[RGB].tolist() == [0.0, 1.0]
         assert b.frames[1].vectors[RGB].tolist() == [1.0, 0.0]
 
+    @pytest.mark.parametrize(
+        "vectors, available, param",
+        [({RGB: np.zeros((3, 2)), DEPTH: np.zeros((4, 2))}, None, None),
+         ({RGB: [["0.5", "high"]]}, None, None),
+         ({RGB: np.zeros((3, 2)), DEPTH: np.zeros((3, 2))}, {RGB: np.ones(3, bool)},
+          "available"),
+         ({}, None, None)],
+        ids=["ragged-channels", "text-values", "missing-available", "no-channel"],
+    )
+    def test_unconvertible_input_is_bad_argument(self, vectors, available, param):
+        with pytest.raises(BadArgument) as exc:
+            FeatureStream.from_arrays(vectors, available)
+        assert exc.value.param == param
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        C=st.integers(1, 4), T=st.integers(1, 50), F=st.integers(1, 5),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_one_copy_keeps_the_stacked_bits(self, C, T, F, seed):
+        """Both ways into a stream give the bytes of stacking the channels
+        and then zeroing unavailable values with ``np.where``, keep -0.0
+        where a channel is available, and share no memory with the input."""
+        rng = np.random.default_rng(seed)
+        ids = sorted(rng.choice(ALL_CHANNELS, C, replace=False).tolist())
+        mask = rng.random((C, T)) < 0.6
+        X = rng.random((C, T, F))
+        X[rng.random((C, T, F)) < 0.2] = -0.0
+        hidden = rng.choice([math.nan, -0.0, -2.5, 1.5, math.inf], (C, T, F))
+        X = np.where(mask[..., None], X, hidden)
+        rows = [X[k] for k in range(C)]
+        want_X = np.where(mask[..., None], np.stack(rows), 0.0)
+        want_mask = np.stack([m.astype(bool) for m in mask])
+        order = rng.permutation(C)
+        built = [
+            FeatureStream.from_arrays({ids[k]: rows[k] for k in order},
+                                      {ids[k]: mask[k] for k in order}),
+            FeatureStream(X, mask, tuple(ids)),
+            FeatureStream(rows, list(mask), tuple(ids)),
+        ]
+        for stream in built:
+            assert stream.X.tobytes() == want_X.tobytes()
+            assert stream.mask.tobytes() == want_mask.tobytes()
+            assert not (stream.X.flags.writeable or stream.mask.flags.writeable)
+            assert not np.shares_memory(stream.X, X)
+            assert not np.shares_memory(stream.mask, mask)
+
 
 def runs(*label_lists):
     return [encode_segments(labels) for labels in label_lists]

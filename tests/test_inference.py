@@ -73,6 +73,12 @@ class TestTransitionMatrixCheck:
         with pytest.raises(ValueError, match="diagonal"):
             check_transition_matrix(np.array([[0.1, 0.9], [1.0, 0.0]]))
 
+    @pytest.mark.parametrize("value", [1.0, 5.0])
+    def test_single_state_diagonal_enforced(self, value):
+        """A one-state row has no row-sum check, but still a zero diagonal."""
+        with pytest.raises(BadArgument, match="diagonal"):
+            check_transition_matrix(np.array([[value]]))
+
     def test_single_state_semi_markov_row_may_be_zero(self):
         assert check_transition_matrix(np.zeros((1, 1))) is not None
 

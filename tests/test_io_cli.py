@@ -422,6 +422,19 @@ class TestSimulateArguments:
         )
         assert not out.exists()
 
+    def test_noise_draw_beyond_memory(self, tmp_path):
+        """A clip whose 220 MiB means fit under a 512 MiB address-space cap
+        while the noise draw or the stream's copy of the same size does not
+        ends in the same one-line error."""
+        out = tmp_path / "s.stream"
+        proc = run_cli_limited("simulate", "--transition", "solU", "fetR", "left",
+                               "--hold", "800000", "--out", out, limit=512 * 1024**2)
+        assert (proc.returncode, proc.stderr) == (
+            1, "error: transition_hold 800000 asks for 3 channel(s) x T=1600023 x F=6 "
+            "values, more than memory holds\n"
+        )
+        assert not out.exists()
+
 
 @pytest.fixture(scope="module")
 def clips(tmp_path_factory):
@@ -970,6 +983,23 @@ class TestStrictTruthAndModelParsing:
         assert main(["decode", "--model", str(bad),
                      "--stream", str(workdir / "s1.stream")]) == 1
         assert capsys.readouterr().err.startswith(f"error: {message}")
+
+    def test_one_state_self_transition(self, workdir, tmp_path, capsys):
+        """A one-state model whose only row chains the state into itself is
+        rejected when read, not reported later as a decoder invariant."""
+        bad = tmp_path / "self.model"
+        bad.write_text("\n".join([
+            "format: v1", "kind: model", "Q: 1", "F: 6", "d_max: 3",
+            "channels: left:RGB", "pi 1", "trans 0 1", "dur 0 2 1",
+            "emit left:RGB 0 " + " ".join(["0.5"] * 6),
+        ]) + "\n")
+        message = f"{bad}: diagonal must be structurally zero"
+        with pytest.raises(FormatError, match="^" + re.escape(message) + "$"):
+            fileio.read_model(bad)
+        capsys.readouterr()
+        assert main(["decode", "--model", str(bad),
+                     "--stream", str(workdir / "s1.stream")]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
 
 
 class TestSizeHeaders:

@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -148,6 +149,28 @@ class TestGeneratingModel:
         assert model.A[:p, p:].sum() > 0.0
         assert np.allclose(model.A.sum(axis=1), 1.0)
 
+    @pytest.mark.parametrize("n_poses", [1, 2])
+    @pytest.mark.parametrize("doubling", [False, True])
+    @pytest.mark.parametrize("switch", [False, True])
+    def test_one_pose_doubled_scenario_needs_a_switch(self, n_poses, doubling, switch):
+        """Only one pose with scene doubling and no switch leaves states with
+        no transition; it is refused by name, the other seven all sample."""
+        cfg = preset_config("bc-sim", poses=CANONICAL_POSES[:n_poses], t_target=40,
+                            scene_doubling=doubling, scene_switch=switch)
+        pose = CANONICAL_POSES[0]
+        samplers = (
+            build_generating_model,
+            sample_sequence,
+            lambda c: sample_transition_clip(pose, pose, RotationDirection.LEFT, c),
+        )
+        for sample in samplers:
+            if n_poses == 1 and doubling and not switch:
+                with pytest.raises(BadArgument, match="needs scene_switch") as exc:
+                    sample(cfg)
+                assert exc.value.param == "poses"
+            else:
+                sample(cfg)
+
     def test_effective_means_follow_noise(self):
         cfg = small_config(noise=0.1, dropout=0.0)
         model, space = build_generating_model(cfg)
@@ -230,6 +253,20 @@ class TestSampleSequence:
         assert last is SceneCondition.DO
         switch = b1 - 1  # 0-based index of the first DO tick
         assert 100 // 4 <= switch <= 3 * 100 // 4
+
+    def test_day_long_peak_holds_one_copy_of_X(self):
+        """The sampled means, the noise draw and the stream's one copy of X:
+        2.6 x X for a day at 1 Hz of the benchmark's recording config, where
+        stacking the channels before the copy read 3.6 x."""
+        config = preset_config("do-sim", seed=1, t_target=86_400, d_max=36,
+                               scene_switch=True)
+        tracemalloc.start()
+        try:
+            stream, _ = sample_sequence(config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * stream.X.nbytes
 
 
 class TestTransitionClips:

@@ -6,13 +6,15 @@ text.  The files cover every mutation class of the format fuzz test on every
 line, named edge cases, and streams longer than one parse chunk.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from posehsmm import fileio
 from posehsmm.emission import ChannelId, FeatureStream
 from posehsmm.errors import FormatError
-from posehsmm.simulate import ScenarioConfig, sample_sequence
+from posehsmm.simulate import ScenarioConfig, preset_config, sample_sequence
 from posehsmm.states import SceneCondition
 
 from reference_stream_parser import reference_read_stream
@@ -158,3 +160,23 @@ def test_chunk_boundaries(long_lines, tmp_path):
     parsed = [name for name, body in cases.items()
               if check(tmp_path / "c.stream", head + body)[0] != "error"]
     assert parsed == ["in-order", "shuffled", "reversed"]
+
+
+def test_read_peak_holds_one_copy_of_X(tmp_path):
+    """Beyond its line reader, ``read_stream`` holds the parsed X, the
+    stream's one copy of it and the parse's temporaries: 2.3 x X on a
+    do-sim, scene-switch stream of T = 8,000, where a second copy of X
+    read 3.4 x."""
+    config = preset_config("do-sim", seed=1, t_target=8_000, d_max=36, scene_switch=True)
+    path = tmp_path / "long.stream"
+    fileio.write_stream(sample_sequence(config)[0], path)
+    tracemalloc.start()
+    try:
+        fileio._Reader(path, "stream")
+        reader_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        stream = fileio.read_stream(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= reader_peak + 2.75 * stream.X.nbytes
