@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, compress
 from pathlib import Path
 from typing import NoReturn
 
@@ -51,14 +51,15 @@ def _finite(text: str) -> float:
 
 
 def _write(path, kind: str, header: dict, records) -> None:
-    """Write the ``format:`` and ``kind:`` lines, one ``key: value`` line
-    per header field, then one line per record; the only file writer."""
+    """Write the ``format:`` and ``kind:`` lines, one ``key: value`` line per
+    header field, then each record line as ``records`` yields it; the only writer."""
     lines = chain(
         (f"format: {FORMAT_VERSION}", f"kind: {kind}"),
         (f"{key}: {value}" for key, value in header.items()),
         records,
     )
-    Path(path).write_text("\n".join(lines) + "\n")
+    with open(path, "w") as fh:
+        fh.writelines(f"{line}\n" for line in lines)
 
 
 def _read_text(path) -> str:
@@ -176,13 +177,12 @@ def write_stream(stream: FeatureStream, path) -> None:
     if not channels:
         # read_stream refuses a header that lists no channel
         raise FormatError(f"{path}: no channel of the stream is ever available")
-    ever = stream.mask.any(axis=1)
-    X, mask = stream.X[ever], stream.mask[ever]
-    ticks = []
-    for t in range(stream.T):
-        bits = "".join("1" if b else "0" for b in mask[:, t])
-        values = " ".join(_fmt(v) for v in X[mask[:, t], t].ravel().tolist())
-        ticks.append(f"tick {t + 1} {bits} {values}")
+    X, mask, ever = stream.X, stream.mask, stream.mask.any(axis=1).tolist()
+    bits = ("".join("1" if b else "0" for b in compress(mask[:, t].tolist(), ever))
+            for t in range(stream.T))
+    # a never-available channel has no True mask, so X[mask[:, t], t] skips it
+    ticks = (f"tick {t + 1} {b} " + " ".join(_fmt(v) for v in X[mask[:, t], t].ravel().tolist())
+             for t, b in enumerate(bits))
     header = {"T": stream.T, "F": stream.F, "channels": " ".join(str(c) for c in channels)}
     _write(path, "stream", header, ticks)
 

@@ -306,8 +306,10 @@ def segment_viterbi_on_tables(
 
     Returns the best ``log_prob`` and ``path``, which backtracks when called
     and returns the ``DecodeResult``; raises ``NoFeasiblePath`` at once.
+    A T that is not an integer >= 1, or a table that is not an array of
+    its shape, is a ``BadArgument`` naming the argument.
     """
-    n = log_pi.shape[0]
+    n = _check_tables(T, log_pi, log_A, log_dur, emission_cumsum, final_log)
     d_cap = min(log_dur.shape[1] - 1, T)
     C = emission_cumsum
     took = np.arange(n)
@@ -360,6 +362,35 @@ def segment_viterbi_on_tables(
     return log_prob, partial(
         _backtrack, log_prob, T, d_cap, y, best, earg, log_pi, log_A, log_dur, C
     )
+
+
+def _check_tables(T, log_pi, log_A, log_dur, emission_cumsum, final_log) -> int:
+    """The state count Q of ``segment_viterbi_on_tables``' tables, once T is
+    an integer >= 1 and each table is an array of its shape; O(1).
+
+    A chain library makes one call per chain, so the checks read ``shape``
+    and test ``(int, np.integer)``: ``np.shape`` and ``numbers.Integral``
+    would double their cost."""
+    if not isinstance(T, (int, np.integer)) or T < 1:
+        raise BadArgument(f"T must be an integer >= 1, got {T!r}", "T")
+    pi = getattr(log_pi, "shape", None)
+    n = pi[0] if pi is not None and len(pi) == 1 else 0
+    if n < 1:
+        raise BadArgument(f"log_pi must be a (Q,) array with Q >= 1, got shape {pi}", "log_pi")
+    dur = getattr(log_dur, "shape", None)
+    if dur is None or len(dur) != 2 or dur[0] != n or dur[1] < 2:
+        raise BadArgument(
+            f"log_dur must be a ({n}, d_max + 1) array with d_max >= 1, got shape {dur}",
+            "log_dur",
+        )
+    shapes = [("log_A", log_A, (n, n)), ("emission_cumsum", emission_cumsum, (T + 1, n))]
+    if final_log is not None:
+        shapes.append(("final_log", final_log, (n,)))
+    for name, table, shape in shapes:
+        got = getattr(table, "shape", None)
+        if got != shape:
+            raise BadArgument(f"{name} must be a {shape} array, got shape {got}", name)
+    return n
 
 
 def _backtrack(

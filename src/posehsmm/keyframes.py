@@ -43,13 +43,22 @@ class KeyframeSet:
     """Admitted keyframes in tick order plus the selection parameters.
 
     ``static`` marks clips whose endpoint dissimilarity never clears the
-    threshold; such sets hold exactly the two endpoints.
+    threshold; such sets hold exactly the two endpoints.  Ticks that are not
+    integers increasing strictly from 1 are a ``BadArgument``.
     """
 
     frames: tuple[Keyframe, ...]
     k_max: int
     threshold: float
     static: bool = False
+
+    def __post_init__(self):
+        ticks = self.ticks
+        if not all(isinstance(t, Integral) and t > s for s, t in zip((0,) + ticks, ticks)):
+            raise BadArgument(
+                f"keyframe ticks must be integers increasing strictly from 1, got {ticks}",
+                "frames",
+            )
 
     @property
     def ticks(self) -> tuple[int, ...]:
@@ -191,6 +200,10 @@ def select_keyframes(
 def keyframes_to_pseudo_pose_stream(
     clip: FeatureStream, keyframes: KeyframeSet
 ) -> FeatureStream:
-    """Re-tick the selected frames 1..K, keeping every channel they carry."""
-    rows = np.array(keyframes.ticks) - 1
+    """Re-tick the selected frames 1..K, keeping every channel they carry; no
+    keyframe, or one past the clip's last tick, is a ``BadArgument``."""
+    ticks = keyframes.ticks
+    if not ticks or ticks[-1] > clip.T:
+        raise BadArgument(f"need keyframe ticks within 1..{clip.T}, got {ticks}", "keyframes")
+    rows = np.array(ticks) - 1
     return FeatureStream(clip.X[:, rows], clip.mask[:, rows], clip.channel_ids)

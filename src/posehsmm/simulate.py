@@ -172,9 +172,10 @@ PRESETS = {
 
 
 def preset_config(name: str, **overrides) -> ScenarioConfig:
-    """Build a ScenarioConfig for one of the named presets."""
-    if name not in PRESETS:
-        raise KeyError(f"unknown preset {name!r}; choose from {sorted(PRESETS)}")
+    """Build a ScenarioConfig for one of the named presets; another name is
+    a ``BadArgument`` naming ``name``."""
+    if not isinstance(name, str) or name not in PRESETS:
+        raise BadArgument(f"unknown preset {name!r}; choose from {sorted(PRESETS)}", "name")
     kwargs = dict(PRESETS[name])
     kwargs.update(overrides)
     return ScenarioConfig(**kwargs)

@@ -8,6 +8,8 @@ import pytest
 from posehsmm.emission import ChannelId, FeatureStream
 from posehsmm.errors import BadArgument, EmptySequence
 from posehsmm.keyframes import (
+    Keyframe,
+    KeyframeSet,
     _frame_scores,
     keyframes_to_pseudo_pose_stream,
     select_keyframes,
@@ -205,6 +207,24 @@ class TestPseudoPoseStream:
             src = clip.frames[kf.frame_index - 1]
             assert frame.vectors[RGB].tolist() == src.vectors[RGB].tolist()
         assert [f.t for f in pseudo.frames] == list(range(1, len(kfs) + 1))
+
+    @pytest.mark.parametrize("ticks", [(0, 4), (3, 1), (2, 2), (1, 2.5)],
+                             ids=["tick-zero", "decreasing", "repeated", "fraction"])
+    def test_set_ticks_must_increase_from_one(self, ticks):
+        frames = tuple(Keyframe(t, RGB, 1.0, 1) for t in ticks)
+        with pytest.raises(BadArgument) as exc:
+            KeyframeSet(frames, 5, 0.8)
+        assert exc.value.param == "frames"
+
+    @pytest.mark.parametrize("ticks", [(1, 5), ()], ids=["past-T", "empty"])
+    def test_ticks_outside_the_clip_are_named(self, ticks):
+        clip = clip_from([[0.0], [0.25], [0.5], [1.0]])
+        kfs = KeyframeSet(tuple(Keyframe(t, RGB, 1.0, 1) for t in ticks), 5, 0.8)
+        with pytest.raises(BadArgument) as exc:
+            keyframes_to_pseudo_pose_stream(clip, kfs)
+        assert exc.value.param == "keyframes"
+        ends = KeyframeSet((Keyframe(1, RGB, 1.0, 1), Keyframe(4, RGB, 1.0, 1)), 5, 0.8)
+        assert keyframes_to_pseudo_pose_stream(clip, ends).X[0, :, 0].tolist() == [0.0, 1.0]
 
 
 def scalar_distance(a, b):

@@ -6,6 +6,7 @@ the same log-probability bits, the same per-segment scores, and the same
 statistics, 0.5 / 0.25 emission means) exercise every tie-break.
 """
 
+import math
 import tracemalloc
 import weakref
 
@@ -15,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 from posehsmm import DurationModel, HsmmModel, hsmm_viterbi, segment_viterbi_on_tables
 from posehsmm.emission import ChannelEmissionModel
-from posehsmm.errors import NoFeasiblePath
+from posehsmm.errors import BadArgument, NoFeasiblePath
 from posehsmm.inference import DP_BLOCK, _log_tables
 
 from conftest import CH, random_hsmm, random_stream
@@ -272,3 +273,38 @@ class TestDeferredResult:
             C[1:] = np.nan
         with pytest.raises(NoFeasiblePath):
             segment_viterbi_on_tables(T, log_pi, log_A, log_dur, C)
+
+
+#: A T, or a table that is not an array of the shape T and Q = 2 imply.
+MISSIZED = {
+    "T-zero": ("T", 0),
+    "T-fraction": ("T", 2.5),
+    "log_pi-scalar": ("log_pi", np.float64(0.0)),
+    "log_pi-empty": ("log_pi", np.zeros(0)),
+    "log_A-wide": ("log_A", np.zeros((2, 3))),
+    "log_A-list": ("log_A", [[0.0, 0.0], [0.0, 0.0]]),
+    "log_dur-one-column": ("log_dur", np.zeros((2, 1))),
+    "log_dur-three-rows": ("log_dur", np.zeros((3, 4))),
+    "log_dur-flat": ("log_dur", np.zeros(4)),
+    "cumsum-T-rows": ("emission_cumsum", np.zeros((4, 2))),
+    "cumsum-extra-row": ("emission_cumsum", np.zeros((6, 2))),
+    "final_log-broadcast": ("final_log", np.zeros(1)),
+    "final_log-column": ("final_log", np.zeros((2, 1))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MISSIZED))
+def test_missized_table_is_named(name):
+    """A T of 4 ticks needs a (5, Q) prefix sum; every other table is
+    checked against log_pi's Q before anything is allocated."""
+    param, value = MISSIZED[name]
+    tables = {
+        "T": 4, "log_pi": np.log([0.5, 0.5]),
+        "log_A": np.array([[-np.inf, 0.0], [0.0, -np.inf]]), "log_dur": np.zeros((2, 4)),
+        "emission_cumsum": np.zeros((5, 2)), "final_log": None,
+    }
+    log_prob, _ = segment_viterbi_on_tables(**tables)
+    assert log_prob == math.log(0.5)
+    with pytest.raises(BadArgument) as exc:
+        segment_viterbi_on_tables(**{**tables, param: value})
+    assert exc.value.param == param

@@ -113,8 +113,9 @@ class TestConfig:
         assert preset_config("bc-sim").base_scene is SceneCondition.BC
         assert preset_config("do-sim").base_scene is SceneCondition.DO
         assert preset_config("bc-sim", t_target=50).t_target == 50
-        with pytest.raises(KeyError):
+        with pytest.raises(BadArgument) as exc:
             preset_config("nope")
+        assert exc.value.param == "name"
 
     def test_regime_constants(self):
         assert REGIME_NOISE[SceneCondition.BC] == 0.05
