@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from numbers import Integral
 from typing import Mapping, Sequence
 
@@ -171,11 +171,16 @@ PRESETS = {
 }
 
 
-def preset_config(name: str, **overrides) -> ScenarioConfig:
+def preset_config(name: str, /, **overrides) -> ScenarioConfig:
     """Build a ScenarioConfig for one of the named presets; another name is
-    a ``BadArgument`` naming ``name``."""
+    a ``BadArgument`` naming ``name``, and an override that is no
+    ScenarioConfig field one naming that override."""
     if not isinstance(name, str) or name not in PRESETS:
         raise BadArgument(f"unknown preset {name!r}; choose from {sorted(PRESETS)}", "name")
+    names = {f.name for f in fields(ScenarioConfig)}
+    for key in overrides:
+        if key not in names:
+            raise BadArgument(f"{key!r} is not a ScenarioConfig field", key)
     kwargs = dict(PRESETS[name])
     kwargs.update(overrides)
     return ScenarioConfig(**kwargs)
@@ -467,7 +472,18 @@ def transition_protocol(
     poses: Sequence[PoseLabel] = CANONICAL_POSES,
 ) -> list[tuple[PoseLabel, PoseLabel, RotationDirection]]:
     """The full protocol: every ordered pose pair (self-pairs included, i.e.
-    roll-away-and-back) in both rotation directions."""
+    roll-away-and-back) in both rotation directions.  ``poses`` must be a
+    non-empty sequence of distinct ``PoseLabel``s, else ``BadArgument``."""
+    if (
+        not isinstance(poses, Sequence)
+        or not poses
+        or not all(isinstance(p, PoseLabel) for p in poses)
+        or len(set(poses)) < len(poses)
+    ):
+        raise BadArgument(
+            f"poses must be a non-empty sequence of distinct PoseLabels, got {poses!r}",
+            "poses",
+        )
     combos = []
     for a in poses:
         for b in poses:

@@ -15,14 +15,15 @@ A library stacks its chains once, on first use, into ``ChainTables``: chains
 side by side in name order, one stacked emission model per channel set.  A
 clip is then scored against every chain with one emission pass per channel
 set, one prefix sum and one duration table; only the segment DP still runs
-chain by chain, on each chain's columns.  Each DP returns its log-prob and a
-backtrack handle, and classifying a clip calls only the winner's.
+chain by chain, on each chain's columns.  A clip is classified from the DPs'
+log-probs alone: a chain's best alignment visits each pseudo-pose once, so
+its segment count is the chain's length and no chain is backtracked.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cached_property
 from itertools import accumulate
 from numbers import Integral, Real
 from typing import Iterable, Sequence
@@ -38,7 +39,6 @@ from .emission import (
 from .errors import BadArgument, LabelMismatch, NoFeasiblePath, NoTransitionDetected
 from .inference import (
     MIN_DURATION_STD,
-    DecodeResult,
     HsmmModel,
     hsmm_viterbi,
     segment_viterbi_on_tables,
@@ -481,14 +481,13 @@ class ChainTables:
 
 def score_chains(
     library: "TransitionLibrary", stream: FeatureStream, use_keyframes: bool = True
-) -> list[tuple[float, partial[DecodeResult]] | None]:
-    """Best left-to-right alignment of a stream onto every library chain.
+) -> list[float | None]:
+    """Best left-to-right alignment log-prob of a stream onto every library chain.
 
-    Results follow ``sorted_keys()`` order, each the segment DP's
-    ``(log_prob, path)`` pair, where calling ``path`` backtracks the chain;
-    None marks a chain the stream cannot traverse (one longer than the
-    stream).  Emissions, prefix sums and the duration table are computed
-    once for all chains; the segment DP runs once per chain on its columns.
+    Log-probs follow ``sorted_keys()`` order; None marks a chain the stream
+    cannot traverse (one longer than the stream).  Emissions, prefix sums and
+    the duration table are computed once for all chains; the segment DP runs
+    once per chain on its columns, and no chain is backtracked.
     """
     tables = library.tables
     if any(F != stream.F for F in tables.widths):
@@ -505,18 +504,17 @@ def score_chains(
     else:
         dur = DurationModel(tables.gap_mean, tables.gap_std, T)
     log_dur = dur.log_pmf_table()
-    results = []
+    log_probs: list[float | None] = []
     for L, a, b in zip(tables.lengths, tables.offsets, tables.offsets[1:]):
         log_pi, log_A, final_log = tables.structure[L]
         try:
-            results.append(
-                segment_viterbi_on_tables(
-                    T, log_pi, log_A, log_dur[a:b], C[:, a:b], final_log
-                )
+            log_prob, _ = segment_viterbi_on_tables(
+                T, log_pi, log_A, log_dur[a:b], C[:, a:b], final_log
             )
         except NoFeasiblePath:
-            results.append(None)
-    return results
+            log_prob = None
+        log_probs.append(log_prob)
+    return log_probs
 
 
 def classify_transition(
@@ -533,7 +531,8 @@ def classify_transition(
     NoTransitionDetected) and, by default, the pseudo-pose stream is scored
     against every chain; ``use_keyframes=False`` scores the full-rate clip
     instead, using the chains' original tick-gap dwell statistics.  Ties
-    prefer the shorter chain, then name order.
+    prefer the shorter chain, then name order.  The record's pseudo-pose
+    count is the winning chain's length.
     """
     if not library.entries:
         raise BadArgument("transition library is empty")
@@ -542,22 +541,11 @@ def classify_transition(
         raise NoTransitionDetected("clip shows no endpoint motion on any channel")
     target = keyframes_to_pseudo_pose_stream(clip, kfs) if use_keyframes else clip
 
-    best = None
     tables = library.tables
-    results = score_chains(library, target, use_keyframes)
-    # chains come in name order, so keeping the first of equal ranks breaks
-    # the remaining ties by name
-    for key, length, result in zip(tables.keys, tables.lengths, results):
-        if result is None:
-            continue
-        log_prob, path = result
-        rank = (-log_prob, length)
-        if best is None or rank < best[0]:
-            best = (rank, key, path)
-    if best is None:
+    log_probs = score_chains(library, target, use_keyframes)
+    feasible = [i for i, log_prob in enumerate(log_probs) if log_prob is not None]
+    if not feasible:
         raise NoTransitionDetected("no library chain fits within the clip length")
-    _, key, path = best
-    result = path()
-    return TransitionRecord(
-        key[0], key[1], key[2], result.log_prob, len(result.segmentation)
-    )
+    # chains come in name order, and min keeps the first of equal ranks
+    best = min(feasible, key=lambda i: (-log_probs[i], tables.lengths[i]))
+    return TransitionRecord(*tables.keys[best], log_probs[best], tables.lengths[best])

@@ -5,13 +5,14 @@ The library-side twin of ``test_format_fuzz.py``.  Each example picks an
 entry point and a set of its parameters; each picked parameter takes one of
 0, -1, 2.5, NaN, +inf, -inf and 10**18 (a part's state count, feature
 width or table size takes a few counts around its valid one, a fit's list
-item a value that is not a segmentation, and a preset name a string that
-names none), the others keep a valid value.  When
-every parameter lies in the domain the entry point documents, the call must
-return (or raise one of the outcomes it documents for valid input, such as
-a static clip); otherwise it must raise a ``PoseHsmmError``.  Any other
-exception or result fails.  Parameters are only checked and stored, never
-used to size an array, so 10**18 allocates nothing.  Every function
+item a value that is not a segmentation, a preset name or override a
+string that names no preset or config field, and a pose list one that is
+not distinct poses), the others keep a valid value.  When every parameter
+lies in the domain the entry point documents, the call must return (or
+raise one of the outcomes it documents for valid input, such as a static
+clip); otherwise it must raise a ``PoseHsmmError``.  Any other exception
+or result fails.  Parameters are only checked and stored, never used to
+size an array, so 10**18 allocates nothing.  Every function
 ``posehsmm`` exports has an entry point or a reason in ``NOT_FUZZED``.
 """
 
@@ -59,6 +60,7 @@ from posehsmm.simulate import (
     preset_config,
     sample_sequence,
     sample_transition_clip,
+    transition_protocol,
 )
 from posehsmm.states import (
     CANONICAL_POSES,
@@ -106,6 +108,11 @@ def unit(v):
 
 def no_repeats(v):
     return len(v) > 0 and len(set(v)) == len(v)
+
+
+def distinct_poses(v):
+    return (isinstance(v, (list, tuple)) and all(isinstance(p, PoseLabel) for p in v)
+            and no_repeats(v))
 
 
 @dataclass
@@ -319,8 +326,18 @@ ENTRY_POINTS = {
         lambda p: p["first"] < p["last"] <= 4,
     ),
     "preset_config": EntryPoint(
-        lambda x, name: preset_config(name),
-        {"name": Param("do-sim", lambda v: v in PRESETS, SCALARS + ["nope", None])},
+        lambda x, name, override: preset_config(name, **{override: 1}),
+        {"name": Param("do-sim", lambda v: v in PRESETS, SCALARS + ["nope", None]),
+         # each field here takes 1; the others name no field
+         "override": Param("seed", lambda v: v in ("seed", "t_target", "F"),
+                           ["seed", "t_target", "F", "bogus", "name", ""])},
+    ),
+    "transition_protocol": EntryPoint(
+        lambda x, poses: transition_protocol(poses),
+        {"poses": Param(CANONICAL_POSES, distinct_poses,
+                        SCALARS + [None, "ab", [1, 2], [], (PL.OTHER,),
+                                   (PL.OTHER, PL.OTHER), CANONICAL_POSES[:3],
+                                   [PL.OTHER, "other"]])},
     ),
     "FeatureStream": EntryPoint(
         lambda x, v: _stream_with(v), {"v": Param(0.25, unit)}
@@ -375,8 +392,6 @@ NOT_FUZZED = {
     "sample_sequence": "takes only a ScenarioConfig, whose fields its entry fuzzes",
     "sample_transition_clip": "a ScenarioConfig, whose fields its entry fuzzes, and three "
                               "enum labels",
-    "transition_protocol": "enumerates the combos of the poses it is given; no number to "
-                           "leave a domain",
     "encode_segments": "run-length encodes any label list; labels meet a state count in "
                        "the fits, whose label and item parameters are fuzzed",
     "hsmm_joint_log_prob": "scores a Segmentation, FeatureStream and HsmmModel, each "

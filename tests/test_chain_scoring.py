@@ -1,18 +1,21 @@
 """Library-wide chain scoring against the frozen per-chain reference.
 
 ``score_chains`` stacks every chain of a library into shared emission,
-prefix-sum and duration tables.  Each chain's result must equal what the
-original per-chain scorer returns, bit for bit, or both must find no
-feasible path.  Random libraries mix chain lengths 2..5, channel sets and
-feature widths; random clips drop channels, leave ticks with no modeled
-channel, and carry channels seen at a single tick.
+prefix-sum and duration tables.  The tables each chain's segment DP gets
+must equal, bit for bit, the ones the original per-chain scorer builds, and
+each log-prob must equal the reference's, or both must find no feasible
+path.  Random libraries mix chain lengths 2..5, channel sets and feature
+widths; random clips drop channels, leave ticks with no modeled channel,
+and carry channels seen at a single tick.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 import posehsmm.inference as inference
 import posehsmm.summarize as summarize
+import reference_chain_scoring
 from posehsmm.emission import ChannelId, FeatureStream
 from posehsmm.errors import NoFeasiblePath
 from posehsmm.simulate import transition_protocol
@@ -25,33 +28,54 @@ from posehsmm.summarize import (
     score_chains,
 )
 
-from reference_chain_scoring import reference_score_chain
-
 MODELED = [ChannelId.parse(c) for c in ("left:RGB", "center:Depth", "right:Mask")]
 #: a stream channel no chain models
 EXTRA = ChannelId.parse("left:Depth")
 
 
-def outcome(result):
-    """A chain's ``(log_prob, path)`` pair, backtracked and reduced to
-    bit-exact comparable values."""
-    if result is None:
-        return "infeasible"
-    log_prob, path = result
-    result = path()
-    assert result.log_prob.hex() == log_prob.hex()
-    return (
-        result.segmentation,
-        result.log_prob.hex(),
-        tuple(s.hex() for s in result.per_segment_scores),
-    )
+def dp_inputs(module, call):
+    """``call()``'s result and the arguments of each segment DP call it
+    makes through ``module``, each array reduced to its dtype, shape and
+    bytes."""
+    calls = []
+    real = module.segment_viterbi_on_tables
+
+    def spy(T, *tables):
+        calls.append((T, *((a.dtype.str, a.shape, a.tobytes()) for a in tables)))
+        return real(T, *tables)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(module, "segment_viterbi_on_tables", spy)
+        return call(), calls
 
 
 def reference(chain, stream, use_keyframes):
     try:
-        return reference_score_chain(chain, stream, use_keyframes)
+        return reference_chain_scoring.reference_score_chain(chain, stream, use_keyframes)
     except NoFeasiblePath:
         return None
+
+
+def assert_matches_reference(library, stream, use_keyframes):
+    """Every chain's DP tables and log-prob equal the reference's, bit for
+    bit, and the reference's best alignment has one segment per pseudo-pose,
+    the invariant ``classify_transition`` reads its count from."""
+    got, calls = dp_inputs(summarize, lambda: score_chains(library, stream, use_keyframes))
+    assert len(got) == len(calls) == len(library)
+    for key, log_prob, tables in zip(library.sorted_keys(), got, calls):
+        chain = library.entries[key]
+        want, (want_tables,) = dp_inputs(
+            reference_chain_scoring, lambda: reference(chain, stream, use_keyframes)
+        )
+        assert tables == want_tables, key
+        if want is None:
+            assert log_prob is None, key
+            continue
+        want_log_prob, path = want
+        assert log_prob.hex() == want_log_prob.hex(), key
+        result = path()
+        assert len(result.segmentation) == chain.length, key
+        assert result.log_prob.hex() == want_log_prob.hex(), key
 
 
 def random_library(rng, F, n=None, p_channel=0.6):
@@ -90,12 +114,7 @@ class TestMatchesReference:
         F = int(rng.integers(1, 11))
         library = random_library(rng, F)
         for _ in range(3):
-            stream = random_stream(rng, F)
-            got = score_chains(library, stream, use_keyframes)
-            assert len(got) == len(library)
-            for key, result in zip(library.sorted_keys(), got):
-                want = reference(library.entries[key], stream, use_keyframes)
-                assert outcome(result) == outcome(want), key
+            assert_matches_reference(library, random_stream(rng, F), use_keyframes)
 
     def test_full_protocol_library(self):
         # 200 chains on one channel set and full-rate clip lengths: products
@@ -105,10 +124,7 @@ class TestMatchesReference:
         for T in (5, 40):
             stream = random_stream(rng, 6, T, p=0.9)
             for use_keyframes in (True, False):
-                got = score_chains(library, stream, use_keyframes)
-                for key, result in zip(library.sorted_keys(), got):
-                    want = reference(library.entries[key], stream, use_keyframes)
-                    assert outcome(result) == outcome(want), key
+                assert_matches_reference(library, stream, use_keyframes)
 
     def test_uncovered_and_one_tick_channels(self):
         # tick 2 has no modeled channel; right:Mask is seen at one tick only
@@ -123,10 +139,7 @@ class TestMatchesReference:
         }
         stream = FeatureStream.from_arrays(vectors, available)
         for use_keyframes in (True, False):
-            got = score_chains(library, stream, use_keyframes)
-            for key, result in zip(library.sorted_keys(), got):
-                want = reference(library.entries[key], stream, use_keyframes)
-                assert outcome(result) == outcome(want)
+            assert_matches_reference(library, stream, use_keyframes)
 
 
 def ramp_clip(lo, hi, T=21, F=2):
@@ -136,8 +149,8 @@ def ramp_clip(lo, hi, T=21, F=2):
 
 def test_one_dp_call_per_chain(monkeypatch):
     """The benchmark's tracer counts one ``segment_viterbi_on_tables`` call
-    per library chain and classified clip, feasible or not; only the
-    winning chain is backtracked."""
+    per library chain and classified clip, feasible or not; no chain is
+    backtracked."""
     combos = transition_protocol()
     clips = [(ramp_clip(0.0, 1.0), *combos[0]), (ramp_clip(1.0, 0.0), *combos[1])]
     clips.append((ramp_clip(0.0, 1.0, T=3), *combos[2]))
@@ -160,9 +173,8 @@ def test_one_dp_call_per_chain(monkeypatch):
     monkeypatch.setattr(inference, "_segment_scores", counted_scores)
     classify_transition(ramp_clip(0.0, 1.0, T=4), library, threshold=0.4)
     assert len(calls) == len(library) == 3
-    assert len(backtracks) == 1
+    assert not backtracks
     calls.clear()
-    backtracks.clear()
     classify_transition(ramp_clip(0.0, 1.0), library, threshold=0.4, use_keyframes=False)
     assert len(calls) == 3
-    assert len(backtracks) == 1
+    assert not backtracks

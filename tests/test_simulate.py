@@ -117,6 +117,13 @@ class TestConfig:
             preset_config("nope")
         assert exc.value.param == "name"
 
+    @pytest.mark.parametrize("override", ["bogus", "name"])
+    def test_preset_override_that_is_no_field_is_named(self, override):
+        with pytest.raises(BadArgument) as exc:
+            preset_config("do-sim", **{override: 1})
+        assert exc.value.param == override
+        assert repr(override) in str(exc.value)
+
     def test_regime_constants(self):
         assert REGIME_NOISE[SceneCondition.BC] == 0.05
         assert REGIME_DROPOUT[SceneCondition.BC] == 0.0
@@ -371,6 +378,17 @@ class TestProtocol:
     def test_restricted_protocol(self):
         combos = transition_protocol(CANONICAL_POSES[:3])
         assert len(combos) == 18
+
+    @pytest.mark.parametrize(
+        "poses",
+        [[1, 2], "ab", [], (), 5, None, [PL.OTHER, PL.OTHER], [PL.OTHER, "other"]],
+        ids=["ints", "string", "empty-list", "empty-tuple", "int", "none",
+             "pose-twice", "pose-and-string"],
+    )
+    def test_poses_that_are_not_distinct_poses_are_named(self, poses):
+        with pytest.raises(BadArgument) as exc:
+            transition_protocol(poses)
+        assert exc.value.param == "poses"
 
 
 #: sha256 of the stream and truth files ``posehsmm simulate`` writes,
