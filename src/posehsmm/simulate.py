@@ -21,8 +21,8 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, field, fields
-from numbers import Integral
-from typing import Mapping, Sequence
+from numbers import Integral, Real
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -61,10 +61,18 @@ DEFAULT_CHANNELS = (
 )
 
 
-def _per_scene(value) -> dict[SceneCondition, float]:
-    if isinstance(value, Mapping):
-        return {s: float(value[s]) for s in SceneCondition}
-    return {s: float(value) for s in SceneCondition}
+def _per_scene(value, name) -> dict[SceneCondition, float]:
+    """One float per scene from a number or a map of one number per scene;
+    anything else is a ``BadArgument`` naming ``name``."""
+    per_scene = value if isinstance(value, Mapping) else dict.fromkeys(SceneCondition, value)
+    if set(per_scene) != set(SceneCondition) or not all(
+        isinstance(p, Real) for p in per_scene.values()
+    ):
+        raise BadArgument(
+            f"{name} must be a number or a map of one number per SceneCondition, "
+            f"got {value!r}", name
+        )
+    return {s: float(per_scene[s]) for s in SceneCondition}
 
 
 @dataclass
@@ -74,11 +82,14 @@ class ScenarioConfig:
     ``seed`` drives the sampled trajectory and noise; ``model_seed`` drives
     the pose templates and generating parameters, so several trajectories can
     share one underlying scene.  ``noise``/``dropout`` may be single floats
-    (applied to both regimes) or per-scene maps.  A field outside its domain
-    raises ``BadArgument``: poses and channels are non-empty with no repeats,
-    F, t_target, transition_hold and transition_ramp are integers >= 1, the
-    seeds integers >= 0, noise in [0, 1], dropout in [0, 1), duration means
-    finite and stds > 0, d_max None or an integer in [1, ``D_MAX_LIMIT``].  A
+    (applied to both regimes) or per-scene maps.  A field of another kind or
+    outside its domain raises ``BadArgument`` naming it: poses and channels
+    are non-empty sequences of distinct ``PoseLabel`` and ``ChannelId``
+    items, base_scene is a ``SceneCondition``, scene_doubling and
+    scene_switch are bools, F, t_target, transition_hold and transition_ramp
+    integers >= 1, the seeds integers >= 0, noise numbers in [0, 1], dropout
+    numbers in [0, 1), duration means finite numbers and stds numbers > 0,
+    d_max None or an integer in [1, ``D_MAX_LIMIT``].  A
     d_max of None resolves to ceil(3 x the largest duration mean), which must
     not pass that limit either.
     """
@@ -105,10 +116,20 @@ class ScenarioConfig:
     model_seed: int = 7151
 
     def __post_init__(self):
-        self.poses = tuple(self.poses)
-        self.channels = tuple(self.channels)
-        self.noise = _per_scene(self.noise)
-        self.dropout = _per_scene(self.dropout)
+        for name, kind in (("poses", PoseLabel), ("channels", ChannelId)):
+            value = getattr(self, name)
+            items = tuple(value) if isinstance(value, Iterable) else None
+            if items is None or not all(isinstance(v, kind) for v in items):
+                raise BadArgument(f"{name} must be a sequence of {kind.__name__}, got {value!r}",
+                                  name)
+            setattr(self, name, items)
+        for name, kind in (("base_scene", SceneCondition), ("scene_doubling", bool),
+                           ("scene_switch", bool)):
+            value = getattr(self, name)
+            if not isinstance(value, kind):
+                raise BadArgument(f"{name} must be a {kind.__name__}, got {value!r}", name)
+        self.noise = _per_scene(self.noise, "noise")
+        self.dropout = _per_scene(self.dropout, "dropout")
         for name, low in (("F", 1), ("t_target", 1), ("transition_hold", 1),
                           ("transition_ramp", 1), ("seed", 0), ("model_seed", 0)):
             value = getattr(self, name)
@@ -116,9 +137,11 @@ class ScenarioConfig:
                 raise BadArgument(f"{name} must be an integer >= {low}, got {value}", name)
         # NaN fails these comparisons too; a dropout of 1 leaves no channel to write
         if not all(0.0 <= p <= 1.0 for p in self.noise.values()):
-            raise BadArgument(f"noise must be in [0, 1], got {list(self.noise.values())}")
+            raise BadArgument(f"noise must be in [0, 1], got {list(self.noise.values())}",
+                              "noise")
         if not all(0.0 <= p < 1.0 for p in self.dropout.values()):
-            raise BadArgument(f"dropout must be in [0, 1), got {list(self.dropout.values())}")
+            raise BadArgument(f"dropout must be in [0, 1), got {list(self.dropout.values())}",
+                              "dropout")
         for name in ("poses", "channels"):
             value = getattr(self, name)
             if not value or len(set(value)) < len(value):
@@ -144,11 +167,19 @@ class ScenarioConfig:
         return len(self.poses)
 
     def duration_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """Per-pose duration means and stds; each field is one value or one
+        """Per-pose duration means and stds; each field is one number or one
         per pose, else ``BadArgument`` names it."""
         arrays = []
         for name in ("duration_mean", "duration_std"):
-            value = np.asarray(getattr(self, name), dtype=float)
+            raw = getattr(self, name)
+            try:
+                numeric = np.asarray(raw).dtype.kind in "iuf"
+            except ValueError:  # ragged nesting
+                numeric = False
+            if not numeric:
+                raise BadArgument(f"{name} must be a number or a sequence of numbers, "
+                                  f"got {raw!r}", name)
+            value = np.asarray(raw, dtype=float)
             if value.shape not in ((), (1,), (self.n_poses,)):
                 raise BadArgument(
                     f"{name} must be one value or {self.n_poses} (one per pose), "

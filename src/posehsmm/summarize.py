@@ -11,11 +11,11 @@ A library is fitted one training clip at a time: each clip's keyframe rows
 go into running per-key sums, counts and gap lists, and the clip is let go
 before the next one is read, so a build holds the library and one clip.
 
-A library stacks its chains once, on first use, into ``ChainTables``: chains
-side by side in name order, one stacked emission model per channel set.  A
-clip is then scored against every chain with one emission pass per channel
-set, one prefix sum and one duration table; only the segment DP still runs
-chain by chain, on each chain's columns.  A clip is classified from the DPs'
+A library stacks its chains once, when it is made: chains side by side in
+name order, one stacked emission model per channel set.  A clip is then
+scored against every chain with one emission pass per channel set, one
+prefix sum and one duration table; only the segment DP still runs chain by
+chain, on each chain's columns.  A clip is classified from the DPs'
 log-probs alone: a chain's best alignment visits each pseudo-pose once, so
 its segment count is the chain's length and no chain is backtracked.
 """
@@ -23,7 +23,6 @@ its segment count is the chain's length and no chain is backtracked.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import accumulate
 from numbers import Integral, Real
 from typing import Iterable, Sequence
@@ -260,13 +259,66 @@ class TransitionChain:
 class TransitionLibrary:
     """Chains keyed by (from, to, direction); at most 10 x 10 x 2 entries.
 
-    Nothing mutates ``entries`` after construction, so the stacked scoring
-    tables are built once, on first use.
+    The constructor stacks the chains side by side in ``sorted_keys()``
+    order, which it keeps as ``keys``: chain i owns columns
+    ``offsets[i]:offsets[i + 1]`` of the emission, prefix-sum and duration
+    tables, ``groups`` stacks the chains of each channel set for one emission
+    pass, and ``gap_mean`` / ``gap_std`` concatenate their dwell statistics.
+    ``structure`` maps a chain length to its strict left-to-right (log pi,
+    log A, final log) arrays, and ``widths`` lists the chains' feature
+    widths, sorted.  A key that is no (PoseLabel, PoseLabel,
+    RotationDirection) triple, or a value that is no ``TransitionChain`` with
+    1-d ``gap_mean`` and ``gap_std`` of one length L >= 1 and (L, F) means
+    of one F keyed by ``ChannelId``, raises ``BadArgument`` naming
+    ``entries``.  The constructor reads ``entries`` once: a chain added or
+    changed later is not scored.
     """
 
     entries: dict[
         tuple[PoseLabel, PoseLabel, RotationDirection], TransitionChain
     ]
+
+    def __post_init__(self):
+        for key, chain in self.entries.items():
+            _check_entry(key, chain)
+        keys = tuple(self.sorted_keys())
+        chains = [self.entries[k] for k in keys]
+        lengths = tuple(chain.length for chain in chains)
+        offsets = (0, *accumulate(lengths))
+        members: dict[frozenset, list[int]] = {}
+        for i, chain in enumerate(chains):
+            members.setdefault(frozenset(chain.means), []).append(i)
+        groups = []
+        for channels, idx in members.items():
+            rows = (0, *accumulate(lengths[i] for i in idx))
+            height = rows[-1] + -rows[-1] % STACK_BLOCK
+            models = {}
+            for c in channels:
+                means = np.full((height, chains[idx[0]].means[c].shape[1]), 0.5)
+                for i, row in zip(idx, rows):
+                    means[row : row + lengths[i]] = chains[i].means[c]
+                models[c] = ChannelEmissionModel(c, means)
+            spans = tuple(zip(rows, (offsets[i] for i in idx), (lengths[i] for i in idx)))
+            groups.append(ChainGroup(models, spans, height))
+        structure = {}
+        for L in set(lengths):
+            log_pi = np.full(L, -np.inf)
+            log_pi[0] = 0.0
+            log_A = np.full((L, L), -np.inf)
+            log_A[np.arange(L - 1), np.arange(1, L)] = 0.0
+            # the alignment must traverse the whole chain: end at the last pseudo-pose
+            final_log = np.full(L, -np.inf)
+            final_log[L - 1] = 0.0
+            structure[L] = (log_pi, log_A, final_log)
+        # a frozen instance refuses setattr: write the derived fields once, as
+        # cached_property writes its value
+        vars(self).update(
+            keys=keys, lengths=lengths, offsets=offsets, groups=tuple(groups),
+            gap_mean=np.concatenate([np.zeros(0), *(chain.gap_mean for chain in chains)]),
+            gap_std=np.concatenate([np.zeros(0), *(chain.gap_std for chain in chains)]),
+            structure=structure,
+            widths=tuple(sorted({m.F for g in groups for m in g.models.values()})),
+        )
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -276,9 +328,33 @@ class TransitionLibrary:
             self.entries, key=lambda k: (k[0].value, k[1].value, k[2].value)
         )
 
-    @cached_property
-    def tables(self) -> ChainTables:
-        return ChainTables.build(self)
+
+def _check_entry(key, chain) -> None:
+    """Raise ``BadArgument`` naming ``entries`` unless ``key`` and ``chain``
+    make an entry ``TransitionLibrary`` can stack."""
+    if not (isinstance(key, tuple) and len(key) == 3
+            and all(map(isinstance, key, (PoseLabel, PoseLabel, RotationDirection)))):
+        raise BadArgument(
+            f"entries key {key!r} is no (PoseLabel, PoseLabel, RotationDirection)", "entries"
+        )
+    name = " ".join(map(str, key))
+    if not isinstance(chain, TransitionChain):
+        raise BadArgument(
+            f"entry {name} is a {type(chain).__name__}, not a TransitionChain", "entries"
+        )
+    means = chain.means
+    arrays = (chain.gap_mean, chain.gap_std, *means.values()) if isinstance(means, dict) else ()
+    if (arrays and all(isinstance(a, np.ndarray) for a in arrays)
+            and all(isinstance(c, ChannelId) for c in means)):
+        L = chain.gap_mean.shape
+        shapes = {m.shape for m in means.values()}
+        if (len(L) == 1 and L[0] >= 1 and chain.gap_std.shape == L and len(shapes) <= 1
+                and all(len(s) == 2 and s[0] == L[0] for s in shapes)):
+            return
+    raise BadArgument(
+        f"entry {name} needs 1-d gap_mean and gap_std arrays of one length L >= 1 "
+        "and, per ChannelId, an (L, F) means array of one F", "entries"
+    )
 
 
 class _ChainSums:
@@ -417,68 +493,6 @@ class ChainGroup:
             E[:, col : col + L] = log_emission_matrix(stream, models, L)
 
 
-@dataclass(frozen=True, eq=False)
-class ChainTables:
-    """Every chain of a library side by side, in ``sorted_keys()`` order.
-
-    Chain i owns columns ``offsets[i]:offsets[i + 1]`` of the emission,
-    prefix-sum and duration tables.  ``structure`` maps a chain length to
-    its strict left-to-right (log pi, log A, final log) arrays.  ``widths``
-    lists the chains' feature widths, sorted.
-    """
-
-    keys: tuple[tuple[PoseLabel, PoseLabel, RotationDirection], ...]
-    lengths: tuple[int, ...]
-    offsets: tuple[int, ...]
-    groups: tuple[ChainGroup, ...]
-    gap_mean: np.ndarray
-    gap_std: np.ndarray
-    structure: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]]
-    widths: tuple[int, ...]
-
-    @classmethod
-    def build(cls, library: "TransitionLibrary") -> "ChainTables":
-        keys = tuple(library.sorted_keys())
-        chains = [library.entries[k] for k in keys]
-        lengths = tuple(chain.length for chain in chains)
-        offsets = (0, *accumulate(lengths))
-        members: dict[frozenset, list[int]] = {}
-        for i, chain in enumerate(chains):
-            members.setdefault(frozenset(chain.means), []).append(i)
-        groups = []
-        for channels, idx in members.items():
-            rows = (0, *accumulate(lengths[i] for i in idx))
-            height = rows[-1] + -rows[-1] % STACK_BLOCK
-            models = {}
-            for c in channels:
-                means = np.full((height, chains[idx[0]].means[c].shape[1]), 0.5)
-                for i, row in zip(idx, rows):
-                    means[row : row + lengths[i]] = chains[i].means[c]
-                models[c] = ChannelEmissionModel(c, means)
-            spans = tuple(zip(rows, (offsets[i] for i in idx), (lengths[i] for i in idx)))
-            groups.append(ChainGroup(models, spans, height))
-        structure = {}
-        for L in set(lengths):
-            log_pi = np.full(L, -np.inf)
-            log_pi[0] = 0.0
-            log_A = np.full((L, L), -np.inf)
-            log_A[np.arange(L - 1), np.arange(1, L)] = 0.0
-            # the alignment must traverse the whole chain: end at the last pseudo-pose
-            final_log = np.full(L, -np.inf)
-            final_log[L - 1] = 0.0
-            structure[L] = (log_pi, log_A, final_log)
-        return cls(
-            keys,
-            lengths,
-            offsets,
-            tuple(groups),
-            np.concatenate([np.zeros(0), *(chain.gap_mean for chain in chains)]),
-            np.concatenate([np.zeros(0), *(chain.gap_std for chain in chains)]),
-            structure,
-            tuple(sorted({m.F for g in groups for m in g.models.values()})),
-        )
-
-
 def score_chains(
     library: "TransitionLibrary", stream: FeatureStream, use_keyframes: bool = True
 ) -> list[float | None]:
@@ -489,24 +503,23 @@ def score_chains(
     the duration table are computed once for all chains; the segment DP runs
     once per chain on its columns, and no chain is backtracked.
     """
-    tables = library.tables
-    if any(F != stream.F for F in tables.widths):
+    if any(F != stream.F for F in library.widths):
         raise BadArgument(
-            f"clip has feature width {stream.F}, library chains {list(tables.widths)}"
+            f"clip has feature width {stream.F}, library chains {list(library.widths)}"
         )
-    T, n = stream.T, tables.offsets[-1]
+    T, n = stream.T, library.offsets[-1]
     E = np.empty((T, n))
-    for group in tables.groups:
+    for group in library.groups:
         group.log_emissions(stream, E)
     C = np.vstack([np.zeros(n), np.cumsum(E, axis=0)])
     if use_keyframes:
         dur = DurationModel(np.ones(n), np.full(n, MIN_GAP_STD), T)
     else:
-        dur = DurationModel(tables.gap_mean, tables.gap_std, T)
+        dur = DurationModel(library.gap_mean, library.gap_std, T)
     log_dur = dur.log_pmf_table()
     log_probs: list[float | None] = []
-    for L, a, b in zip(tables.lengths, tables.offsets, tables.offsets[1:]):
-        log_pi, log_A, final_log = tables.structure[L]
+    for L, a, b in zip(library.lengths, library.offsets, library.offsets[1:]):
+        log_pi, log_A, final_log = library.structure[L]
         try:
             log_prob, _ = segment_viterbi_on_tables(
                 T, log_pi, log_A, log_dur[a:b], C[:, a:b], final_log
@@ -532,7 +545,9 @@ def classify_transition(
     against every chain; ``use_keyframes=False`` scores the full-rate clip
     instead, using the chains' original tick-gap dwell statistics.  Ties
     prefer the shorter chain, then name order.  The record's pseudo-pose
-    count is the winning chain's length.
+    count is the winning chain's length.  In keyframe mode every chain
+    shares one duration table, so chains as long as the pseudo-pose stream
+    differ only in their emission terms.
     """
     if not library.entries:
         raise BadArgument("transition library is empty")
@@ -541,11 +556,10 @@ def classify_transition(
         raise NoTransitionDetected("clip shows no endpoint motion on any channel")
     target = keyframes_to_pseudo_pose_stream(clip, kfs) if use_keyframes else clip
 
-    tables = library.tables
     log_probs = score_chains(library, target, use_keyframes)
     feasible = [i for i, log_prob in enumerate(log_probs) if log_prob is not None]
     if not feasible:
         raise NoTransitionDetected("no library chain fits within the clip length")
     # chains come in name order, and min keeps the first of equal ranks
-    best = min(feasible, key=lambda i: (-log_probs[i], tables.lengths[i]))
-    return TransitionRecord(*tables.keys[best], log_probs[best], tables.lengths[best])
+    best = min(feasible, key=lambda i: (-log_probs[i], library.lengths[i]))
+    return TransitionRecord(*library.keys[best], log_probs[best], library.lengths[best])

@@ -5,6 +5,7 @@ terminal (bypassing capture) so a ``pytest -v`` run always shows the nine
 verdicts, with timing and the measured headroom in parentheses.
 """
 
+import hashlib
 import itertools
 import math
 import time
@@ -328,6 +329,34 @@ def _clip_factory():
     return make
 
 
+#: sha256 of acceptance 6's seed-1 records against its K = 5 library, one
+#: line per clip (``from to direction log_prob.hex() count``, or ``static``):
+#: the 200 protocol clips in keyframe mode, and the 68 subset clips at full
+#: rate.  Taken before the library stacked its chains in its constructor.
+C6_KEYFRAME_SHA256 = "d32a4f1bd8f65bc86e8ae0c1273a54d402a066d9b07b915b2af5822749e27fa7"
+C6_FULL_RATE_SHA256 = "83d86a8310cb3bf14488640601f081d5cba422c18d1656e49a9941ad36d560dd"
+
+
+def _classify_all(clips, library, **kw):
+    """Each clip's K = 5 record, or None for a clip with no transition."""
+    records = []
+    for clip in clips:
+        try:
+            records.append(classify_transition(clip, library, 5, SWEEP_THRESHOLD, **kw))
+        except NoTransitionDetected:
+            records.append(None)
+    return records
+
+
+def _records_sha256(records):
+    lines = [
+        "static" if r is None else
+        f"{r.from_pose} {r.to_pose} {r.direction} {r.log_prob.hex()} {r.n_pseudo_poses}"
+        for r in records
+    ]
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
 def test_c6_transition_classification_sweep(capsys):
     """Simulated stand-in for the published clip accuracy: >= 0.78 at K=5,
     and accuracy does not fall as the keyframe budget grows."""
@@ -345,18 +374,12 @@ def test_c6_transition_classification_sweep(capsys):
             k_max=5,
             threshold=SWEEP_THRESHOLD,
         )
-        hits = 0
-        for combo in protocol:
-            clip = make(combo, 1)
-            try:
-                rec = classify_transition(
-                    clip, lib5, 5, SWEEP_THRESHOLD
-                )
-            except NoTransitionDetected:
-                continue
-            hits += (rec.from_pose, rec.to_pose, rec.direction) == combo
+        records = _classify_all((make(combo, 1) for combo in protocol), lib5)
+        hits = sum(rec is not None and (rec.from_pose, rec.to_pose, rec.direction) == combo
+                   for rec, combo in zip(records, protocol))
         acc5 = hits / len(protocol)
         assert acc5 >= 0.78
+        assert _records_sha256(records) == C6_KEYFRAME_SHA256
 
         # every third pose pair, keeping BOTH directions: the budget trend is
         # about resolving direction, so each kept pair must have its opposite
@@ -370,6 +393,10 @@ def test_c6_transition_classification_sweep(capsys):
             for s in range(1, 11)
             for combo in subset
         }
+        full_rate = _classify_all(
+            (eval_clips[(combo, 1)] for combo in subset), lib5, use_keyframes=False
+        )
+        assert _records_sha256(full_rate) == C6_FULL_RATE_SHA256
         means = {}
         for K in (2, 3, 5):
             lib = build_transition_library(

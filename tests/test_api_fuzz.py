@@ -6,8 +6,9 @@ entry point and a set of its parameters; each picked parameter takes one of
 0, -1, 2.5, NaN, +inf, -inf and 10**18 (a part's state count, feature
 width or table size takes a few counts around its valid one, a fit's list
 item a value that is not a segmentation, a preset name or override a
-string that names no preset or config field, and a pose list one that is
-not distinct poses), the others keep a valid value.  When every parameter
+string that names no preset or config field, an override or a library
+entry a value of another kind or shape, and a pose list one that is not
+distinct poses), the others keep a valid value.  When every parameter
 lies in the domain the entry point documents, the call must return (or
 raise one of the outcomes it documents for valid input, such as a static
 clip); otherwise it must raise a ``PoseHsmmError``.  Any other exception
@@ -70,6 +71,7 @@ from posehsmm.states import (
     DurationModel,
     PoseLabel,
     RotationDirection,
+    SceneCondition,
     Segment,
     Segmentation,
     StateId,
@@ -78,6 +80,8 @@ from posehsmm.states import (
     encode_segments,
 )
 from posehsmm.summarize import (
+    TransitionChain,
+    TransitionLibrary,
     build_transition_library,
     classify_transition,
     history_from_segments,
@@ -250,6 +254,26 @@ def _dp(T, A, dur, D, rows, final):
     )
 
 
+KEY = (PL.SOLDIER_UP, PL.FETAL_RIGHT, RotationDirection.LEFT)
+
+
+def _chain(L, std, means):
+    """A chain whose gap_mean has L positions, gap_std ``std`` and the means
+    the shape ``means``."""
+    return TransitionChain({RGB: np.full(means, 0.5)}, np.ones(L), np.ones(std), 1)
+
+
+#: Overrides ``preset_config`` takes: each sets a field to a value of its kind.
+GOOD_OVERRIDES = [("seed", 1), ("t_target", 1), ("F", 1), ("scene_switch", True),
+                  ("noise", {SceneCondition.BC: 0.1, SceneCondition.DO: 0.2}),
+                  ("channels", [RGB]), ("base_scene", SceneCondition.DO)]
+#: Overrides that name no field, or give a field a value of another kind.
+BAD_OVERRIDES = [("bogus", 1), ("name", 1), ("", 1), ("poses", 5), ("dropout", None),
+                 ("noise", "x"), ("duration_mean", "x"), ("noise", {"BC": 0.1}),
+                 ("base_scene", "BC"), ("scene_switch", "no"), ("scene_doubling", "x"),
+                 ("channels", ["left:RGB"])]
+
+
 def _pseudo_poses(first, last):
     """The four ticks of ``_stream`` re-ticked at keyframes ``first, last``."""
     frames = (Keyframe(first, RGB, 1.0, 1), Keyframe(last, RGB, 1.0, 1))
@@ -326,11 +350,23 @@ ENTRY_POINTS = {
         lambda p: p["first"] < p["last"] <= 4,
     ),
     "preset_config": EntryPoint(
-        lambda x, name, override: preset_config(name, **{override: 1}),
+        lambda x, name, override: preset_config(name, **dict([override])),
         {"name": Param("do-sim", lambda v: v in PRESETS, SCALARS + ["nope", None]),
-         # each field here takes 1; the others name no field
-         "override": Param("seed", lambda v: v in ("seed", "t_target", "F"),
-                           ["seed", "t_target", "F", "bogus", "name", ""])},
+         "override": Param(("seed", 1), lambda v: v in GOOD_OVERRIDES,
+                           GOOD_OVERRIDES + BAD_OVERRIDES)},
+    ),
+    "TransitionLibrary": EntryPoint(
+        lambda x, key, value, **p: TransitionLibrary(
+            {key: _chain(**p) if value is True else value}
+        ),
+        {"key": Param(KEY, lambda v: v == KEY,
+                      SCALARS + [None, KEY, KEY[:2], tuple(x.value for x in KEY)]),
+         "value": Param(True, lambda v: v is True, [True, None, 5, "chain"]),
+         "L": Param(3, integer(1), [0, 1, 3]),
+         "std": Param(3, None, [1, 3, 4]),
+         "means": Param((3, 2), None, [(3, 2), (1, 2), (4, 2), (3,), (3, 2, 1)])},
+        # gap_std and the means have a row per position
+        lambda p: p["std"] == p["L"] and p["means"] == (p["L"], 2),
     ),
     "transition_protocol": EntryPoint(
         lambda x, poses: transition_protocol(poses),

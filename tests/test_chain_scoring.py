@@ -33,19 +33,20 @@ MODELED = [ChannelId.parse(c) for c in ("left:RGB", "center:Depth", "right:Mask"
 EXTRA = ChannelId.parse("left:Depth")
 
 
-def dp_inputs(module, call):
+def dp_inputs(module, name, call):
     """``call()``'s result and the arguments of each segment DP call it
-    makes through ``module``, each array reduced to its dtype, shape and
-    bytes."""
+    makes through ``module.<name>``: T, then its last five arguments (the
+    log pi, log A, duration, prefix-sum and final tables of both the live
+    and the frozen DP), each reduced to its dtype, shape and bytes."""
     calls = []
-    real = module.segment_viterbi_on_tables
+    real = getattr(module, name)
 
-    def spy(T, *tables):
-        calls.append((T, *((a.dtype.str, a.shape, a.tobytes()) for a in tables)))
-        return real(T, *tables)
+    def spy(T, *args):
+        calls.append((T, *((a.dtype.str, a.shape, a.tobytes()) for a in args[-5:])))
+        return real(T, *args)
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(module, "segment_viterbi_on_tables", spy)
+        patch.setattr(module, name, spy)
         return call(), calls
 
 
@@ -60,22 +61,23 @@ def assert_matches_reference(library, stream, use_keyframes):
     """Every chain's DP tables and log-prob equal the reference's, bit for
     bit, and the reference's best alignment has one segment per pseudo-pose,
     the invariant ``classify_transition`` reads its count from."""
-    got, calls = dp_inputs(summarize, lambda: score_chains(library, stream, use_keyframes))
+    got, calls = dp_inputs(
+        summarize, "segment_viterbi_on_tables",
+        lambda: score_chains(library, stream, use_keyframes),
+    )
     assert len(got) == len(calls) == len(library)
     for key, log_prob, tables in zip(library.sorted_keys(), got, calls):
         chain = library.entries[key]
         want, (want_tables,) = dp_inputs(
-            reference_chain_scoring, lambda: reference(chain, stream, use_keyframes)
+            reference_chain_scoring, "reference_segment_viterbi",
+            lambda: reference(chain, stream, use_keyframes),
         )
         assert tables == want_tables, key
         if want is None:
             assert log_prob is None, key
             continue
-        want_log_prob, path = want
-        assert log_prob.hex() == want_log_prob.hex(), key
-        result = path()
-        assert len(result.segmentation) == chain.length, key
-        assert result.log_prob.hex() == want_log_prob.hex(), key
+        assert log_prob.hex() == want.log_prob.hex(), key
+        assert len(want.segmentation) == chain.length, key
 
 
 def random_library(rng, F, n=None, p_channel=0.6):

@@ -141,7 +141,7 @@ def edge_tables(kind, T, D, rng):
         final_log = np.where(rng.random(Q) < 0.5, -np.inf, 0.0)
         final_log[rng.integers(Q)] = 0.0
         return T, Q, D, log_pi, log_A, log_dur, C, final_log
-    # a strict left-to-right chain, as ``ChainTables.build`` lays it out:
+    # a strict left-to-right chain, as ``TransitionLibrary`` lays it out:
     # L = T has one path, L = T + 1 none
     L = T if kind == "chain" else T + 1
     log_pi = np.full(L, -np.inf)

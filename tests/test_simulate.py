@@ -124,6 +124,23 @@ class TestConfig:
         assert exc.value.param == override
         assert repr(override) in str(exc.value)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("poses", 5), ("poses", "solU"), ("dropout", None), ("noise", "x"),
+         ("duration_mean", "x"), ("duration_std", [[1.0], [1.0, 2.0]]),
+         ("noise", {"BC": 0.1}), ("noise", {SceneCondition.BC: 0.1}),
+         ("base_scene", "BC"), ("scene_switch", "no"), ("scene_doubling", "x"),
+         ("channels", ["left:RGB"])],
+        ids=["int-poses", "string-poses", "none-dropout", "string-noise",
+             "string-duration-mean", "ragged-duration-std", "noise-keyed-by-string",
+             "noise-for-one-scene", "string-base-scene", "string-scene-switch",
+             "string-scene-doubling", "string-channels"],
+    )
+    def test_field_of_another_kind_is_named(self, field, value):
+        with pytest.raises(BadArgument) as exc:
+            preset_config("do-sim", **{field: value})
+        assert exc.value.param == field
+
     def test_regime_constants(self):
         assert REGIME_NOISE[SceneCondition.BC] == 0.05
         assert REGIME_DROPOUT[SceneCondition.BC] == 0.0

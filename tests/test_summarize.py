@@ -1,6 +1,7 @@
 """Windowed pose history and transition-library classification."""
 
 from collections import Counter
+from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
@@ -19,6 +20,8 @@ from posehsmm.states import (
 )
 from posehsmm.summarize import (
     HistoryRecord,
+    TransitionChain,
+    TransitionLibrary,
     build_transition_library,
     classify_transition,
     frame_accuracy,
@@ -330,6 +333,48 @@ class TestTransitionLibrary:
         with pytest.raises(BadArgument, match=r"\[2, 3\]"):
             build_transition_library(clips, threshold=0.4)
 
+    def test_stacked_fields_cannot_be_reassigned(self):
+        lib = build_transition_library([(ramp_clip(), *self.KEY)], threshold=0.4)
+        assert lib.keys == (self.KEY,) and lib.offsets == (0, lib.lengths[0])
+        for name in ("entries", "keys", "offsets", "groups", "structure"):
+            with pytest.raises(FrozenInstanceError):
+                setattr(lib, name, None)
+
+
+def chain_with(means=None, gap_mean=None, gap_std=None):
+    """A five-position chain on one channel, with one part swapped."""
+    means = {RGB: np.full((5, 2), 0.5)} if means is None else means
+    gap_mean = np.ones(5) if gap_mean is None else gap_mean
+    return TransitionChain(means, gap_mean, np.ones(5) if gap_std is None else gap_std, 1)
+
+
+DEPTH = ChannelId.parse("left:Depth")
+KEY = TestTransitionLibrary.KEY
+
+#: Library entries the constructor cannot stack, each named by its defect.
+BAD_ENTRIES = {
+    "means-rows-against-gaps": (KEY, chain_with({RGB: np.full((4, 2), 0.5)})),
+    "one-d-means": (KEY, chain_with({RGB: np.full(5, 0.5)})),
+    "means-of-two-widths": (
+        KEY, chain_with({RGB: np.full((5, 2), 0.5), DEPTH: np.full((5, 3), 0.5)})
+    ),
+    "means-list": (KEY, chain_with({RGB: [[0.5, 0.5]] * 5})),
+    "means-keyed-by-string": (KEY, chain_with({"left:RGB": np.full((5, 2), 0.5)})),
+    "gap-lengths-differ": (KEY, chain_with(gap_std=np.ones(4))),
+    "two-d-gaps": (KEY, chain_with({}, np.ones((5, 1)), np.ones((5, 1)))),
+    "no-position": (KEY, chain_with({RGB: np.full((0, 2), 0.5)}, np.ones(0), np.ones(0))),
+    "not-a-chain": (KEY, {"means": {}}),
+    "key-of-strings": (("solU", "yeaR", "left"), chain_with()),
+    "key-pair": (KEY[:2], chain_with()),
+}
+
+
+@pytest.mark.parametrize("key, chain", BAD_ENTRIES.values(), ids=BAD_ENTRIES)
+def test_library_names_an_entry_it_cannot_stack(key, chain):
+    with pytest.raises(BadArgument) as exc:
+        TransitionLibrary({KEY: chain_with(), key: chain})
+    assert exc.value.param == "entries"
+
 
 class TestClassifyTransition:
     KEY_A = (PL.SOLDIER_UP, PL.YEARNER_RIGHT, RotationDirection.LEFT)
@@ -364,14 +409,10 @@ class TestClassifyTransition:
             classify_transition(clip_from([[0.5, 0.5]] * 8), lib, threshold=0.4)
 
     def test_empty_library_rejected(self):
-        from posehsmm.summarize import TransitionLibrary
-
         with pytest.raises(ValueError):
             classify_transition(ramp_clip(), TransitionLibrary({}), threshold=0.4)
 
     def test_empty_library_is_a_bad_argument(self):
-        from posehsmm.summarize import TransitionLibrary
-
         with pytest.raises(BadArgument, match="library is empty"):
             classify_transition(ramp_clip(), TransitionLibrary({}), threshold=0.4)
 
