@@ -1,4 +1,8 @@
-"""Exception types shared across the toolkit."""
+"""Exception types shared across the toolkit, and its argument rules."""
+
+from numbers import Real
+
+import numpy as np
 
 
 class PoseHsmmError(Exception):
@@ -40,6 +44,16 @@ class BadArgument(PoseHsmmError, ValueError):
     def __init__(self, message: str, param: str | None = None):
         super().__init__(message)
         self.param = param
+
+
+def is_integer(value) -> bool:
+    """An int or numpy integer, not a bool; a tenth of ``Integral``'s cost."""
+    return type(value) is not bool and isinstance(value, (int, np.integer))
+
+
+def is_number(value) -> bool:
+    """A ``numbers.Real`` that is not a bool."""
+    return type(value) is not bool and isinstance(value, Real)
 
 
 class FormatError(PoseHsmmError):

@@ -66,6 +66,7 @@ from .errors import (
     EmptySequence,
     LabelMismatch,
     NoFeasiblePath,
+    is_integer,
 )
 from .states import DurationModel, Segment, Segmentation, StateSpace, segment_runs
 
@@ -368,10 +369,9 @@ def _check_tables(T, log_pi, log_A, log_dur, emission_cumsum, final_log) -> int:
     """The state count Q of ``segment_viterbi_on_tables``' tables, once T is
     an integer >= 1 and each table is an array of its shape; O(1).
 
-    A chain library makes one call per chain, so the checks read ``shape``
-    and test ``(int, np.integer)``: ``np.shape`` and ``numbers.Integral``
-    would double their cost."""
-    if not isinstance(T, (int, np.integer)) or T < 1:
+    A chain library makes one call per chain, so the checks read ``shape``:
+    ``np.shape`` would double their cost."""
+    if not is_integer(T) or T < 1:
         raise BadArgument(f"T must be an integer >= 1, got {T!r}", "T")
     pi = getattr(log_pi, "shape", None)
     n = pi[0] if pi is not None and len(pi) == 1 else 0

@@ -14,12 +14,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from numbers import Integral, Real
 
 import numpy as np
 
 from .emission import ChannelId, FeatureStream
-from .errors import BadArgument, EmptySequence
+from .errors import BadArgument, EmptySequence, is_integer, is_number
 
 #: Keyframe budget and Stage-1/2 threshold unless a caller sets them.
 DEFAULT_K_MAX = 5
@@ -54,7 +53,7 @@ class KeyframeSet:
 
     def __post_init__(self):
         ticks = self.ticks
-        if not all(isinstance(t, Integral) and t > s for s, t in zip((0,) + ticks, ticks)):
+        if not all(is_integer(t) and t > s for s, t in zip((0,) + ticks, ticks)):
             raise BadArgument(
                 f"keyframe ticks must be integers increasing strictly from 1, got {ticks}",
                 "frames",
@@ -98,14 +97,14 @@ def check_keyframe_params(
     a finite number >= 0 and ``stage2_threshold`` None or a finite number
     >= 0; its message calls them by ``names`` (a caller's flags, say) and its
     ``param`` is the one that failed."""
-    if not isinstance(k_max, Integral) or k_max < 2:
+    if not is_integer(k_max) or k_max < 2:
         raise BadArgument(f"{names[0]} must be an integer >= 2, got {k_max}", "k_max")
     # a None Stage-2 threshold takes the Stage-1 one; NaN fails the comparison
     ratio = threshold if stage2_threshold is None else stage2_threshold
     for param, name, value in (
         ("threshold", names[1], threshold), ("stage2_threshold", names[2], ratio)
     ):
-        if not (isinstance(value, Real) and math.isfinite(value) and value >= 0.0):
+        if not (is_number(value) and math.isfinite(value) and value >= 0.0):
             raise BadArgument(f"{name} must be a finite number >= 0, got {value}", param)
 
 

@@ -21,13 +21,12 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, field, fields
-from numbers import Integral, Real
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .emission import ChannelEmissionModel, ChannelId, FeatureStream, Modality, View
-from .errors import BadArgument, PoseHsmmError
+from .errors import BadArgument, PoseHsmmError, is_integer, is_number
 from .inference import HsmmModel
 from .states import (
     CANONICAL_POSES,
@@ -66,7 +65,7 @@ def _per_scene(value, name) -> dict[SceneCondition, float]:
     anything else is a ``BadArgument`` naming ``name``."""
     per_scene = value if isinstance(value, Mapping) else dict.fromkeys(SceneCondition, value)
     if set(per_scene) != set(SceneCondition) or not all(
-        isinstance(p, Real) for p in per_scene.values()
+        is_number(p) for p in per_scene.values()
     ):
         raise BadArgument(
             f"{name} must be a number or a map of one number per SceneCondition, "
@@ -133,7 +132,7 @@ class ScenarioConfig:
         for name, low in (("F", 1), ("t_target", 1), ("transition_hold", 1),
                           ("transition_ramp", 1), ("seed", 0), ("model_seed", 0)):
             value = getattr(self, name)
-            if not isinstance(value, Integral) or value < low:
+            if not is_integer(value) or value < low:
                 raise BadArgument(f"{name} must be an integer >= {low}, got {value}", name)
         # NaN fails these comparisons too; a dropout of 1 leaves no channel to write
         if not all(0.0 <= p <= 1.0 for p in self.noise.values()):

@@ -13,7 +13,6 @@ import operator
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from numbers import Integral
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -23,6 +22,7 @@ from .errors import (
     DurationOutOfRange,
     EmptySequence,
     MalformedSegmentation,
+    is_integer,
 )
 
 
@@ -151,7 +151,7 @@ class StateSpace:
 
     def __post_init__(self):
         for i, s in enumerate(self.states):
-            if s.index != i:
+            if not is_integer(s.index) or s.index != i:
                 raise BadArgument(f"state {s} at position {i} has index {s.index}")
 
     @classmethod
@@ -243,7 +243,11 @@ class Segment:
 
 @dataclass(frozen=True)
 class Segmentation:
-    """A gapless, non-overlapping cover of ticks 1..T by maximal runs."""
+    """A gapless, non-overlapping cover of ticks 1..T by maximal runs.
+
+    T and each segment's start and duration are integers and its state an
+    integer index; a bool is none of them.  Else ``MalformedSegmentation``.
+    """
 
     segments: tuple[Segment, ...]
     T: int
@@ -255,13 +259,21 @@ class Segmentation:
         segs = self.segments
         if not segs:
             raise MalformedSegmentation("segmentation has no segments")
+        if not is_integer(self.T):
+            raise MalformedSegmentation(f"T must be an integer, got {self.T!r}")
         if segs[0].b != 1:
             raise MalformedSegmentation(f"first segment starts at {segs[0].b}, not 1")
         for u, seg in enumerate(segs):
+            if not (is_integer(seg.b) and is_integer(seg.d)):
+                raise MalformedSegmentation(
+                    f"segment {u} has start {seg.b!r} and duration {seg.d!r}; both must be "
+                    "integers"
+                )
             if seg.d < 1:
                 raise MalformedSegmentation(f"segment {u} has duration {seg.d}")
             try:
-                operator.index(seg.y)
+                # a bool is no state index
+                operator.index(None if isinstance(seg.y, bool) else seg.y)
             except TypeError:
                 raise MalformedSegmentation(
                     f"segment {u} has state {seg.y!r}, not an integer index"
@@ -343,8 +355,8 @@ D_MAX_LIMIT = 1_000_000
 
 
 def _check_d_max(d_max) -> None:
-    if not isinstance(d_max, Integral):
-        raise BadArgument(f"d_max must be an integer, got {d_max}")
+    if not is_integer(d_max):
+        raise BadArgument(f"d_max must be an integer, got {d_max}", "d_max")
     if d_max < 1:
         raise DurationOutOfRange(f"d_max {d_max} < 1")
     if d_max > D_MAX_LIMIT:

@@ -24,8 +24,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import accumulate
-from numbers import Integral, Real
-from typing import Iterable, Sequence
+from types import MappingProxyType
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -35,7 +35,9 @@ from .emission import (
     FeatureStream,
     log_emission_matrix,
 )
-from .errors import BadArgument, LabelMismatch, NoFeasiblePath, NoTransitionDetected
+from .errors import (
+    BadArgument, LabelMismatch, NoFeasiblePath, NoTransitionDetected, is_integer, is_number
+)
 from .inference import (
     MIN_DURATION_STD,
     HsmmModel,
@@ -107,14 +109,14 @@ def check_history_params(
     calls them by ``names`` (a caller's flags, say) and whose ``param`` is the
     one that failed (``window`` when the two disagree)."""
     for param, name, value in zip(("sample_every", "window"), names, (sample_every, window)):
-        if not isinstance(value, Integral) or value < 1:
+        if not is_integer(value) or value < 1:
             raise BadArgument(f"{name} must be an integer >= 1, got {value}", param)
     if window < sample_every:
         raise BadArgument(
             f"{names[1]} must be at least {names[0]} {sample_every}, got {window}", "window"
         )
     # NaN fails the comparison too
-    if not (isinstance(consistency, Real) and 0.0 <= consistency <= 1.0):
+    if not (is_number(consistency) and 0.0 <= consistency <= 1.0):
         raise BadArgument(f"{names[2]} must be in [0, 1], got {consistency}", "consistency")
     return sample_every, window, consistency
 
@@ -270,8 +272,9 @@ class TransitionLibrary:
     RotationDirection) triple, or a value that is no ``TransitionChain`` with
     1-d ``gap_mean`` and ``gap_std`` of one length L >= 1 and (L, F) means
     of one F keyed by ``ChannelId``, raises ``BadArgument`` naming
-    ``entries``.  The constructor reads ``entries`` once: a chain added or
-    changed later is not scored.
+    ``entries``, as do means outside [0, 1] and an ``entries`` that is no
+    map.  ``entries`` becomes a read-only copy; a chain changed in place
+    later is not scored.
     """
 
     entries: dict[
@@ -279,6 +282,11 @@ class TransitionLibrary:
     ]
 
     def __post_init__(self):
+        if not isinstance(self.entries, Mapping):
+            raise BadArgument(f"entries must be a map, got {self.entries!r}", "entries")
+        # a frozen instance refuses setattr: write the copy and the derived
+        # fields once, as cached_property writes its value
+        vars(self)["entries"] = MappingProxyType(dict(self.entries))
         for key, chain in self.entries.items():
             _check_entry(key, chain)
         keys = tuple(self.sorted_keys())
@@ -310,8 +318,6 @@ class TransitionLibrary:
             final_log = np.full(L, -np.inf)
             final_log[L - 1] = 0.0
             structure[L] = (log_pi, log_A, final_log)
-        # a frozen instance refuses setattr: write the derived fields once, as
-        # cached_property writes its value
         vars(self).update(
             keys=keys, lengths=lengths, offsets=offsets, groups=tuple(groups),
             gap_mean=np.concatenate([np.zeros(0), *(chain.gap_mean for chain in chains)]),
@@ -350,7 +356,12 @@ def _check_entry(key, chain) -> None:
         shapes = {m.shape for m in means.values()}
         if (len(L) == 1 and L[0] >= 1 and chain.gap_std.shape == L and len(shapes) <= 1
                 and all(len(s) == 2 and s[0] == L[0] for s in shapes)):
-            return
+            # NaN fails the comparisons too
+            if all(m.dtype.kind in "iuf" and ((m >= 0.0) & (m <= 1.0)).all()
+                   for m in means.values()):
+                return
+            raise BadArgument(f"entry {name}: emission means must be numbers in [0, 1]",
+                              "entries")
     raise BadArgument(
         f"entry {name} needs 1-d gap_mean and gap_std arrays of one length L >= 1 "
         "and, per ChannelId, an (L, F) means array of one F", "entries"
@@ -502,7 +513,10 @@ def score_chains(
     cannot traverse (one longer than the stream).  Emissions, prefix sums and
     the duration table are computed once for all chains; the segment DP runs
     once per chain on its columns, and no chain is backtracked.
+    ``use_keyframes`` must be a bool, else ``BadArgument``.
     """
+    if not isinstance(use_keyframes, bool):
+        raise BadArgument(f"use_keyframes must be a bool, got {use_keyframes!r}", "use_keyframes")
     if any(F != stream.F for F in library.widths):
         raise BadArgument(
             f"clip has feature width {stream.F}, library chains {list(library.widths)}"
@@ -549,6 +563,8 @@ def classify_transition(
     shares one duration table, so chains as long as the pseudo-pose stream
     differ only in their emission terms.
     """
+    if not isinstance(use_keyframes, bool):
+        raise BadArgument(f"use_keyframes must be a bool, got {use_keyframes!r}", "use_keyframes")
     if not library.entries:
         raise BadArgument("transition library is empty")
     kfs = select_keyframes(clip, k_max, threshold, stage2_threshold)

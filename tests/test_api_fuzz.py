@@ -3,18 +3,23 @@ raise a ``PoseHsmmError`` outside it.
 
 The library-side twin of ``test_format_fuzz.py``.  Each example picks an
 entry point and a set of its parameters; each picked parameter takes one of
-0, -1, 2.5, NaN, +inf, -inf and 10**18 (a part's state count, feature
+0, -1, 2.5, NaN, +inf, -inf, 10**18, True and False (a bool is no integer
+and no number, so it lies outside every integer or number domain; a part's
+state count, feature
 width or table size takes a few counts around its valid one, a fit's list
 item a value that is not a segmentation, a preset name or override a
 string that names no preset or config field, an override or a library
-entry a value of another kind or shape, and a pose list one that is not
-distinct poses), the others keep a valid value.  When every parameter
+entry a value of another kind or shape, a pose list one that is not
+distinct poses, and a flag one that is no bool), the others keep a valid
+value.  When every parameter
 lies in the domain the entry point documents, the call must return (or
 raise one of the outcomes it documents for valid input, such as a static
 clip); otherwise it must raise a ``PoseHsmmError``.  Any other exception
 or result fails.  Parameters are only checked and stored, never used to
 size an array, so 10**18 allocates nothing.  Every function
 ``posehsmm`` exports has an entry point or a reason in ``NOT_FUZZED``.
+Hypothesis samples the combinations; ``test_each_candidate_alone`` tries
+every candidate of every parameter once with the others valid.
 """
 
 import inspect
@@ -85,17 +90,26 @@ from posehsmm.summarize import (
     build_transition_library,
     classify_transition,
     history_from_segments,
+    score_chains,
     summarize_history,
 )
 
-SCALARS = [0, -1, 2.5, math.nan, math.inf, -math.inf, 10**18]
+SCALARS = [0, -1, 2.5, math.nan, math.inf, -math.inf, 10**18, True, False]
 PL = PoseLabel
 RGB = ChannelId.parse("left:RGB")
 SPACE3 = StateSpace.from_poses([PL.SOLDIER_UP, PL.LOG_RIGHT, PL.OTHER], scene_doubling=False)
 
 
+def is_integer(v):
+    return isinstance(v, Integral) and not isinstance(v, bool)
+
+
+def is_number(v):
+    return isinstance(v, Real) and not isinstance(v, bool)
+
+
 def integer(low):
-    return lambda v: isinstance(v, Integral) and v >= low
+    return lambda v: is_integer(v) and v >= low
 
 
 def d_max_ok(v):
@@ -103,11 +117,16 @@ def d_max_ok(v):
 
 
 def finite_at_least_zero(v):
-    return isinstance(v, Real) and math.isfinite(v) and v >= 0.0
+    return is_number(v) and math.isfinite(v) and v >= 0.0
 
 
 def unit(v):
-    return 0.0 <= v <= 1.0
+    return is_number(v) and 0.0 <= v <= 1.0
+
+
+def element(domain):
+    """An array element's domain: the array stores a bool as 0.0 or 1.0."""
+    return lambda v: domain(float(v))
 
 
 def no_repeats(v):
@@ -175,8 +194,10 @@ MODEL_PARAMS = {
     "means": COUNT,
     "states": Param(2, None, [None, 1, 2, 3]),
 }
+#: A flag: True and False are its whole domain.
+FLAG = Param(True, lambda v: isinstance(v, bool), [True, False, "no", None, 0, 1])
 #: A label of a two-state fit.
-STATE_INDEX = Param(1, lambda v: isinstance(v, Integral) and 0 <= v < 2)
+STATE_INDEX = Param(1, lambda v: is_integer(v) and 0 <= v < 2)
 
 
 @pytest.fixture(scope="module")
@@ -289,12 +310,16 @@ ENTRY_POINTS = {
     ),
     "classify_transition": EntryPoint(
         lambda x, **p: classify_transition(x["clips"][0][0], x["library"], **p),
-        KEYFRAME_PARAMS,
+        {**KEYFRAME_PARAMS, "use_keyframes": FLAG},
         valid_outcomes=(NoTransitionDetected,),
+    ),
+    "score_chains": EntryPoint(
+        lambda x, use_keyframes: score_chains(x["library"], x["clips"][0][0], use_keyframes),
+        {"use_keyframes": FLAG},
     ),
     "history_from_segments": EntryPoint(
         lambda x, label, **p: history_from_segments(_runs(label, 12), SPACE3, **p),
-        {"label": Param(1, lambda v: isinstance(v, Integral) and 0 <= v < 3),
+        {"label": Param(1, lambda v: is_integer(v) and 0 <= v < 3),
          **HISTORY_PARAMS},
         history_joint,
     ),
@@ -376,20 +401,20 @@ ENTRY_POINTS = {
                                    [PL.OTHER, "other"]])},
     ),
     "FeatureStream": EntryPoint(
-        lambda x, v: _stream_with(v), {"v": Param(0.25, unit)}
+        lambda x, v: _stream_with(v), {"v": Param(0.25, element(unit))}
     ),
     "ChannelEmissionModel": EntryPoint(
-        lambda x, v: _means_with(v), {"v": Param(0.25, unit)}
+        lambda x, v: _means_with(v), {"v": Param(0.25, element(unit))}
     ),
     "DurationModel": EntryPoint(
         lambda x, mean, std, d_max: DurationModel([mean, 3.0], [std, 1.0], d_max),
-        {"mean": Param(4.0, math.isfinite),
-         "std": Param(1.0, lambda v: v > 0.0),
+        {"mean": Param(4.0, element(math.isfinite)),
+         "std": Param(1.0, element(lambda v: v > 0.0)),
          "d_max": Param(6, d_max_ok)},
     ),
     "StateSpace": EntryPoint(
         lambda x, index: StateSpace((StateId(PL.SOLDIER_UP, None, index),)),
-        {"index": Param(0, lambda v: isinstance(v, Integral) and v == 0)},
+        {"index": Param(0, lambda v: is_integer(v) and v == 0)},
     ),
     "build_initial_distribution": EntryPoint(
         lambda x, pose: build_initial_distribution(
@@ -406,10 +431,10 @@ ENTRY_POINTS = {
          "seed": Param(0, integer(0)),
          "model_seed": Param(7151, integer(0)),
          "d_max": Param(None, lambda v: v is None or d_max_ok(v), SCALARS + [None]),
-         "duration_mean": Param(12.0, math.isfinite),
-         "duration_std": Param(3.0, lambda v: v > 0.0),
+         "duration_mean": Param(12.0, lambda v: is_number(v) and math.isfinite(v)),
+         "duration_std": Param(3.0, lambda v: is_number(v) and v > 0.0),
          "noise": Param(0.05, unit),
-         "dropout": Param(0.0, lambda v: 0.0 <= v < 1.0),
+         "dropout": Param(0.0, lambda v: is_number(v) and 0.0 <= v < 1.0),
          "poses": Param(MOCK_ICU_POSES, no_repeats,
                         [(), (PL.OTHER,), (PL.SOLDIER_UP, PL.SOLDIER_UP, PL.FETAL_LEFT),
                          (PL.SOLDIER_UP, PL.FETAL_LEFT)]),
@@ -432,7 +457,6 @@ NOT_FUZZED = {
                        "the fits, whose label and item parameters are fuzzed",
     "hsmm_joint_log_prob": "scores a Segmentation, FeatureStream and HsmmModel, each "
                            "fuzzed; its d_max and state checks are in test_inference",
-    "score_chains": "classify_transition's chain scoring, fuzzed through classify_transition",
     "frame_accuracy": "compares two Segmentations; its T check is in test_summarize",
     "window_detection_rate": "compares two record lists; its length checks are in "
                              "test_summarize",
@@ -446,16 +470,10 @@ def test_every_exported_function_is_fuzzed_or_exempt():
     assert sorted(exported - fuzzed) == sorted(NOT_FUZZED)
 
 
-@given(name=st.sampled_from(sorted(ENTRY_POINTS)), data=st.data())
-@settings(max_examples=400, deadline=None)
-def test_in_domain_returns_else_clean_error(inputs, name, data):
+def check_call(inputs, name, params):
+    """The call returns inside the domain and raises a ``PoseHsmmError``
+    outside it."""
     entry = ENTRY_POINTS[name]
-    picked = data.draw(st.sets(st.sampled_from(sorted(entry.params))), label="picked")
-    params = {
-        key: data.draw(st.sampled_from(param.candidates), label=key)
-        if key in picked else param.valid
-        for key, param in entry.params.items()
-    }
     in_domain = all(
         param.domain is None or param.domain(params[key])
         for key, param in entry.params.items()
@@ -466,6 +484,26 @@ def test_in_domain_returns_else_clean_error(inputs, name, data):
         assert not in_domain or isinstance(exc, entry.valid_outcomes), (name, params, exc)
         return
     assert in_domain, (name, params)
+
+
+@given(name=st.sampled_from(sorted(ENTRY_POINTS)), data=st.data())
+@settings(max_examples=400, deadline=None)
+def test_in_domain_returns_else_clean_error(inputs, name, data):
+    entry = ENTRY_POINTS[name]
+    picked = data.draw(st.sets(st.sampled_from(sorted(entry.params))), label="picked")
+    check_call(inputs, name, {
+        key: data.draw(st.sampled_from(param.candidates), label=key)
+        if key in picked else param.valid
+        for key, param in entry.params.items()
+    })
+
+
+def test_each_candidate_alone(inputs):
+    for name, entry in ENTRY_POINTS.items():
+        valid = {key: param.valid for key, param in entry.params.items()}
+        for key, param in entry.params.items():
+            for value in param.candidates:
+                check_call(inputs, name, {**valid, key: value})
 
 
 @pytest.mark.parametrize(

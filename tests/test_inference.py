@@ -118,6 +118,13 @@ class TestFitDurations:
             fit_durations([encode_segments(labels)], 2, 4)
         assert exc.value.param == "segmentations"
 
+    def test_bool_d_max_is_named(self):
+        """True is no integer: its model would be written as ``d_max: True``,
+        which ``read_model`` refuses."""
+        with pytest.raises(BadArgument, match="^d_max must be an integer, got True$") as exc:
+            fit_durations([encode_segments([0, 0, 1])], 2, True)
+        assert exc.value.param == "d_max"
+
     def test_worked_example(self):
         seg = Segmentation((Segment(1, 2, 0), Segment(3, 1, 1), Segment(4, 4, 0)), 7)
         model = fit_durations([seg], 2, d_max=8)

@@ -279,6 +279,7 @@ class TestDeferredResult:
 MISSIZED = {
     "T-zero": ("T", 0),
     "T-fraction": ("T", 2.5),
+    "T-bool": ("T", True),
     "log_pi-scalar": ("log_pi", np.float64(0.0)),
     "log_pi-empty": ("log_pi", np.zeros(0)),
     "log_A-wide": ("log_A", np.zeros((2, 3))),
@@ -308,3 +309,4 @@ def test_missized_table_is_named(name):
     with pytest.raises(BadArgument) as exc:
         segment_viterbi_on_tables(**{**tables, param: value})
     assert exc.value.param == param
+

@@ -130,11 +130,15 @@ class TestConfig:
          ("duration_mean", "x"), ("duration_std", [[1.0], [1.0, 2.0]]),
          ("noise", {"BC": 0.1}), ("noise", {SceneCondition.BC: 0.1}),
          ("base_scene", "BC"), ("scene_switch", "no"), ("scene_doubling", "x"),
-         ("channels", ["left:RGB"])],
+         ("channels", ["left:RGB"]),
+         # a bool is no integer and no number
+         ("F", True), ("noise", True), ("dropout", False), ("seed", False),
+         ("t_target", True), ("d_max", True)],
         ids=["int-poses", "string-poses", "none-dropout", "string-noise",
              "string-duration-mean", "ragged-duration-std", "noise-keyed-by-string",
              "noise-for-one-scene", "string-base-scene", "string-scene-switch",
-             "string-scene-doubling", "string-channels"],
+             "string-scene-doubling", "string-channels", "bool-F", "bool-noise",
+             "bool-dropout", "bool-seed", "bool-t-target", "bool-d-max"],
     )
     def test_field_of_another_kind_is_named(self, field, value):
         with pytest.raises(BadArgument) as exc:

@@ -21,7 +21,7 @@ from posehsmm import (
     encode_segments,
 )
 from posehsmm.errors import BadArgument, DurationOutOfRange, MalformedSegmentation
-from posehsmm.states import D_MAX_LIMIT, StateSpace
+from posehsmm.states import D_MAX_LIMIT, StateId, StateSpace
 
 from conftest import tick_states
 from reference_tick_chain import (
@@ -62,6 +62,13 @@ class TestPoseVocabulary:
     def test_space_rejects_wrong_indices(self):
         with pytest.raises(ValueError):
             StateSpace(tuple(reversed(COLLAPSED.states)))
+
+    @pytest.mark.parametrize("index", [False, 0.0], ids=["bool", "float"])
+    def test_space_rejects_index_that_is_no_integer(self, index):
+        """``write_truth`` would write ``state False solU``, which
+        ``read_truth`` refuses."""
+        with pytest.raises(BadArgument, match="at position 0 has index"):
+            StateSpace((StateId(PoseLabel.SOLDIER_UP, None, index),))
 
 
 class TestInitialDistribution:
@@ -129,14 +136,39 @@ class TestSegments:
          (lambda: Segmentation((Segment(1, 2, 1.0),), 2), 0),
          (lambda: encode_segments([1.5] * 10), 0),
          (lambda: Segmentation((Segment(1, 1, 0), Segment(2, 1, 0.5)), 2), 1),
-         (lambda: Segmentation((Segment(1, 1, "0"), Segment(2, 1, 1)), 2), 0)],
-        ids=["float", "integral-float", "encoded-float", "float-after-first", "text"],
+         (lambda: Segmentation((Segment(1, 1, "0"), Segment(2, 1, 1)), 2), 0),
+         (lambda: Segmentation((Segment(1, 2, True),), 2), 0),
+         (lambda: Segmentation((Segment(1, 1, 1), Segment(2, 1, False)), 2), 1)],
+        ids=["float", "integral-float", "encoded-float", "float-after-first", "text",
+             "bool", "bool-after-first"],
     )
     def test_rejects_state_that_is_no_index(self, build, u):
         """Any segment's state must pass ``operator.index``; the error names
         the segment, not a bare ``TypeError``."""
         with pytest.raises(MalformedSegmentation, match=f"^segment {u} has state "):
             build()
+
+    @pytest.mark.parametrize(
+        "segments, u",
+        [((Segment(1.0, 4.0, 0),), 0), ((Segment(True, 4, 0),), 0),
+         ((Segment(1, 1, 0), Segment(2, 3.0, 1)), 1)],
+        ids=["float-ticks", "bool-start", "float-duration-after-first"],
+    )
+    def test_rejects_tick_that_is_no_integer(self, segments, u):
+        """``write_truth`` would write ``segment 1.0 4.0 0`` or ``segment
+        True 4 0``, which ``read_truth`` refuses."""
+        with pytest.raises(MalformedSegmentation, match=f"^segment {u} has start "):
+            Segmentation(segments, 4)
+
+    @pytest.mark.parametrize("T, d", [(4.0, 4), (True, 1)], ids=["float", "bool"])
+    def test_rejects_T_that_is_no_integer(self, T, d):
+        with pytest.raises(MalformedSegmentation, match="^T must be an integer"):
+            Segmentation((Segment(1, d, 0),), T)
+
+    def test_numpy_integers_are_integers(self):
+        i = np.int64
+        seg = Segmentation((Segment(i(1), i(2), i(0)), Segment(i(3), i(2), i(1))), i(4))
+        assert tick_states(seg) == [0, 0, 1, 1]
 
     @given(
         st.lists(st.integers(min_value=0, max_value=3), min_size=1, max_size=40)

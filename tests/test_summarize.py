@@ -26,6 +26,7 @@ from posehsmm.summarize import (
     classify_transition,
     frame_accuracy,
     history_from_segments,
+    score_chains,
     summarize_history,
     window_detection_rate,
 )
@@ -114,9 +115,15 @@ class TestHistoryFromLabels:
         [({"window": 2.5}, "window"), ({"window": float("nan")}, "window"),
          ({"sample_every": 0}, "sample_every"),
          ({"sample_every": 4, "window": 2}, "window"),
-         ({"consistency": float("inf")}, "consistency")],
+         ({"consistency": float("inf")}, "consistency"),
+         # a bool is no integer or number; records of window True would be
+         # written as ``window: True``, which read_history refuses
+         ({"sample_every": 1, "window": True}, "window"),
+         ({"sample_every": True}, "sample_every"),
+         ({"consistency": True}, "consistency"), ({"consistency": False}, "consistency")],
         ids=["window-2.5", "window-nan", "sample-every-0", "window-below-step",
-             "consistency-inf"],
+             "consistency-inf", "window-true", "sample-every-true", "consistency-true",
+             "consistency-false"],
     )
     def test_bad_parameter_is_named(self, kwargs, param):
         with pytest.raises(BadArgument) as exc:
@@ -340,6 +347,16 @@ class TestTransitionLibrary:
             with pytest.raises(FrozenInstanceError):
                 setattr(lib, name, None)
 
+    def test_entries_are_a_read_only_copy(self):
+        """A chain added to the argument or to ``entries`` after construction
+        would count in ``len`` but never be scored."""
+        entries = {self.KEY: chain_with()}
+        lib = TransitionLibrary(entries)
+        entries[TestClassifyTransition.KEY_B] = chain_with()
+        with pytest.raises(TypeError):
+            lib.entries[TestClassifyTransition.KEY_B] = chain_with()
+        assert len(lib) == len(lib.keys) == 1
+
 
 def chain_with(means=None, gap_mean=None, gap_std=None):
     """A five-position chain on one channel, with one part swapped."""
@@ -360,6 +377,10 @@ BAD_ENTRIES = {
     ),
     "means-list": (KEY, chain_with({RGB: [[0.5, 0.5]] * 5})),
     "means-keyed-by-string": (KEY, chain_with({"left:RGB": np.full((5, 2), 0.5)})),
+    "means-above-one": (KEY, chain_with({RGB: np.full((5, 2), 1.5)})),
+    "means-below-zero": (KEY, chain_with({RGB: np.full((5, 2), -0.5)})),
+    "means-nan": (KEY, chain_with({RGB: np.full((5, 2), np.nan)})),
+    "means-of-text": (KEY, chain_with({RGB: np.full((5, 2), "0.5")})),
     "gap-lengths-differ": (KEY, chain_with(gap_std=np.ones(4))),
     "two-d-gaps": (KEY, chain_with({}, np.ones((5, 1)), np.ones((5, 1)))),
     "no-position": (KEY, chain_with({RGB: np.full((0, 2), 0.5)}, np.ones(0), np.ones(0))),
@@ -373,6 +394,14 @@ BAD_ENTRIES = {
 def test_library_names_an_entry_it_cannot_stack(key, chain):
     with pytest.raises(BadArgument) as exc:
         TransitionLibrary({KEY: chain_with(), key: chain})
+    assert exc.value.param == "entries"
+
+
+@pytest.mark.parametrize("entries", [5, None, [(KEY, chain_with())]],
+                         ids=["int", "none", "list-of-pairs"])
+def test_library_names_entries_that_are_no_map(entries):
+    with pytest.raises(BadArgument) as exc:
+        TransitionLibrary(entries)
     assert exc.value.param == "entries"
 
 
@@ -437,6 +466,17 @@ class TestClassifyTransition:
         lib = build_transition_library([(ramp_clip(F=2), *self.KEY_A)], threshold=0.4)
         with pytest.raises(BadArgument, match=r"width 3, library chains \[2\]"):
             classify_transition(ramp_clip(F=3), lib, threshold=0.4)
+
+    @pytest.mark.parametrize("flag", ["no", None, 0, 1])
+    def test_flag_that_is_no_bool_is_named(self, flag):
+        """``"no"`` would score keyframes, and 0 the full-rate clip."""
+        up = ramp_clip(0.0, 1.0)
+        lib = build_transition_library([(up, *self.KEY_A)], threshold=0.4)
+        for call in (lambda: classify_transition(up, lib, threshold=0.4, use_keyframes=flag),
+                     lambda: score_chains(lib, up, flag)):
+            with pytest.raises(BadArgument, match="^use_keyframes must be a bool") as exc:
+                call()
+            assert exc.value.param == "use_keyframes"
 
     def test_deterministic(self):
         up = ramp_clip(0.0, 1.0)
