@@ -158,10 +158,10 @@ def _cmd_decode(args) -> int:
     print(f"log_prob {format(result.log_prob, '.17g')}")
     for seg in result.segmentation:
         if model.states is not None:
-            s = model.states[seg.y_index]
+            s = model.states[seg.y]
             print(f"segment {seg.b} {seg.d} {fileio._pose_scene(s.pose, s.scene)}")
         else:
-            print(f"segment {seg.b} {seg.d} state{seg.y_index}")
+            print(f"segment {seg.b} {seg.d} state{seg.y}")
     if args.out:
         fileio.write_decoded(result.segmentation, result.log_prob, args.out, model.states)
     return 0

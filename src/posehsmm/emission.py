@@ -24,7 +24,7 @@ from .errors import (
     EmptySequence,
     LabelMismatch,
 )
-from .states import Segmentation, segment_runs
+from .states import Segmentation, segment_runs, state_table
 
 #: Clamp for fitted Bernoulli means; keeps log terms finite.
 MEAN_CLAMP = 1e-6
@@ -204,7 +204,8 @@ def fit_channel_emissions(
     feature width and one segmentation of the same T per stream; the sums
     are pooled in stream order, tick by tick.  An item that is not a
     ``FeatureStream`` or a ``Segmentation``, a list that is not iterable,
-    or a run state outside [0, n_states), raises ``BadArgument``.
+    a run state outside [0, n_states), or an ``n_states`` that is no
+    integer or sizes tables memory cannot hold, raises ``BadArgument``.
     """
     runs = segment_runs(segmentations, n_states, "segmentations")
     try:
@@ -229,7 +230,7 @@ def fit_channel_emissions(
             f"streams must share one feature width, got {sorted(widths)}", "streams"
         )
     (F,) = widths
-    sums = np.zeros((n_states, F))
+    sums = state_table(n_states, F)
     counts = np.zeros(n_states)
     for s, (states, durations) in zip(streams, runs):
         k = s.channel_index(channel)

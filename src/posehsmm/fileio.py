@@ -324,7 +324,7 @@ def write_truth(
     """Write one ``scene`` line per (first tick, length, scene) run, as given."""
     lines = [f"state {s.index} {_pose_scene(s.pose, s.scene)}" for s in space]
     for seg in segmentation:
-        lines.append(f"segment {seg.b} {seg.d} {seg.y_index}")
+        lines.append(f"segment {seg.b} {seg.d} {seg.y}")
     for b, n, scene in scene_track:
         lines.append(f"scene {b} {n} {scene.value}")
     if transition is not None:
@@ -492,9 +492,9 @@ def read_model(path) -> HsmmModel:
 def write_decoded(segmentation: Segmentation, log_prob: float, path, space=None) -> None:
     lines = []
     for seg in segmentation:
-        s = space[seg.y_index] if space is not None else None
+        s = space[seg.y] if space is not None else None
         names = _pose_scene(s.pose, s.scene) if s is not None else "- -"
-        lines.append(f"segment {seg.b} {seg.d} {seg.y_index} {names}")
+        lines.append(f"segment {seg.b} {seg.d} {seg.y} {names}")
     _write(path, "decoded", {"T": segmentation.T, "log_prob": _fmt(log_prob)}, lines)
 
 

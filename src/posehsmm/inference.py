@@ -68,7 +68,7 @@ from .errors import (
     NoFeasiblePath,
     is_integer,
 )
-from .states import DurationModel, Segment, Segmentation, StateSpace, segment_runs
+from .states import DurationModel, Segment, Segmentation, StateSpace, segment_runs, state_table
 
 #: Row-stochasticity tolerance for transition matrices.
 ROW_SUM_TOL = 1e-12
@@ -169,13 +169,14 @@ def fit_transitions(segmentations: Sequence[Segmentation], n_states: int) -> np.
     runs; runs are maximal, so the diagonal is structurally zero.  Rows with
     no outgoing observation fall back to uniform off the diagonal (a single
     state's row stays zero).  Counts are pooled over the segmentations before
-    normalizing.  An item that is not a ``Segmentation``, or a run state
-    outside [0, n_states), raises ``BadArgument``.
+    normalizing.  An item that is not a ``Segmentation``, a run state
+    outside [0, n_states), or an ``n_states`` that is no integer or sizes
+    tables memory cannot hold, raises ``BadArgument``.
     """
     runs = segment_runs(segmentations, n_states, "segmentations")
     if not runs:
         raise EmptySequence("cannot fit transitions on no segmentations")
-    counts = np.zeros((n_states, n_states))
+    counts = state_table(n_states, n_states)
     for states, _ in runs:
         np.add.at(counts, (states[:-1], states[1:]), 1.0)
     totals = counts.sum(axis=1, keepdims=True)
@@ -194,13 +195,14 @@ def fit_durations(
     Uses the sample mean and the population standard deviation of each
     state's durations, in segmentation and run order, floored at
     ``MIN_DURATION_STD``.  States with no run default to (d_max/2, d_max/4).
-    An item that is not a ``Segmentation``, or a run state outside
-    [0, n_states), raises ``BadArgument``.
+    An item that is not a ``Segmentation``, a run state outside
+    [0, n_states), or an ``n_states`` that is no integer or sizes tables
+    memory cannot hold, raises ``BadArgument``.
     """
     runs = segment_runs(segmentations, n_states, "segmentations")
     states = np.concatenate([np.zeros(0, np.intp), *(y for y, _ in runs)])
     durations = np.concatenate([np.zeros(0), *(d for _, d in runs)])
-    mean = np.full(n_states, d_max / 2.0)
+    mean = state_table(n_states, fill=d_max / 2.0)
     std = np.full(n_states, d_max / 4.0)
     for i in np.unique(states):
         arr = durations[states == i]
@@ -248,7 +250,7 @@ def _segment_scores(
     scores = []
     prev = None
     for seg in segments:
-        y = seg.y_index
+        y = seg.y
         head = log_pi[y] if prev is None else log_A[prev, y]
         s = head + log_dur[y, seg.d]
         scores.append(float(s + (C[seg.end, y] - C[seg.b - 1, y])))

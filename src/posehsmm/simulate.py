@@ -37,10 +37,10 @@ from .states import (
     PoseLabel,
     RotationDirection,
     SceneCondition,
+    Segment,
     Segmentation,
     StateSpace,
     build_initial_distribution,
-    encode_segments,
 )
 
 #: Per-regime feature corruption constants.
@@ -341,8 +341,8 @@ def build_generating_model(config: ScenarioConfig) -> tuple[HsmmModel, StateSpac
 
 def _sample_pose_segments(
     config: ScenarioConfig, rng: np.random.Generator
-) -> list[tuple[PoseLabel, int]]:
-    """Sample (pose, duration) runs until t_target ticks are covered."""
+) -> np.ndarray:
+    """Sample (pose index, duration) runs until t_target ticks are covered."""
     mean, std = config.duration_arrays()
     pmf = DurationModel(mean, std, config.resolved_d_max()).pmf_table()
     A_pose = _pose_transition_matrix(config)
@@ -353,17 +353,17 @@ def _sample_pose_segments(
         start_raw = np.ones(config.n_poses)
     start = start_raw / start_raw.sum()
 
-    runs: list[tuple[PoseLabel, int]] = []
+    runs = []
     total = 0
     pose_idx = int(rng.choice(config.n_poses, p=start))
     while total < config.t_target:
         d = int(rng.choice(pmf.shape[1], p=pmf[pose_idx])) + 1
         d = min(d, config.t_target - total)
-        runs.append((config.poses[pose_idx], d))
+        runs.append((pose_idx, d))
         total += d
         if total < config.t_target and config.n_poses > 1:
             pose_idx = int(rng.choice(config.n_poses, p=A_pose[pose_idx]))
-    return runs
+    return np.array(runs)
 
 
 def _scene_track(
@@ -430,28 +430,34 @@ def sample_sequence(config: ScenarioConfig) -> tuple[FeatureStream, GroundTruth]
     means, avail = _stream_arrays(config, T, "t_target")
     model, space = build_generating_model(config)
     rng = np.random.default_rng(np.random.SeedSequence((config.seed, 2)))
-    runs = _sample_pose_segments(config, rng)
+    run_poses, run_lengths = _sample_pose_segments(config, rng).T
     scene_track = _scene_track(config, rng, T)
-    # per-tick sampling arrays; the truth keeps the runs
-    scene_per_tick = [scene for _, n, scene in scene_track for _ in range(n)]
-    pose_per_tick = [pose for pose, d in runs for _ in range(d)]
-    labels = [
-        space.index_of(pose, scene if config.scene_doubling else None)
-        for pose, scene in zip(pose_per_tick, scene_per_tick)
-    ]
-    pose_index = {pose: k for k, pose in enumerate(config.poses)}
+    # the truth: the pose runs cut at the scene-run ends, equal neighbours merged
+    pose_ends = np.cumsum(run_lengths)
+    scene_ends = [b + n - 1 for b, n, _ in scene_track]
+    scenes = [scene if config.scene_doubling else None for _, _, scene in scene_track]
+    # a piece lies in the first pose run and scene run that end at or after it
+    ends = np.union1d(pose_ends, scene_ends)
+    ys = np.array([
+        space.index_of(config.poses[k], scenes[r]) for k, r in
+        zip(run_poses[np.searchsorted(pose_ends, ends)], np.searchsorted(scene_ends, ends))
+    ])
+    last = np.append(ys[1:] != ys[:-1], True)
+    ends, ys = ends[last].tolist(), ys[last].tolist()
+    segmentation = Segmentation(
+        tuple(Segment(b + 1, e - b, y) for b, e, y in zip([0, *ends], ends, ys)), T
+    )
     bits = (_pose_templates(config) >= 0.5).astype(float)
-    pose_rows = np.array([pose_index[p] for p in pose_per_tick])
     # take's output buffer, the noise draw and the stream's copy each come
     # on top of the arrays above
     try:
-        np.take(bits, pose_rows, axis=0, out=means)
+        np.take(bits, np.repeat(run_poses, run_lengths), axis=0, out=means)
         stream = FeatureStream.from_arrays(*_observe(config, means, avail, scene_track, rng))
     except MemoryError:
         raise _too_large(config, T, "t_target") from None
 
     truth = GroundTruth(
-        segmentation=encode_segments(labels),
+        segmentation=segmentation,
         scene_track=scene_track,
         generating_model=model,
     )
@@ -555,10 +561,9 @@ def sample_transition_clip(
         templates[pose_index[to_pose]],
     ]
     means[:h] = waypoints[0]
+    a = np.arange(1, g + 1)[:, None, None] / g
     for k in range(4):
-        for step in range(1, g + 1):
-            a = step / g
-            means[h + k * g + step - 1] = (1.0 - a) * waypoints[k] + a * waypoints[k + 1]
+        means[h + k * g : h + (k + 1) * g] = (1.0 - a) * waypoints[k] + a * waypoints[k + 1]
     means[h + 4 * g :] = waypoints[4]
     anchor_ticks = (h + g, h + 2 * g, h + 3 * g)
 
@@ -582,9 +587,10 @@ def sample_transition_clip(
     scene_value = scene if config.scene_doubling else None
     from_state = space.index_of(from_pose, scene_value)
     to_state = space.index_of(to_pose, scene_value)
-    labels = [from_state] * mid + [to_state] * (T - mid)
+    segments = ((Segment(1, T, from_state),) if from_state == to_state
+                else (Segment(1, mid, from_state), Segment(mid + 1, T - mid, to_state)))
     truth = GroundTruth(
-        segmentation=encode_segments(labels),
+        segmentation=Segmentation(segments, T),
         scene_track=scene_track,
         generating_model=model,
         transition=TransitionInfo(

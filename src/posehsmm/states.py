@@ -9,7 +9,6 @@ tick, duration, and state.
 from __future__ import annotations
 
 import itertools
-import operator
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -131,16 +130,13 @@ class StateId:
     """One hidden state: a pose, optionally bound to a scene regime.
 
     ``scene`` is None when the model is scene-agnostic.  ``index`` is the
-    dense position of this state in its StateSpace, so StateId objects can be
-    used directly wherever an integer state index is expected.
+    dense position of this state in its StateSpace, the integer a segment
+    holds as its state.
     """
 
     pose: PoseLabel
     scene: SceneCondition | None
     index: int
-
-    def __index__(self) -> int:
-        return self.index
 
 
 @dataclass(frozen=True)
@@ -172,10 +168,12 @@ class StateSpace:
         return cls(tuple(states))
 
     def index_of(self, pose: PoseLabel, scene: SceneCondition | None = None) -> int:
+        """The index of the state of ``pose`` under ``scene``; a pair the
+        space lacks raises ``BadArgument`` naming ``pose``."""
         for s in self.states:
             if s.pose is pose and s.scene is scene:
                 return s.index
-        raise KeyError((pose, scene))
+        raise BadArgument(f"no state of pose {pose!r} under scene {scene!r}", "pose")
 
     def __len__(self) -> int:
         return len(self.states)
@@ -221,15 +219,12 @@ def build_initial_distribution(space: StateSpace) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Segment:
-    """Maximal run of one state: starts at tick b, lasts d ticks, state y.
-
-    ``y`` may be a plain integer index or a StateId; both support
-    ``operator.index`` so numeric code treats them interchangeably.
-    """
+    """Maximal run of one state: starts at tick b, lasts d ticks, and holds
+    state index y."""
 
     b: int
     d: int
-    y: object
+    y: int
 
     @property
     def end(self) -> int:
@@ -238,7 +233,8 @@ class Segment:
 
     @property
     def y_index(self) -> int:
-        return operator.index(self.y)
+        """``y``; ``perfbench/worker.py`` still reads this name."""
+        return self.y
 
 
 @dataclass(frozen=True)
@@ -271,20 +267,17 @@ class Segmentation:
                 )
             if seg.d < 1:
                 raise MalformedSegmentation(f"segment {u} has duration {seg.d}")
-            try:
-                # a bool is no state index
-                operator.index(None if isinstance(seg.y, bool) else seg.y)
-            except TypeError:
+            if not is_integer(seg.y):
                 raise MalformedSegmentation(
                     f"segment {u} has state {seg.y!r}, not an integer index"
-                ) from None
+                )
             if u > 0:
                 prev = segs[u - 1]
                 if seg.b != prev.b + prev.d:
                     raise MalformedSegmentation(
                         f"segment {u} starts at {seg.b}, expected {prev.b + prev.d}"
                     )
-                if seg.y_index == prev.y_index:
+                if seg.y == prev.y:
                     raise MalformedSegmentation(
                         f"segments {u - 1} and {u} share state {seg.y}; runs must be maximal"
                     )
@@ -319,7 +312,10 @@ def segment_runs(
     """Each segmentation's run states and run lengths, as two arrays; a
     ``segmentations`` that is not iterable, an item that is not a
     ``Segmentation``, or a run state that is not an integer in [0, n_states),
-    raises ``BadArgument`` naming ``param``."""
+    raises ``BadArgument`` naming ``param``, and an ``n_states`` that is no
+    integer one naming ``n_states``."""
+    if not is_integer(n_states):
+        raise BadArgument(f"n_states must be an integer, got {n_states!r}", "n_states")
     try:
         items = iter(segmentations)
     except TypeError:
@@ -330,10 +326,11 @@ def segment_runs(
     runs = []
     for s in items:
         try:
-            states = np.fromiter((operator.index(seg.y) for seg in s.segments), np.intp)
-        except (AttributeError, TypeError, OverflowError):
+            states = (np.fromiter((seg.y for seg in s.segments), np.intp)
+                      if isinstance(s, Segmentation) else None)
+        except OverflowError:  # an integer state beyond intp
             states = None
-        if not isinstance(s, Segmentation) or states is None:
+        if states is None:
             raise BadArgument(f"{param} must hold Segmentations whose run states are "
                               f"integers in [0, {n_states})", param)
         bad = states[(states < 0) | (states >= n_states)]
@@ -341,6 +338,17 @@ def segment_runs(
             raise BadArgument(f"{param}: run state {bad[0]} outside [0, {n_states})", param)
         runs.append((states, np.fromiter((seg.d for seg in s.segments), np.int64)))
     return runs
+
+
+def state_table(n_states: int, *shape: int, fill: float = 0.0) -> np.ndarray:
+    """A fit's (n_states, *shape) table of ``fill``; one that memory cannot
+    hold raises ``BadArgument`` naming ``n_states``."""
+    try:
+        return np.full((n_states, *shape), fill)
+    # numpy raises ValueError for a size beyond the largest intp
+    except (MemoryError, ValueError):
+        raise BadArgument(f"n_states {n_states} asks for a table larger than memory holds",
+                          "n_states") from None
 
 
 # =====================================================================

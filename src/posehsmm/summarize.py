@@ -228,7 +228,7 @@ def frame_accuracy(predicted: Segmentation, reference: Segmentation) -> float:
     ends = [np.array([seg.end for seg in s]) for s in (predicted, reference)]
     merged = np.union1d(*ends)
     # a merged run lies in the first segment of each side that ends at or after it
-    pred, ref = (np.array([seg.y_index for seg in s])[np.searchsorted(e, merged)]
+    pred, ref = (np.array([seg.y for seg in s])[np.searchsorted(e, merged)]
                  for s, e in zip((predicted, reference), ends))
     return int(np.diff(merged, prepend=0)[pred == ref].sum()) / predicted.T
 

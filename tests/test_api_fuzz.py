@@ -16,7 +16,9 @@ lies in the domain the entry point documents, the call must return (or
 raise one of the outcomes it documents for valid input, such as a static
 clip); otherwise it must raise a ``PoseHsmmError``.  Any other exception
 or result fails.  Parameters are only checked and stored, never used to
-size an array, so 10**18 allocates nothing.  Every function
+size an array, so 10**18 allocates nothing; a fit's state count does size
+its tables, and at 10**18 they ask for more memory than any machine has,
+so that call allocates nothing either.  Every function
 ``posehsmm`` exports has an entry point or a reason in ``NOT_FUZZED``.
 Hypothesis samples the combinations; ``test_each_candidate_alone`` tries
 every candidate of every parameter once with the others valid.
@@ -198,6 +200,9 @@ MODEL_PARAMS = {
 FLAG = Param(True, lambda v: isinstance(v, bool), [True, False, "no", None, 0, 1])
 #: A label of a two-state fit.
 STATE_INDEX = Param(1, lambda v: is_integer(v) and 0 <= v < 2)
+#: The state count of a fit whose labels are 0 and 1: an integer that covers
+#: them and sizes tables memory holds (10**18 does not).
+N_STATES = Param(2, lambda v: is_integer(v) and 2 <= v <= 1000)
 
 
 @pytest.fixture(scope="module")
@@ -343,22 +348,22 @@ ENTRY_POINTS = {
         {"Q": size(), "F": size()},
     ),
     "fit_channel_emissions": EntryPoint(
-        lambda x, F, item: fit_channel_emissions(
-            [_stream(2), _stream(F)], [_runs(0), item], RGB, 2
+        lambda x, F, item, n_states: fit_channel_emissions(
+            [_stream(2), _stream(F)], [_runs(0), item], RGB, n_states
         ),
-        {"F": size(), "item": ITEM},
+        {"F": size(), "item": ITEM, "n_states": N_STATES},
     ),
     "fit_channel_emissions labels": EntryPoint(
         lambda x, label: fit_channel_emissions([_stream(2)], [_runs(label)], RGB, 2),
         {"label": STATE_INDEX},
     ),
     "fit_transitions": EntryPoint(
-        lambda x, label, item: fit_transitions([_runs(label), item], 2),
-        {"label": STATE_INDEX, "item": ITEM},
+        lambda x, label, item, n_states: fit_transitions([_runs(label), item], n_states),
+        {"label": STATE_INDEX, "item": ITEM, "n_states": N_STATES},
     ),
     "fit_durations": EntryPoint(
-        lambda x, label, item: fit_durations([_runs(label), item], 2, 4),
-        {"label": STATE_INDEX, "item": ITEM},
+        lambda x, label, item, n_states: fit_durations([_runs(label), item], n_states, 4),
+        {"label": STATE_INDEX, "item": ITEM, "n_states": N_STATES},
     ),
     "segment_viterbi_on_tables": EntryPoint(
         lambda x, **p: _dp(**p),

@@ -6,12 +6,20 @@ small fixed seeds.  The sha256 of every file it writes, and of each
 command's exit code plus stdout, must equal the recorded digests.  Any
 change to decoded segmentations, log-probabilities, keyframes, histories,
 transition labels or the text formats shows up here as a digest mismatch.
+The small input trees the benchmark's generator writes are pinned the same
+way, since the benchmark compares runs on those bytes.
 """
 
 import hashlib
 import os
+from pathlib import Path
+
+import pytest
 
 from posehsmm.cli import main
+from posehsmm.simulate import transition_protocol
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 TRAIN_CLIPS = [
     ("solU", "fetR", "left", 10),
@@ -201,3 +209,34 @@ def test_walkthrough_outputs_are_byte_identical(tmp_path, capsys):
     assert sorted(digests) == sorted(GOLDEN)
     changed = [name for name in GOLDEN if digests[name] != GOLDEN[name]]
     assert changed == []
+
+
+#: Per workload, the file count and the sha256 over the sorted "<path>
+#: <file sha256>" lines of the small seed-3 input tree ``perfbench/gen.py``
+#: writes, made as the benchmark's own tests make it: ``recording`` at
+#: T = 400, ``transitions`` with two training seeds and the first 24
+#: protocol combinations.
+GEN_TREES = {
+    "recording": (12, "205243508823c108b763902d57e39993419c5b6a2a0002786f13266da3bcc0e7"),
+    "transitions": (74, "bdc6543185b630d57c5798d68e82dbacf0c8db155b9adc697a03a295c4ca90f9"),
+}
+
+
+@pytest.fixture
+def gen(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import gen
+
+    return gen
+
+
+@pytest.mark.parametrize("workload", sorted(GEN_TREES))
+def test_benchmark_inputs_are_byte_identical(gen, workload, tmp_path):
+    if workload == "recording":
+        gen.make_recording(tmp_path, 3, T=400)
+    else:
+        gen.make_transitions(tmp_path, 3, n_train_seeds=2, combos=transition_protocol()[:24])
+    files = sorted(p for p in tmp_path.rglob("*") if p.is_file())
+    lines = "".join(f"{p.relative_to(tmp_path)} {hashlib.sha256(p.read_bytes()).hexdigest()}\n"
+                    for p in files)
+    assert (len(files), hashlib.sha256(lines.encode()).hexdigest()) == GEN_TREES[workload]

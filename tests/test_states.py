@@ -70,6 +70,25 @@ class TestPoseVocabulary:
         with pytest.raises(BadArgument, match="at position 0 has index"):
             StateSpace((StateId(PoseLabel.SOLDIER_UP, None, index),))
 
+    def test_index_of_finds_each_state(self):
+        for space in (DOUBLED, COLLAPSED):
+            assert [space.index_of(s.pose, s.scene) for s in space] == list(range(len(space)))
+
+    @pytest.mark.parametrize(
+        "space, pose, scene",
+        [(StateSpace.from_poses([PoseLabel.SOLDIER_UP], False), PoseLabel.OTHER, None),
+         (StateSpace.from_poses([PoseLabel.SOLDIER_UP], False), "solU", None),
+         (COLLAPSED, PoseLabel.SOLDIER_UP, SceneCondition.BC),
+         (DOUBLED, PoseLabel.SOLDIER_UP, None),
+         (DOUBLED, PoseLabel.ASPIRATION, SceneCondition.DO)],
+        ids=["missing-pose", "text", "scene-in-collapsed", "no-scene-in-doubled",
+             "missing-doubled"],
+    )
+    def test_index_of_names_a_pose_it_lacks(self, space, pose, scene):
+        with pytest.raises(BadArgument, match="no state of pose") as exc:
+            space.index_of(pose, scene)
+        assert exc.value.param == "pose"
+
 
 class TestInitialDistribution:
     def test_raw_table_sums_above_one(self):
@@ -138,13 +157,15 @@ class TestSegments:
          (lambda: Segmentation((Segment(1, 1, 0), Segment(2, 1, 0.5)), 2), 1),
          (lambda: Segmentation((Segment(1, 1, "0"), Segment(2, 1, 1)), 2), 0),
          (lambda: Segmentation((Segment(1, 2, True),), 2), 0),
-         (lambda: Segmentation((Segment(1, 1, 1), Segment(2, 1, False)), 2), 1)],
+         (lambda: Segmentation((Segment(1, 1, 1), Segment(2, 1, False)), 2), 1),
+         (lambda: Segmentation((Segment(1, 2, DOUBLED[3]),), 2), 0),
+         (lambda: Segmentation((Segment(1, 1, 0), Segment(2, 1, COLLAPSED[1])), 2), 1)],
         ids=["float", "integral-float", "encoded-float", "float-after-first", "text",
-             "bool", "bool-after-first"],
+             "bool", "bool-after-first", "state-id", "state-id-after-first"],
     )
     def test_rejects_state_that_is_no_index(self, build, u):
-        """Any segment's state must pass ``operator.index``; the error names
-        the segment, not a bare ``TypeError``."""
+        """A segment's state is an integer index, not a bool or a
+        ``StateId``; the error names the segment, not a bare ``TypeError``."""
         with pytest.raises(MalformedSegmentation, match=f"^segment {u} has state "):
             build()
 
