@@ -205,7 +205,7 @@ def fit_channel_emissions(
     are pooled in stream order, tick by tick.  An item that is not a
     ``FeatureStream`` or a ``Segmentation``, a list that is not iterable,
     a run state outside [0, n_states), or an ``n_states`` that is no
-    integer or sizes tables memory cannot hold, raises ``BadArgument``.
+    integer or exceeds ``N_STATES_LIMIT``, raises ``BadArgument``.
     """
     runs = segment_runs(segmentations, n_states, "segmentations")
     try:

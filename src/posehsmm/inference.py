@@ -30,8 +30,9 @@ subtraction.  The layout changes neither the operands nor the order of any
 addition above, so it changes no bit.
 
 Every trellis, a 5-tick chain or a day-long recording, runs this one fill
-from tick 1.  The window starts with the d_cap - 1 boundaries before tick 0,
-which enter at -inf and whose spans read C as zero.  Their cells are -inf,
+from tick 1, save a chain with a single alignment, which is walked (below).
+The window starts with the d_cap - 1 boundaries before tick 0, which enter
+at -inf and whose spans read C as zero.  Their cells are -inf,
 so they never win a finite maximum, and a state whose row is all -inf has
 delta -inf either way.  Each block copies the C rows its spans subtract
 into one reusable lag buffer; its rows before boundary 0 are never written,
@@ -48,6 +49,20 @@ So among paths with equal totals the decoder keeps the first under one key:
 segments compared back to front by (state, prefix total, duration, entry
 score), with lower states, larger totals, longer durations and larger
 scores first.
+
+A strict left-to-right chain as long as its stream has one alignment: with
+T = Q, only state 0 starting, only j -> j + 1 moves and only state Q - 1
+ending, state j holds tick j + 1 alone.  A keyframe-mode chain library
+meets this trellis for every chain as long as the clip's pseudo-pose
+stream.  Its total is walked, not filled: ``v = (enter + log_dur[j, 1]) +
+(C[j + 1, j] - C[j, j])``, where ``enter`` is log pi[0] for j = 0 and
+``v + log_A[j - 1, j]`` after.  The walk is exact.  A state j is out of
+reach before tick j + 1, and every start, move and end off the chain is
+-inf, so each maximum on the way to the end state has one candidate that
+is not -inf, the walked one, with the same operands added in the same
+order.  That holds while no cell is NaN or +inf, so the walk also asks
+that no table hold either, that C be finite, and that the tables be small
+enough for no sum of the fill to reach +inf.  Any other trellis is filled.
 """
 
 from __future__ import annotations
@@ -68,7 +83,15 @@ from .errors import (
     NoFeasiblePath,
     is_integer,
 )
-from .states import DurationModel, Segment, Segmentation, StateSpace, segment_runs, state_table
+from .states import (
+    DurationModel,
+    Segment,
+    Segmentation,
+    StateSpace,
+    _check_d_max,
+    segment_runs,
+    state_table,
+)
 
 #: Row-stochasticity tolerance for transition matrices.
 ROW_SUM_TOL = 1e-12
@@ -170,8 +193,8 @@ def fit_transitions(segmentations: Sequence[Segmentation], n_states: int) -> np.
     no outgoing observation fall back to uniform off the diagonal (a single
     state's row stays zero).  Counts are pooled over the segmentations before
     normalizing.  An item that is not a ``Segmentation``, a run state
-    outside [0, n_states), or an ``n_states`` that is no integer or sizes
-    tables memory cannot hold, raises ``BadArgument``.
+    outside [0, n_states), or an ``n_states`` that is no integer or exceeds
+    ``N_STATES_LIMIT``, raises ``BadArgument``.
     """
     runs = segment_runs(segmentations, n_states, "segmentations")
     if not runs:
@@ -196,9 +219,12 @@ def fit_durations(
     state's durations, in segmentation and run order, floored at
     ``MIN_DURATION_STD``.  States with no run default to (d_max/2, d_max/4).
     An item that is not a ``Segmentation``, a run state outside
-    [0, n_states), or an ``n_states`` that is no integer or sizes tables
-    memory cannot hold, raises ``BadArgument``.
+    [0, n_states), an ``n_states`` that is no integer or exceeds
+    ``N_STATES_LIMIT``, or a ``d_max`` that is no integer or exceeds
+    ``D_MAX_LIMIT``, raises ``BadArgument``; a ``d_max`` below 1 raises
+    ``DurationOutOfRange``.
     """
+    _check_d_max(d_max)
     runs = segment_runs(segmentations, n_states, "segmentations")
     states = np.concatenate([np.zeros(0, np.intp), *(y for y, _ in runs)])
     durations = np.concatenate([np.zeros(0), *(d for _, d in runs)])
@@ -310,11 +336,21 @@ def segment_viterbi_on_tables(
     Returns the best ``log_prob`` and ``path``, which backtracks when called
     and returns the ``DecodeResult``; raises ``NoFeasiblePath`` at once.
     A T that is not an integer >= 1, or a table that is not an array of
-    its shape, is a ``BadArgument`` naming the argument.
+    its shape, is a ``BadArgument`` naming the argument.  A strict
+    left-to-right chain as long as the stream is walked, not filled (see
+    the module docstring); the result is the same.
     """
     n = _check_tables(T, log_pi, log_A, log_dur, emission_cumsum, final_log)
+    if final_log is not None and T == n:
+        walked = _walk(T, log_pi, log_A, log_dur, emission_cumsum, final_log)
+        if walked is not None:
+            return walked
+    return _fill(T, n, log_pi, log_A, log_dur, emission_cumsum, final_log)
+
+
+def _fill(T, n, log_pi, log_A, log_dur, C, final_log) -> tuple[float, partial[DecodeResult]]:
+    """``segment_viterbi_on_tables``' fill over checked tables with Q = n."""
     d_cap = min(log_dur.shape[1] - 1, T)
-    C = emission_cumsum
     took = np.arange(n)
     # column k holds log_dur[:, d_cap - k], so row j lists durations d_cap..1
     dur_w = np.ascontiguousarray(log_dur[:, d_cap:0:-1])
@@ -367,6 +403,41 @@ def segment_viterbi_on_tables(
     )
 
 
+def _walk(T, log_pi, log_A, log_dur, C, final_log) -> tuple[float, partial[DecodeResult]] | None:
+    """The fill's result for checked tables with Q = T, or None unless they
+    admit exactly one alignment: only state 0 starts, only j -> j + 1 moves
+    and only state T - 1 ends; no table holds NaN or +inf, C is finite, and
+    no sum of the fill can reach +inf.
+
+    Raises ``NoFeasiblePath`` where the fill would, when the walked total
+    plus ``final_log[T - 1]`` is not finite."""
+    pi, ends = log_pi.tolist(), final_log.tolist()
+    cells = log_A.ravel().tolist()
+    steps = cells[1 :: T + 1]
+    del cells[1 :: T + 1]
+    never = [-math.inf] * len(cells)
+    if pi[1:] != never[: T - 1] or ends[:-1] != never[: T - 1] or cells != never:
+        return None
+    # A sum the fill forms adds at most 3T + 1 terms, each a head (log pi,
+    # log A or final log), a duration or a span C[t] - C[s], so each at most
+    # ``top``; below 2**1000 none of them reaches +inf.  max(x, 0.0) keeps a
+    # NaN x, so NaN or +inf in a table, or -inf in C, makes ``top`` NaN or
+    # +inf, and the test fails.
+    heads = sum(max(h, 0.0) for h in (pi[0], ends[-1], *steps))
+    top = heads + max(float(log_dur.max()), 0.0) + 2.0 * float(np.abs(C).max())
+    if not (3 * T + 1) * top < 2.0**1000:
+        return None
+    durs = log_dur[:, 1].tolist()
+    # in float64 whatever C's dtype, as the fill subtracts
+    spans = np.subtract(C.diagonal(-1), C.diagonal(), dtype=float).tolist()
+    v = (pi[0] + durs[0]) + spans[0]
+    for a, d, span in zip(steps, durs[1:], spans[1:]):
+        v = ((v + a) + d) + span
+    if not math.isfinite(v + ends[-1]):
+        raise NoFeasiblePath("all segmentations have probability zero")
+    return v, partial(_one_tick_segments, v, T, log_pi, log_A, log_dur, C)
+
+
 def _check_tables(T, log_pi, log_A, log_dur, emission_cumsum, final_log) -> int:
     """The state count Q of ``segment_viterbi_on_tables``' tables, once T is
     an integer >= 1 and each table is an array of its shape; O(1).
@@ -415,7 +486,18 @@ def _backtrack(
         d = d_cap - int(best[t, y])
         rev.append(Segment(t - d + 1, d, y))
         t, y = t - d, int(earg[t - d, y])
-    segmentation = Segmentation(tuple(reversed(rev)), T)
+    return _scored(log_prob, T, reversed(rev), log_pi, log_A, log_dur, C)
+
+
+def _one_tick_segments(log_prob, T, log_pi, log_A, log_dur, C) -> DecodeResult:
+    """The walked alignment: state t - 1 for tick t alone, with its scores."""
+    segments = (Segment(t, 1, t - 1) for t in range(1, T + 1))
+    return _scored(log_prob, T, segments, log_pi, log_A, log_dur, C)
+
+
+def _scored(log_prob, T, segments, log_pi, log_A, log_dur, C) -> DecodeResult:
+    """The ``DecodeResult`` of a path's segments, in order."""
+    segmentation = Segmentation(tuple(segments), T)
     scores = _segment_scores(segmentation, log_pi, log_A, log_dur, C)
     return DecodeResult(segmentation, log_prob, scores)
 

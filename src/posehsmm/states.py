@@ -313,9 +313,11 @@ def segment_runs(
     ``segmentations`` that is not iterable, an item that is not a
     ``Segmentation``, or a run state that is not an integer in [0, n_states),
     raises ``BadArgument`` naming ``param``, and an ``n_states`` that is no
-    integer one naming ``n_states``."""
+    integer, or exceeds ``N_STATES_LIMIT``, one naming ``n_states``."""
     if not is_integer(n_states):
         raise BadArgument(f"n_states must be an integer, got {n_states!r}", "n_states")
+    if n_states > N_STATES_LIMIT:
+        raise BadArgument(f"n_states {n_states} exceeds the limit {N_STATES_LIMIT}", "n_states")
     try:
         items = iter(segmentations)
     except TypeError:
@@ -360,6 +362,10 @@ def state_table(n_states: int, *shape: int, fill: float = 0.0) -> np.ndarray:
 #: built whole, because the pmf is normalised over all of 1..d_max: at
 #: Q = 22 one such table takes 176 MB at this bound.
 D_MAX_LIMIT = 1_000_000
+
+#: Largest state count a fit accepts.  The fits build their tables whole:
+#: ``fit_transitions``' Q x Q floats take 134 MB at this bound.
+N_STATES_LIMIT = 4096
 
 
 def _check_d_max(d_max) -> None:

@@ -15,9 +15,12 @@ A library stacks its chains once, when it is made: chains side by side in
 name order, one stacked emission model per channel set.  A clip is then
 scored against every chain with one emission pass per channel set, one
 prefix sum and one duration table; only the segment DP still runs chain by
-chain, on each chain's columns.  A clip is classified from the DPs'
-log-probs alone: a chain's best alignment visits each pseudo-pose once, so
-its segment count is the chain's length and no chain is backtracked.
+chain, on each chain's columns.  A chain as long as the clip's pseudo-pose
+stream (in keyframe mode, its keyframe count) has one alignment, a tick per
+pseudo-pose, so the DP adds up that one path instead of filling the
+trellis, with the same bits (see ``inference``).  A clip is classified from the DPs' log-probs alone: a chain's best
+alignment visits each pseudo-pose once, so its segment count is the
+chain's length and no chain is backtracked.
 """
 
 from __future__ import annotations

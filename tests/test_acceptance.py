@@ -10,6 +10,7 @@ import itertools
 import math
 import time
 from contextlib import contextmanager
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from reference_tick_chain import (
     hmm_viterbi,
     hsmm_from_hmm,
 )
+import posehsmm.inference as inference
 from posehsmm import fileio
 from posehsmm.cli import fit_hsmm
 from posehsmm.emission import ChannelEmissionModel, fit_channel_emissions
@@ -337,6 +339,22 @@ C6_KEYFRAME_SHA256 = "d32a4f1bd8f65bc86e8ae0c1273a54d402a066d9b07b915b2af5822749
 C6_FULL_RATE_SHA256 = "83d86a8310cb3bf14488640601f081d5cba422c18d1656e49a9941ad36d560dd"
 
 
+#: the benchmark's input generator, which writes the held-out clip files
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+@pytest.fixture(scope="module")
+def c6_library():
+    """Acceptance 6's K = 5 library: training seeds 100..107 x the 200
+    protocol combinations, 1,600 clips."""
+    make = _clip_factory()
+    return build_transition_library(
+        ((make(combo, s), *combo) for s in range(100, 108) for combo in transition_protocol()),
+        k_max=5,
+        threshold=SWEEP_THRESHOLD,
+    )
+
+
 def _classify_all(clips, library, **kw):
     """Each clip's K = 5 record, or None for a clip with no transition."""
     records = []
@@ -357,23 +375,14 @@ def _records_sha256(records):
     return hashlib.sha256("\n".join(lines).encode()).hexdigest()
 
 
-def test_c6_transition_classification_sweep(capsys):
+def test_c6_transition_classification_sweep(capsys, c6_library):
     """Simulated stand-in for the published clip accuracy: >= 0.78 at K=5,
     and accuracy does not fall as the keyframe budget grows."""
     with verdict(capsys, 6, "transition-classification-sweep") as info:
         make = _clip_factory()
         protocol = transition_protocol()
         train_seeds = range(100, 108)
-
-        lib5 = build_transition_library(
-            (
-                (make(combo, s), *combo)
-                for s in train_seeds
-                for combo in protocol
-            ),
-            k_max=5,
-            threshold=SWEEP_THRESHOLD,
-        )
+        lib5 = c6_library
         records = _classify_all((make(combo, 1) for combo in protocol), lib5)
         hits = sum(rec is not None and (rec.from_pose, rec.to_pose, rec.direction) == combo
                    for rec, combo in zip(records, protocol))
@@ -420,6 +429,30 @@ def test_c6_transition_classification_sweep(capsys):
             f"full sweep K=5: {acc5:.3f} >= 0.78; "
             f"K trend 2/3/5: {means[2]:.3f} <= {means[3]:.3f} <= {means[5]:.3f}"
         )
+
+
+def test_transitions_benchmark_seed1_records(c6_library, tmp_path, monkeypatch):
+    """The seed-1 ``transitions`` benchmark's outputs, pinned in full: its 200
+    held-out clips, read back from the files ``perfbench/gen.py`` writes and
+    classified in keyframe mode, give acceptance 6's records bit for bit.
+    The benchmark fits its library from 1,600 training files; built that way
+    it gives these same records, so the in-memory library stands in for it.
+
+    Every chain is as long as the clip's pseudo-pose stream, so every chain
+    is walked and none enters the segment DP's fill."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import gen
+
+    filled = []
+    fill = inference._fill
+    monkeypatch.setattr(inference, "_fill", lambda *args: filled.append(args) or fill(*args))
+    spec = gen.make_transitions(tmp_path, 1, n_train_seeds=0)
+    assert (spec["k_max"], spec["th"]) == (5, SWEEP_THRESHOLD)
+    clips = (fileio.read_stream(tmp_path / clip["stream"]) for clip in spec["held"])
+    records = _classify_all(clips, c6_library)
+    assert len(records) == 200
+    assert _records_sha256(records) == C6_KEYFRAME_SHA256
+    assert filled == []
 
 
 def test_c7_keyframe_contract_on_sweep(capsys):

@@ -27,6 +27,7 @@ every candidate of every parameter once with the others valid.
 import inspect
 import math
 import re
+import tracemalloc
 import types
 from dataclasses import dataclass, field
 from numbers import Integral, Real
@@ -75,6 +76,7 @@ from posehsmm.states import (
     D_MAX_LIMIT,
     INITIAL_POSE_PRIORS,
     MOCK_ICU_POSES,
+    N_STATES_LIMIT,
     DurationModel,
     PoseLabel,
     RotationDirection,
@@ -201,8 +203,8 @@ FLAG = Param(True, lambda v: isinstance(v, bool), [True, False, "no", None, 0, 1
 #: A label of a two-state fit.
 STATE_INDEX = Param(1, lambda v: is_integer(v) and 0 <= v < 2)
 #: The state count of a fit whose labels are 0 and 1: an integer that covers
-#: them and sizes tables memory holds (10**18 does not).
-N_STATES = Param(2, lambda v: is_integer(v) and 2 <= v <= 1000)
+#: them, up to the limit (10**18 is above it).
+N_STATES = Param(2, lambda v: is_integer(v) and 2 <= v <= N_STATES_LIMIT)
 
 
 @pytest.fixture(scope="module")
@@ -362,8 +364,11 @@ ENTRY_POINTS = {
         {"label": STATE_INDEX, "item": ITEM, "n_states": N_STATES},
     ),
     "fit_durations": EntryPoint(
-        lambda x, label, item, n_states: fit_durations([_runs(label), item], n_states, 4),
-        {"label": STATE_INDEX, "item": ITEM, "n_states": N_STATES},
+        lambda x, label, item, n_states, d_max: fit_durations(
+            [_runs(label), item], n_states, d_max
+        ),
+        {"label": STATE_INDEX, "item": ITEM, "n_states": N_STATES,
+         "d_max": Param(4, d_max_ok, SCALARS + [None, "x"])},
     ),
     "segment_viterbi_on_tables": EntryPoint(
         lambda x, **p: _dp(**p),
@@ -532,6 +537,27 @@ def test_fit_list_item_of_another_kind_is_named(fit, param):
     with pytest.raises(BadArgument) as exc:
         fit()
     assert exc.value.param == param
+
+
+@pytest.mark.parametrize("fit", ["transitions", "durations", "emissions"])
+def test_fit_state_count_over_the_limit_allocates_nothing(fit):
+    """One state past ``N_STATES_LIMIT`` is named before any table is made:
+    the call peaks far below the limit's own Q x Q table."""
+    n = N_STATES_LIMIT + 1
+    call = {
+        "transitions": lambda: fit_transitions([_runs(0)], n),
+        "durations": lambda: fit_durations([_runs(0)], n, 4),
+        "emissions": lambda: fit_channel_emissions([_stream(2)], [_runs(0)], RGB, n),
+    }[fit]
+    tracemalloc.start()
+    try:
+        with pytest.raises(BadArgument) as exc:
+            call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert exc.value.param == "n_states"
+    assert peak < 2**20
 
 
 def test_exports_match_readme_public_api():

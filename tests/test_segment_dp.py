@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import posehsmm.inference as inference
 from posehsmm import DurationModel, HsmmModel, hsmm_viterbi, segment_viterbi_on_tables
 from posehsmm.emission import ChannelEmissionModel
 from posehsmm.errors import BadArgument, NoFeasiblePath
@@ -188,6 +189,122 @@ def test_fold_edges(kind, T, D):
         assert got == "infeasible"
 
 
+#: Ways to spoil a one-alignment trellis: a second start, move or end, T one
+#: off Q, no final table, a NaN or +inf cell in any table, -inf in C, and a
+#: C so large that a sum of the fill could reach +inf.
+NEAR_MISSES = (
+    "start", "move", "end", "T+1", "T-1", "no-final",
+    "nan", "+inf", "C-inf", "C-huge",
+)
+
+
+def one_alignment_tables(rng, tie, Q):
+    """T = Q ticks on a strict left-to-right chain: only state 0 starts,
+    only j -> j + 1 moves, only state Q - 1 ends.  Walked cells are -inf
+    now and then."""
+    D = int(rng.integers(1, 7))
+    with np.errstate(divide="ignore"):
+        if tie:
+            vals = np.append(TIE_LOGS, -np.inf)
+            walked = rng.choice(vals, 2 * Q + 1)
+            log_dur = rng.choice(vals, (Q, D + 1))
+            E = rng.choice(np.log([0.25, 0.5, 0.75]), (Q, Q))
+        else:
+            walked = np.log(rng.random(2 * Q + 1) * (rng.random(2 * Q + 1) < 0.9))
+            log_dur = np.log(rng.random((Q, D + 1)) * (rng.random((Q, D + 1)) < 0.9))
+            E = np.log(rng.random((Q, Q)))
+    log_pi = np.full(Q, -np.inf)
+    log_pi[0] = walked[0]
+    log_A = np.full((Q, Q), -np.inf)
+    log_A[np.arange(Q - 1), np.arange(1, Q)] = walked[1:Q]
+    final_log = np.full(Q, -np.inf)
+    final_log[Q - 1] = walked[Q]
+    log_dur[:, 1] = np.where(rng.random(Q) < 0.1, -np.inf, log_dur[:, 1])
+    C = np.vstack([np.zeros(Q), np.cumsum(E, axis=0)])
+    return Q, Q, D, log_pi, log_A, log_dur, C, final_log
+
+
+def spoil(rng, kind, T, Q, D, log_pi, log_A, log_dur, C, final_log):
+    """The tables with one near miss of ``kind`` (Q >= 2) applied."""
+    finite = float(rng.choice(TIE_LOGS))
+    if kind == "start":
+        log_pi[rng.integers(1, Q)] = finite
+    elif kind == "move":
+        off = [(i, j) for i in range(Q) for j in range(Q) if j != i + 1]
+        log_A[off[rng.integers(len(off))]] = finite
+    elif kind == "end":
+        final_log[rng.integers(Q - 1)] = finite
+    elif kind in ("T+1", "T-1"):
+        T = Q + 1 if kind == "T+1" else Q - 1
+        C = np.vstack([np.zeros(Q), np.cumsum(np.log(rng.random((T, Q))), axis=0)])
+    elif kind == "no-final":
+        final_log = None
+    elif kind in ("nan", "+inf"):
+        tables = [log_pi, log_A, log_dur, C, final_log]
+        table = tables[rng.integers(len(tables))]
+        table[tuple(rng.integers(n) for n in table.shape)] = (
+            np.nan if kind == "nan" else np.inf
+        )
+    elif kind == "C-inf":
+        C[tuple(rng.integers(n) for n in C.shape)] = -np.inf
+    else:
+        C[tuple(rng.integers(n) for n in C.shape)] = rng.choice([-1e305, 1e305])
+    return T, Q, D, log_pi, log_A, log_dur, C, final_log
+
+
+class TestOneAlignmentWalk:
+    """A T = Q strict left-to-right chain is walked, not filled, and gives
+    the reference's result; one near miss sends the call to the fill."""
+
+    @given(
+        st.integers(0, 2**32 - 1), st.booleans(), st.just("walk") | st.sampled_from(NEAR_MISSES)
+    )
+    @settings(max_examples=600, deadline=None)
+    def test_matches_reference(self, seed, tie, kind):
+        rng = np.random.default_rng(seed)
+        tables = one_alignment_tables(rng, tie, int(rng.integers(1 if kind == "walk" else 2, 9)))
+        if kind != "walk":
+            tables = spoil(rng, kind, *tables)
+        T, Q, D, log_pi, log_A, log_dur, C, final_log = tables
+        filled = []
+        real = inference._fill
+
+        def spy(*args):
+            filled.append(args[0])
+            return real(*args)
+
+        # a NaN or an infinity in the tables makes the fills warn
+        with np.errstate(invalid="ignore", over="ignore"), pytest.MonkeyPatch.context() as mp:
+            mp.setattr(inference, "_fill", spy)
+            got = outcome(lambda: segment_viterbi_on_tables(
+                T, log_pi, log_A, log_dur, C, final_log
+            ))
+            want = outcome(lambda: reference_segment_viterbi(
+                T, Q, D, log_pi, log_A, log_dur, C, final_log
+            ))
+        assert got == want
+        assert filled == ([] if kind == "walk" else [T])
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float16, np.int64])
+    def test_tables_of_another_dtype_walk_to_the_fill_bits(self, dtype):
+        """The fill adds and subtracts in float64 whatever the tables' dtype,
+        and so must the walk: C's spans too.  An int64 table holds no -inf,
+        so only C takes that dtype."""
+        for seed in range(200):
+            rng = np.random.default_rng(seed)
+            T, Q, D, log_pi, log_A, log_dur, C, final_log = one_alignment_tables(
+                rng, False, int(rng.integers(1, 9))
+            )
+            C = (C * 50).astype(dtype)
+            if dtype != np.int64:
+                log_pi, log_A, log_dur, final_log = (
+                    a.astype(dtype) for a in (log_pi, log_A, log_dur, final_log)
+                )
+            tables = (log_pi, log_A, log_dur, C, final_log)
+            got = outcome(lambda: inference._walk(T, *tables))
+            assert got == outcome(lambda: inference._fill(T, Q, *tables))
+
+
 def test_dp_peak_is_best_and_earg():
     """T = 8,000, Q = 22, D_max = 36: above its inputs the fill keeps
     ``best`` and ``earg``, (T + 1) x Q ints each, and scratch of a block's
@@ -261,6 +378,27 @@ class TestDeferredResult:
         # a frozen value: no field can be reassigned
         with pytest.raises(AttributeError):
             result.log_prob = 0.0
+
+    def test_walked_result_holds_no_dp_array(self):
+        T, Q, D, log_pi, log_A, log_dur, C, final_log = one_alignment_tables(
+            np.random.default_rng(4), False, 6
+        )
+        # every walked cell finite
+        log_pi[0] = final_log[Q - 1] = 0.0
+        log_A[np.arange(Q - 1), np.arange(1, Q)] = 0.0
+        log_dur[:, 1] = np.log(0.5)
+        log_prob, path = segment_viterbi_on_tables(T, log_pi, log_A, log_dur, C, final_log)
+        # the handle keeps the tables it was given, and no array of its own
+        given = [log_pi, log_A, log_dur, C]
+        arrays = [a for a in path.args if isinstance(a, np.ndarray)]
+        assert len(arrays) == 4 and all(any(a is g for g in given) for a in arrays)
+        result = path()
+        assert not any(isinstance(v, np.ndarray) for v in vars(result).values())
+        want = reference_segment_viterbi(T, Q, D, log_pi, log_A, log_dur, C, final_log)
+        assert result == want and log_prob.hex() == want.log_prob.hex()
+        assert [(seg.b, seg.d, seg.y) for seg in result.segmentation] == [
+            (t, 1, t - 1) for t in range(1, T + 1)
+        ]
 
     @pytest.mark.parametrize("poison", ["-inf", "nan"])
     def test_infeasible_raises_in_the_call(self, poison):
