@@ -164,7 +164,7 @@ def binarize_stream(stream: FeatureStream) -> FeatureStream:
     return FeatureStream(stream.X >= 0.5, stream.mask, stream.channel_ids)
 
 
-@dataclass
+@dataclass(eq=False)
 class ChannelEmissionModel:
     """Per-state Bernoulli means for a single channel: a (Q, F) matrix."""
 

@@ -14,11 +14,11 @@ d = 1..min(t, d_max) in one vector op, ``(enter[t-d] + log_dur[:, d]) +
 (C[t] - C[t-d])``, keeps the best in ``delta`` and its column in
 ``best[t]``.  That is O(T x D x Q + T x Q^2) time.
 
-The fill returns ``log_prob`` and ``path``, a handle on the backtrack:
-calling it turns ``best[t]`` back into d, reads the predecessor from
-``earg[t - d]``, scores the segments and returns the ``DecodeResult``.
-Only ``path`` holds ``best`` and ``earg``, so they go when it does, and a
-chain library never backtracks its losing chains.
+The fill returns the best log-probability with the end state, d_cap,
+``best`` and ``earg``.  ``segment_viterbi_on_tables`` returns the
+log-probability alone, so a chain library never backtracks.
+``hsmm_viterbi`` backtracks: it turns ``best[t]`` back into d, reads the
+predecessor from ``earg[t - d]`` and scores the segments.
 
 Every maximum is an argmax along contiguous rows and a gather at it.
 ``log_A`` is transposed once, so row j of ``log_A.T + delta`` lists the
@@ -69,7 +69,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -132,7 +131,7 @@ def check_initial_distribution(pi: np.ndarray) -> np.ndarray:
     return pi
 
 
-@dataclass
+@dataclass(eq=False)
 class HsmmModel:
     """Segment-level model: explicit dwell distributions, zero-diagonal A.
 
@@ -312,8 +311,8 @@ def hsmm_viterbi(stream: FeatureStream, model: HsmmModel) -> DecodeResult:
     d_max and no transition can bridge the gap.
     """
     log_pi, log_A, log_dur, C = _log_tables(model, stream)
-    _, path = segment_viterbi_on_tables(stream.T, log_pi, log_A, log_dur, C)
-    return path()
+    filled = _fill(stream.T, model.n_states, log_pi, log_A, log_dur, C, None)
+    return _backtrack(stream.T, *filled, log_pi, log_A, log_dur, C)
 
 
 def segment_viterbi_on_tables(
@@ -323,8 +322,8 @@ def segment_viterbi_on_tables(
     log_dur: np.ndarray,
     emission_cumsum: np.ndarray,
     final_log: np.ndarray | None = None,
-) -> tuple[float, partial[DecodeResult]]:
-    """Run the segment decoder on caller-built log tables.
+) -> float:
+    """The segment decoder's best log-probability on caller-built log tables.
 
     ``log_dur`` is a (Q, d_max + 1) table indexable by duration, and
     ``emission_cumsum`` the (T + 1, Q) prefix-sum matrix of emission log
@@ -333,23 +332,23 @@ def segment_viterbi_on_tables(
     public model validation; ``final_log`` adds a terminal per-state score
     (-inf forbids ending there).
 
-    Returns the best ``log_prob`` and ``path``, which backtracks when called
-    and returns the ``DecodeResult``; raises ``NoFeasiblePath`` at once.
-    A T that is not an integer >= 1, or a table that is not an array of
-    its shape, is a ``BadArgument`` naming the argument.  A strict
+    Raises ``NoFeasiblePath`` when every segmentation scores -inf.  A T
+    that is not an integer >= 1, or a table that is not an array of its
+    shape, is a ``BadArgument`` naming the argument.  A strict
     left-to-right chain as long as the stream is walked, not filled (see
-    the module docstring); the result is the same.
+    the module docstring); the log-probability is the same.
     """
     n = _check_tables(T, log_pi, log_A, log_dur, emission_cumsum, final_log)
     if final_log is not None and T == n:
         walked = _walk(T, log_pi, log_A, log_dur, emission_cumsum, final_log)
         if walked is not None:
             return walked
-    return _fill(T, n, log_pi, log_A, log_dur, emission_cumsum, final_log)
+    return _fill(T, n, log_pi, log_A, log_dur, emission_cumsum, final_log)[0]
 
 
-def _fill(T, n, log_pi, log_A, log_dur, C, final_log) -> tuple[float, partial[DecodeResult]]:
-    """``segment_viterbi_on_tables``' fill over checked tables with Q = n."""
+def _fill(T, n, log_pi, log_A, log_dur, C, final_log):
+    """The DP over checked tables with Q = n: the best log-prob, and the end
+    state, d_cap, ``best`` and ``earg`` that ``_backtrack`` reads."""
     d_cap = min(log_dur.shape[1] - 1, T)
     took = np.arange(n)
     # column k holds log_dur[:, d_cap - k], so row j lists durations d_cap..1
@@ -397,14 +396,11 @@ def _fill(T, n, log_pi, log_A, log_dur, C, final_log) -> tuple[float, partial[De
     # NaN and -inf alike fail here, as they would on the maximum
     if not math.isfinite(terminal[y]):
         raise NoFeasiblePath("all segmentations have probability zero")
-    log_prob = float(delta[y])
-    return log_prob, partial(
-        _backtrack, log_prob, T, d_cap, y, best, earg, log_pi, log_A, log_dur, C
-    )
+    return float(delta[y]), y, d_cap, best, earg
 
 
-def _walk(T, log_pi, log_A, log_dur, C, final_log) -> tuple[float, partial[DecodeResult]] | None:
-    """The fill's result for checked tables with Q = T, or None unless they
+def _walk(T, log_pi, log_A, log_dur, C, final_log) -> float | None:
+    """The fill's log-prob for checked tables with Q = T, or None unless they
     admit exactly one alignment: only state 0 starts, only j -> j + 1 moves
     and only state T - 1 ends; no table holds NaN or +inf, C is finite, and
     no sum of the fill can reach +inf.
@@ -435,7 +431,7 @@ def _walk(T, log_pi, log_A, log_dur, C, final_log) -> tuple[float, partial[Decod
         v = ((v + a) + d) + span
     if not math.isfinite(v + ends[-1]):
         raise NoFeasiblePath("all segmentations have probability zero")
-    return v, partial(_one_tick_segments, v, T, log_pi, log_A, log_dur, C)
+    return v
 
 
 def _check_tables(T, log_pi, log_A, log_dur, emission_cumsum, final_log) -> int:
@@ -466,38 +462,15 @@ def _check_tables(T, log_pi, log_A, log_dur, emission_cumsum, final_log) -> int:
     return n
 
 
-def _backtrack(
-    log_prob: float,
-    T: int,
-    d_cap: int,
-    y: int,
-    best: np.ndarray,
-    earg: np.ndarray,
-    log_pi: np.ndarray,
-    log_A: np.ndarray,
-    log_dur: np.ndarray,
-    C: np.ndarray,
-) -> DecodeResult:
-    """The segmentation a finished fill chose, ending in state y at T, with
-    each segment's score."""
+def _backtrack(T, log_prob, y, d_cap, best, earg, log_pi, log_A, log_dur, C) -> DecodeResult:
+    """The ``DecodeResult`` of the segmentation a finished fill chose, ending
+    in state y at T, with each segment's score."""
     rev: list[Segment] = []
     t = T
     while t > 0:
         d = d_cap - int(best[t, y])
         rev.append(Segment(t - d + 1, d, y))
         t, y = t - d, int(earg[t - d, y])
-    return _scored(log_prob, T, reversed(rev), log_pi, log_A, log_dur, C)
-
-
-def _one_tick_segments(log_prob, T, log_pi, log_A, log_dur, C) -> DecodeResult:
-    """The walked alignment: state t - 1 for tick t alone, with its scores."""
-    segments = (Segment(t, 1, t - 1) for t in range(1, T + 1))
-    return _scored(log_prob, T, segments, log_pi, log_A, log_dur, C)
-
-
-def _scored(log_prob, T, segments, log_pi, log_A, log_dur, C) -> DecodeResult:
-    """The ``DecodeResult`` of a path's segments, in order."""
-    segmentation = Segmentation(tuple(segments), T)
+    segmentation = Segmentation(tuple(reversed(rev)), T)
     scores = _segment_scores(segmentation, log_pi, log_A, log_dur, C)
     return DecodeResult(segmentation, log_prob, scores)
-

@@ -283,7 +283,14 @@ def _effective_state_means(
 
 
 def build_generating_model(config: ScenarioConfig) -> tuple[HsmmModel, StateSpace]:
-    """The reference model whose joint law the simulator samples from.
+    """The reference model of a scenario: the simulator's pose transitions,
+    dwell laws and emissions in one model, for reference decoding.
+
+    It is not the law the simulator samples from.  The sampler draws the
+    first pose from the base scene's priors and switches scene once, in the
+    middle half of the stream; the model's pi spreads over both scenes'
+    priors, and its cross-scene mass lets a run change scene at any
+    boundary.
 
     Emission means are the effective (post-noise, post-contrast) feature
     expectations.  With scene doubling the pose transition rows are copied
@@ -349,8 +356,6 @@ def _sample_pose_segments(
     start_raw = np.array(
         [INITIAL_POSE_PRIORS.get(p, {}).get(config.base_scene, 0.0) for p in config.poses]
     )
-    if start_raw.sum() <= 0.0:
-        start_raw = np.ones(config.n_poses)
     start = start_raw / start_raw.sum()
 
     runs = []

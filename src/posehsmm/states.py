@@ -377,7 +377,7 @@ def _check_d_max(d_max) -> None:
         raise BadArgument(f"d_max {d_max} exceeds the limit {D_MAX_LIMIT}", "d_max")
 
 
-@dataclass
+@dataclass(eq=False)
 class DurationModel:
     """Per-state dwell-time distributions: Gaussians discretized on 1..d_max.
 

@@ -15,12 +15,13 @@ A library stacks its chains once, when it is made: chains side by side in
 name order, one stacked emission model per channel set.  A clip is then
 scored against every chain with one emission pass per channel set, one
 prefix sum and one duration table; only the segment DP still runs chain by
-chain, on each chain's columns.  A chain as long as the clip's pseudo-pose
-stream (in keyframe mode, its keyframe count) has one alignment, a tick per
-pseudo-pose, so the DP adds up that one path instead of filling the
-trellis, with the same bits (see ``inference``).  A clip is classified from the DPs' log-probs alone: a chain's best
-alignment visits each pseudo-pose once, so its segment count is the
-chain's length and no chain is backtracked.
+chain, on each chain's columns, and returns one log-prob per chain.  A
+chain as long as the clip's pseudo-pose stream (in keyframe mode, its
+keyframe count) has one alignment, a tick per pseudo-pose, so the DP adds
+up that one path instead of filling the trellis, with the same bits (see
+``inference``).  A clip is classified from these log-probs alone: a
+chain's best alignment visits each pseudo-pose once, so its segment count
+is the chain's length and no chain is backtracked.
 """
 
 from __future__ import annotations
@@ -241,7 +242,7 @@ def frame_accuracy(predicted: Segmentation, reference: Segmentation) -> float:
 # =====================================================================
 
 
-@dataclass
+@dataclass(eq=False)
 class TransitionChain:
     """Mean pseudo-pose chain for one (from, to, direction) combination.
 
@@ -260,7 +261,7 @@ class TransitionChain:
         return self.gap_mean.shape[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TransitionLibrary:
     """Chains keyed by (from, to, direction); at most 10 x 10 x 2 entries.
 
@@ -538,7 +539,7 @@ def score_chains(
     for L, a, b in zip(library.lengths, library.offsets, library.offsets[1:]):
         log_pi, log_A, final_log = library.structure[L]
         try:
-            log_prob, _ = segment_viterbi_on_tables(
+            log_prob = segment_viterbi_on_tables(
                 T, log_pi, log_A, log_dur[a:b], C[:, a:b], final_log
             )
         except NoFeasiblePath:

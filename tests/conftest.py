@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import posehsmm
+import posehsmm.inference as inference
 from posehsmm import DurationModel, HsmmModel
 from posehsmm.emission import ChannelEmissionModel, ChannelId, FeatureStream
 
@@ -41,6 +42,22 @@ def tick_states(segmentation):
 def random_stream(rng, T, F, channel=CH):
     x = (rng.random((T, F)) < 0.5).astype(float)
     return FeatureStream.from_arrays({channel: x})
+
+
+def fill_and_backtrack(T, log_pi, log_A, log_dur, C, final_log=None):
+    """The ``DecodeResult`` the segment DP's fill picks on raw tables,
+    backtracked as ``hsmm_viterbi`` backtracks it."""
+    filled = inference._fill(T, len(log_pi), log_pi, log_A, log_dur, C, final_log)
+    return inference._backtrack(T, *filled, log_pi, log_A, log_dur, C)
+
+
+def assert_named_error(call, kind, param, message):
+    """``call()`` raises exactly ``kind``, with ``param`` (None where the
+    check names none) and a message that ``message`` matches."""
+    with pytest.raises(kind, match=message) as exc:
+        call()
+    assert type(exc.value) is kind
+    assert getattr(exc.value, "param", None) == param
 
 
 def run_cli_limited(*argv, limit=2 * 1024**3):

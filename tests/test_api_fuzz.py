@@ -560,6 +560,25 @@ def test_fit_state_count_over_the_limit_allocates_nothing(fit):
     assert peak < 2**20
 
 
+#: Two equal-content values of each type that holds arrays.
+ARRAY_VALUES = {
+    "ChannelEmissionModel": lambda: _means_with(0.5),
+    "DurationModel": lambda: DurationModel(np.full(2, 3.0), np.ones(2), 6),
+    "HsmmModel": _hsmm,
+    "TransitionChain": lambda: _chain(2, 2, (2, 2)),
+    "TransitionLibrary": lambda: TransitionLibrary({KEY: _chain(2, 2, (2, 2))}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ARRAY_VALUES))
+def test_array_holding_values_compare_by_identity(name):
+    """A type that holds arrays compares and hashes by identity, as
+    ``FeatureStream`` does: comparing arrays by value has no one truth."""
+    a, b = ARRAY_VALUES[name](), ARRAY_VALUES[name]()
+    assert a == a and a != b and not a == b
+    assert hash(a) == hash(a) and len({a, b}) == 2
+
+
 def test_exports_match_readme_public_api():
     """``import posehsmm`` exports exactly the names README's "Public API"
     list gives, submodules aside."""

@@ -25,6 +25,7 @@ from posehsmm.errors import (
     LabelMismatch,
 )
 from posehsmm.states import encode_segments
+from conftest import assert_named_error
 from reference_emission import NoObservation, emission_log_likelihood
 
 RGB = ChannelId.parse("left:RGB")
@@ -58,6 +59,22 @@ def stream_from(rows, channel=RGB, masks=None):
     x = np.asarray(rows, dtype=float)
     avail = None if masks is None else {channel: np.asarray(masks, dtype=bool)}
     return FeatureStream.from_arrays({channel: x}, avail)
+
+
+#: Calls that break one rule each, as ``assert_named_error`` takes them.
+BAD_CALLS = {
+    "unsorted-channels": (
+        lambda: FeatureStream(np.full((2, 1, 1), 0.5), np.ones((2, 1), bool), (MASK, RGB)),
+        BadArgument, None, "^stream channels must be unique and sorted",
+    ),
+    "flat-means": (lambda: ChannelEmissionModel(RGB, np.full(3, 0.5)), BadArgument, None,
+                   r"^means must be a \(Q, F\) matrix"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_CALLS))
+def test_broken_rule_is_named(case):
+    assert_named_error(*BAD_CALLS[case])
 
 
 class TestChannelId:

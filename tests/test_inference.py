@@ -24,9 +24,16 @@ from posehsmm import (
     segment_viterbi_on_tables,
 )
 from posehsmm.emission import ChannelEmissionModel, FeatureStream
-from posehsmm.errors import BadArgument, DurationOutOfRange, NoFeasiblePath
+from posehsmm.errors import (
+    BadArgument,
+    DurationOutOfRange,
+    EmptySequence,
+    LabelMismatch,
+    NoFeasiblePath,
+)
+from posehsmm.inference import check_initial_distribution
 
-from conftest import CH, random_hsmm, random_stream
+from conftest import CH, assert_named_error, fill_and_backtrack, random_hsmm, random_stream
 from reference_brute_force import InstanceTooLarge, brute_force_decode
 from reference_tick_chain import (
     DegenerateSelfLoop,
@@ -46,6 +53,29 @@ def constant_stream(T, F=1, value=1.0):
 
 def uniform_emissions(Q, F=1):
     return {CH: ChannelEmissionModel(CH, np.full((Q, F), 0.5))}
+
+
+#: Calls that break one rule each, as ``assert_named_error`` takes them.
+BAD_CALLS = {
+    "A-not-square": (lambda: check_transition_matrix(np.zeros((2, 3))), BadArgument, None,
+                     "^transition matrix has shape"),
+    "pi-2d": (lambda: check_initial_distribution(np.full((2, 2), 0.25)), BadArgument, "pi",
+              "^pi has shape"),
+    "fit-no-segmentations": (lambda: fit_transitions([], 2), EmptySequence, None,
+                             "^cannot fit transitions on no segmentations"),
+    "joint-T-mismatch": (
+        lambda: hsmm_joint_log_prob(
+            encode_segments([0, 0, 1]), constant_stream(4), random_hsmm(
+                np.random.default_rng(0), n_states=2, d_max=3, F=1)
+        ),
+        LabelMismatch, None, "^segmentation covers 3 ticks, stream has 4",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_CALLS))
+def test_broken_rule_is_named(case):
+    assert_named_error(*BAD_CALLS[case])
 
 
 class TestTransitionMatrixCheck:
@@ -290,16 +320,18 @@ class TestConstrainedTrellis:
         E = np.zeros((3, 2))
         E[:, 1] = -5.0  # state 1 is expensive
         C = np.vstack([np.zeros(2), np.cumsum(E, axis=0)])
-        _, path = segment_viterbi_on_tables(3, log_pi, log_A, dur.log_pmf_table(), C)
-        free = path()
+        log_dur = dur.log_pmf_table()
+        final_log = np.array([-np.inf, 0.0])
+        free = fill_and_backtrack(3, log_pi, log_A, log_dur, C)
         assert [s.y for s in free.segmentation] == [0]
-        _, path = segment_viterbi_on_tables(
-            3, log_pi, log_A, dur.log_pmf_table(), C,
-            final_log=np.array([-np.inf, 0.0]),
-        )
-        forced = path()
+        forced = fill_and_backtrack(3, log_pi, log_A, log_dur, C, final_log)
         assert [s.y for s in forced.segmentation] == [0, 1]
         assert forced.log_prob < free.log_prob
+        assert segment_viterbi_on_tables(3, log_pi, log_A, log_dur, C) == free.log_prob
+        assert (
+            segment_viterbi_on_tables(3, log_pi, log_A, log_dur, C, final_log)
+            == forced.log_prob
+        )
 
     def test_infeasible_final_restriction(self):
         log_pi = np.array([0.0, -np.inf])

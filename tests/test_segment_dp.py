@@ -1,14 +1,14 @@
 """The O(T x Q) segment DP against the frozen per-(t, d) reference.
 
-The decoder must reproduce the reference exactly: the same segmentation,
-the same log-probability bits, the same per-segment scores, and the same
-``NoFeasiblePath`` outcome.  Tie-heavy inputs (equal rows, equal duration
-statistics, 0.5 / 0.25 emission means) exercise every tie-break.
+The decoder must reproduce the reference exactly: the same log-probability
+bits and the same ``NoFeasiblePath`` outcome from the public DP, and the
+same segmentation and per-segment scores from the fill's backtrack.
+Tie-heavy inputs (equal rows, equal duration statistics, 0.5 / 0.25
+emission means) exercise every tie-break.
 """
 
 import math
 import tracemalloc
-import weakref
 
 import numpy as np
 import pytest
@@ -20,7 +20,7 @@ from posehsmm.emission import ChannelEmissionModel
 from posehsmm.errors import BadArgument, NoFeasiblePath
 from posehsmm.inference import DP_BLOCK, _log_tables
 
-from conftest import CH, random_hsmm, random_stream
+from conftest import CH, fill_and_backtrack, random_hsmm, random_stream
 from reference_segment_dp import reference_segment_viterbi
 
 #: log-probabilities that make many sums coincide exactly
@@ -28,22 +28,30 @@ TIE_LOGS = np.log([0.25, 0.5, 1.0])
 
 
 def outcome(decode):
-    """Decoder result reduced to bit-exact comparable values.  The DP's
-    ``(log_prob, path)`` pair is backtracked, and its log-prob must carry the
-    bits of the result's."""
+    """Decoder result reduced to bit-exact comparable values: a ``float``
+    log-prob's ``.hex()``, a ``DecodeResult``'s segmentation with its
+    log-prob and per-segment score bits, or "infeasible"."""
     try:
         r = decode()
     except NoFeasiblePath:
         return "infeasible"
-    if isinstance(r, tuple):
-        log_prob, path = r
-        r = path()
-        assert r.log_prob.hex() == log_prob.hex()
+    if type(r) is float:
+        return r.hex()
     return (
         r.segmentation,
         r.log_prob.hex(),
         tuple(s.hex() for s in r.per_segment_scores),
     )
+
+
+def log_prob_of(want):
+    """The log-prob part of a ``DecodeResult``'s outcome."""
+    return want if want == "infeasible" else want[1]
+
+
+def filled_outcome(T, log_pi, log_A, log_dur, C, final_log):
+    """The outcome of the fill's backtracked ``DecodeResult``."""
+    return outcome(lambda: fill_and_backtrack(T, log_pi, log_A, log_dur, C, final_log))
 
 
 def draw_T(rng, D, short):
@@ -106,7 +114,8 @@ class TestMatchesReference:
         got = outcome(lambda: segment_viterbi_on_tables(
             T, log_pi, log_A, log_dur, C, final_log
         ))
-        assert got == want
+        assert got == log_prob_of(want)
+        assert filled_outcome(T, log_pi, log_A, log_dur, C, final_log) == want
 
     @given(st.integers(0, 2**32 - 1), st.booleans())
     @settings(max_examples=200, deadline=None)
@@ -182,11 +191,13 @@ def test_fold_edges(kind, T, D):
     got = outcome(lambda: segment_viterbi_on_tables(
         T, log_pi, log_A, log_dur, C, final_log
     ))
-    assert got == want
+    assert got == log_prob_of(want)
+    filled = filled_outcome(T, log_pi, log_A, log_dur, C, final_log)
+    assert filled == want
     if kind == "chain":
-        assert got != "infeasible" and len(got[0]) == T
+        assert filled != "infeasible" and len(filled[0]) == T
     if kind == "chain-too-long":
-        assert got == "infeasible"
+        assert filled == "infeasible"
 
 
 #: Ways to spoil a one-alignment trellis: a second start, move or end, T one
@@ -254,7 +265,9 @@ def spoil(rng, kind, T, Q, D, log_pi, log_A, log_dur, C, final_log):
 
 class TestOneAlignmentWalk:
     """A T = Q strict left-to-right chain is walked, not filled, and gives
-    the reference's result; one near miss sends the call to the fill."""
+    the reference's log-prob; one near miss sends the call to the fill.
+    The fill's backtrack on the same tables gives the reference's
+    segmentation and scores."""
 
     @given(
         st.integers(0, 2**32 - 1), st.booleans(), st.just("walk") | st.sampled_from(NEAR_MISSES)
@@ -279,11 +292,13 @@ class TestOneAlignmentWalk:
             got = outcome(lambda: segment_viterbi_on_tables(
                 T, log_pi, log_A, log_dur, C, final_log
             ))
+        assert filled == ([] if kind == "walk" else [T])
+        with np.errstate(invalid="ignore", over="ignore"):
             want = outcome(lambda: reference_segment_viterbi(
                 T, Q, D, log_pi, log_A, log_dur, C, final_log
             ))
-        assert got == want
-        assert filled == ([] if kind == "walk" else [T])
+            assert filled_outcome(T, log_pi, log_A, log_dur, C, final_log) == want
+        assert got == log_prob_of(want)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float16, np.int64])
     def test_tables_of_another_dtype_walk_to_the_fill_bits(self, dtype):
@@ -302,7 +317,7 @@ class TestOneAlignmentWalk:
                 )
             tables = (log_pi, log_A, log_dur, C, final_log)
             got = outcome(lambda: inference._walk(T, *tables))
-            assert got == outcome(lambda: inference._fill(T, Q, *tables))
+            assert got == outcome(lambda: inference._fill(T, Q, *tables)[0])
 
 
 def test_dp_peak_is_best_and_earg():
@@ -315,11 +330,12 @@ def test_dp_peak_is_best_and_earg():
     log_pi, log_A, log_dur, C = _log_tables(model, stream)
     tracemalloc.start()
     try:
-        _, path = segment_viterbi_on_tables(8000, log_pi, log_A, log_dur, C)
+        filled = inference._fill(8000, 22, log_pi, log_A, log_dur, C, None)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert path().segmentation.T == 8000
+    result = inference._backtrack(8000, *filled, log_pi, log_A, log_dur, C)
+    assert result.segmentation.T == 8000
     assert peak < 8001 * 22 * 16 + 2 * 2**20
 
 
@@ -340,29 +356,8 @@ def test_memory_is_linear_in_T():
 
 
 class TestDeferredResult:
-    """The DP returns ``log_prob`` at once and a ``path`` that backtracks."""
-
-    @pytest.mark.parametrize("first", ["segmentation", "per_segment_scores"])
-    def test_first_read_resolves_and_drops_the_dp_arrays(self, first):
-        T, Q, D, log_pi, log_A, log_dur, C, _ = random_tables(
-            np.random.default_rng(5), False, 2 * DP_BLOCK + 3, 6
-        )
-        log_prob, path = segment_viterbi_on_tables(T, log_pi, log_A, log_dur, C)
-        # best and earg, the only int arrays it holds, owned by nothing else
-        dp_arrays = [
-            weakref.ref(a) for a in path.args
-            if isinstance(a, np.ndarray) and a.dtype.kind == "i"
-        ]
-        assert len(dp_arrays) == 2 and all(ref() is not None for ref in dp_arrays)
-        result = path()
-        want = reference_segment_viterbi(T, Q, D, log_pi, log_A, log_dur, C)
-        assert getattr(result, first) == getattr(want, first)
-        assert outcome(lambda: result) == outcome(lambda: want)
-        assert result == want and hash(result) == hash(want)
-        assert log_prob.hex() == want.log_prob.hex()
-        # the result holds no DP array: dropping path frees them
-        del path
-        assert all(ref() is None for ref in dp_arrays)
+    """Nothing is deferred: the DP raises in the call, and a decode's result
+    holds no DP array."""
 
     def test_hsmm_viterbi_result_holds_no_dp_array(self):
         rng = np.random.default_rng(8)
@@ -378,27 +373,6 @@ class TestDeferredResult:
         # a frozen value: no field can be reassigned
         with pytest.raises(AttributeError):
             result.log_prob = 0.0
-
-    def test_walked_result_holds_no_dp_array(self):
-        T, Q, D, log_pi, log_A, log_dur, C, final_log = one_alignment_tables(
-            np.random.default_rng(4), False, 6
-        )
-        # every walked cell finite
-        log_pi[0] = final_log[Q - 1] = 0.0
-        log_A[np.arange(Q - 1), np.arange(1, Q)] = 0.0
-        log_dur[:, 1] = np.log(0.5)
-        log_prob, path = segment_viterbi_on_tables(T, log_pi, log_A, log_dur, C, final_log)
-        # the handle keeps the tables it was given, and no array of its own
-        given = [log_pi, log_A, log_dur, C]
-        arrays = [a for a in path.args if isinstance(a, np.ndarray)]
-        assert len(arrays) == 4 and all(any(a is g for g in given) for a in arrays)
-        result = path()
-        assert not any(isinstance(v, np.ndarray) for v in vars(result).values())
-        want = reference_segment_viterbi(T, Q, D, log_pi, log_A, log_dur, C, final_log)
-        assert result == want and log_prob.hex() == want.log_prob.hex()
-        assert [(seg.b, seg.d, seg.y) for seg in result.segmentation] == [
-            (t, 1, t - 1) for t in range(1, T + 1)
-        ]
 
     @pytest.mark.parametrize("poison", ["-inf", "nan"])
     def test_infeasible_raises_in_the_call(self, poison):
@@ -442,8 +416,7 @@ def test_missized_table_is_named(name):
         "log_A": np.array([[-np.inf, 0.0], [0.0, -np.inf]]), "log_dur": np.zeros((2, 4)),
         "emission_cumsum": np.zeros((5, 2)), "final_log": None,
     }
-    log_prob, _ = segment_viterbi_on_tables(**tables)
-    assert log_prob == math.log(0.5)
+    assert segment_viterbi_on_tables(**tables) == math.log(0.5)
     with pytest.raises(BadArgument) as exc:
         segment_viterbi_on_tables(**{**tables, param: value})
     assert exc.value.param == param

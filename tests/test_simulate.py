@@ -8,6 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import posehsmm.simulate as simulate
 from posehsmm.cli import main
 from posehsmm.errors import BadArgument, PoseHsmmError
 from posehsmm.keyframes import select_keyframes
@@ -282,6 +283,16 @@ class TestSampleSequence:
         assert last is SceneCondition.DO
         switch = b1 - 1  # 0-based index of the first DO tick
         assert 100 // 4 <= switch <= 3 * 100 // 4
+
+    def test_poses_without_a_prior_fail_before_sampling(self, monkeypatch):
+        """No start law is left to sample from, and the generating model
+        names that before any run is drawn."""
+        sampled = []
+        monkeypatch.setattr(simulate, "_sample_pose_segments", lambda *a: sampled.append(a))
+        config = ScenarioConfig(poses=(PL.ASPIRATION,), scene_doubling=False)
+        with pytest.raises(BadArgument, match="no pose with a nonzero prior"):
+            sample_sequence(config)
+        assert sampled == []
 
     def test_day_long_peak_holds_one_copy_of_X(self):
         """The sampled means, the noise draw and the stream's one copy of X:

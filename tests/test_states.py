@@ -20,10 +20,15 @@ from posehsmm import (
     build_initial_distribution,
     encode_segments,
 )
-from posehsmm.errors import BadArgument, DurationOutOfRange, MalformedSegmentation
-from posehsmm.states import D_MAX_LIMIT, StateId, StateSpace
+from posehsmm.errors import (
+    BadArgument,
+    DurationOutOfRange,
+    EmptySequence,
+    MalformedSegmentation,
+)
+from posehsmm.states import D_MAX_LIMIT, StateId, StateSpace, segment_runs
 
-from conftest import tick_states
+from conftest import assert_named_error, tick_states
 from reference_tick_chain import (
     DegenerateSelfLoop,
     GeometricDurationModel,
@@ -196,6 +201,29 @@ class TestSegments:
     )
     def test_round_trip_property(self, labels):
         assert tick_states(encode_segments(labels)) == labels
+
+
+#: Calls that break one rule each, as ``assert_named_error`` takes them.
+BAD_CALLS = {
+    "no-segments": (lambda: Segmentation((), 3), MalformedSegmentation, None,
+                    "^segmentation has no segments"),
+    "zero-duration": (lambda: Segmentation((Segment(1, 0, 0),), 0), MalformedSegmentation,
+                      None, "^segment 0 has duration 0"),
+    "encode-empty": (lambda: encode_segments([]), EmptySequence, None,
+                     "^cannot encode an empty label sequence"),
+    "mean-std-lengths": (lambda: DurationModel([2.0, 3.0], [1.0], 4), BadArgument, None,
+                         "^mean and std must be 1-d arrays of equal length"),
+    # numpy cannot hold 2**70 in an intp
+    "run-state-overflow": (
+        lambda: segment_runs([Segmentation((Segment(1, 2, 2**70),), 2)], 2, "labels"),
+        BadArgument, "labels", "^labels must hold Segmentations whose run states",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_CALLS))
+def test_broken_rule_is_named(case):
+    assert_named_error(*BAD_CALLS[case])
 
 
 @pytest.mark.parametrize(
